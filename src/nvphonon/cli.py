@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 
@@ -46,18 +47,21 @@ def _fmt(x):
 # config registry
 
 def _conv_float(text):
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _conv_nonneg_float(text):
-    value = float(text)
+    value = _conv_float(text)
     if value < 0.0:
         raise ValueError("must be >= 0")
     return value
 
 
 def _conv_pos_float(text):
-    value = float(text)
+    value = _conv_float(text)
     if value <= 0.0:
         raise ValueError("must be > 0")
     return value
@@ -78,12 +82,12 @@ def _conv_nonneg_int(text):
 
 
 def _conv_rate_mhz(text):
-    return rate_from_linear_mhz(float(text))
+    return rate_from_linear_mhz(_conv_float(text))
 
 
 def _conv_signed_rate_mhz(text):
     # detunings and fit-form offsets may be negative
-    return float(text) * 2.0e-3 * math.pi
+    return _conv_float(text) * 2.0e-3 * math.pi
 
 
 def _conv_str(text):
@@ -560,11 +564,10 @@ def _fit_depol(args, cfg, inputs):
     for path, (temp, channel) in zip(inputs, labels):
         trace = _load_cfg_trace(cfg, path, temperature=temp, channel=channel)
         if norm != 1.0:
-            trace = TimeTrace(trace.times, trace.values / norm,
-                              uncertainty=(None if trace.uncertainty is None
-                                           else trace.uncertainty / norm),
-                              temperature=temp, channel=channel,
-                              background_subtracted=trace.background_subtracted)
+            trace = dataclasses.replace(
+                trace, values=trace.values / norm,
+                uncertainty=(None if trace.uncertainty is None
+                             else trace.uncertainty / norm))
         traces.append(trace)
     result = estimate.fit_depolarization(
         traces,

@@ -263,7 +263,7 @@ def nlls(model, data, init, weights="uniform", max_iter=200):
 
     result = _least_squares(predict, values, w, theta0, names,
                             max_iter=max_iter, scale_covariance=scale)
-    if weights == "poisson":
+    if isinstance(weights, str) and weights == "poisson":
         result = _poisson_refit(predict, values, result, max_iter)
     return result
 
@@ -524,7 +524,7 @@ def fit_depolarization(traces, gamma_mix_cold, gamma_mix_warm, gamma_rad,
                              defaults["epsilon"]],
                             ("amplitude", "t0", "epsilon"),
                             max_iter=max_iter, scale_covariance=scale)
-    if weights == "poisson":
+    if isinstance(weights, str) and weights == "poisson":
         result = _poisson_refit(predict, values, result, max_iter)
     return _with_derived(result, {"bright_channel": bright_channel})
 

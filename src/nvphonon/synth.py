@@ -98,7 +98,7 @@ def _build_rabi(params):
 def _build_lindblad(params):
     _reject_unknown(params, {"gamma_rad_x", "gamma_rad_y", "gamma_mix_xy",
                              "gamma_mix_yx", "gamma_t2", "gamma_isc_x",
-                             "rabi", "detuning", "observable", "dt"})
+                             "rabi", "detuning", "observable"})
     model = dynamics.ThreeLevelModel(
         gamma_rad_x=_rate(params, "gamma_rad_x", default=0.0),
         gamma_rad_y=_rate(params, "gamma_rad_y", default=0.0),
@@ -112,12 +112,11 @@ def _build_lindblad(params):
     observable = _get(params, "observable", default="fluorescence")
     if observable not in ("fluorescence", "x", "y", "g"):
         raise ModelError("lindblad observable must be fluorescence, x, y or g")
-    dt = float(_get(params, "dt", default=0.01))
     rho0 = dynamics.DensityMatrix3.pure("g" if model.rabi.value > 0 else "x")
 
     def intensity(t):
         t = np.asarray(t, dtype=float)
-        result = dynamics.evolve_lindblad(model, rho0, t, dt=dt)
+        result = dynamics.evolve_lindblad(model, rho0, t)
         labels = model.labels
         if observable == "fluorescence":
             out = result.populations[labels[1]].values.copy()

@@ -218,6 +218,36 @@ def test_simulate_missing_key_is_input_error(tmp_path):
         == EXIT_INPUT
 
 
+def _assert_one_line_input_error(cfg, out, capsys):
+    code = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "must be finite" in err
+    assert not out.exists()
+
+
+def test_simulate_nan_step_is_input_error(tmp_path, capsys):
+    cfg = _write(tmp_path / "sim.cfg", """
+model.name = exponential
+model.rate_mhz = 29.2
+grid.span_ns = 60.0
+grid.step_ns = nan
+""")
+    _assert_one_line_input_error(cfg, tmp_path / "x.csv", capsys)
+
+
+def test_simulate_infinite_counts_is_input_error(tmp_path, capsys):
+    cfg = _write(tmp_path / "sim.cfg", """
+model.name = exponential
+model.rate_mhz = 29.2
+synth.total_counts = inf
+synth.bin_ns = 0.25
+synth.span_ns = 60.0
+""")
+    _assert_one_line_input_error(cfg, tmp_path / "x.csv", capsys)
+
+
 def test_simulate_bad_branch_is_model_error(tmp_path):
     cfg = _write(tmp_path / "sim.cfg", """
 model.name = a12
@@ -345,6 +375,50 @@ trace.normalization = {scale}
         rows = {r[0]: r for r in csv.reader(handle)}
     assert float(rows["epsilon"][1]) == pytest.approx(0.1, abs=0.01)
     assert float(rows["t0"][1]) == pytest.approx(-3.6, abs=0.2)
+
+
+def test_fit_depol_normalization_keeps_clamped_bins(tmp_path, monkeypatch):
+    t = np.arange(0.0, 80.0, 0.5) + 0.25
+    rng = np.random.default_rng(17)
+    names = []
+    for label, gm in (("cold", rate_from_linear_mhz(0.08)),
+                      ("warm", GAMMA_MIX_WARM)):
+        bright, dark = closedform.observed_polarized_intensity(
+            0.9, 0.1, -3.6, GAMMA_RAD.value, gm.value, t)
+        for channel, values in (("a", bright), ("b", dark)):
+            path = tmp_path / f"{label}_{channel}.csv"
+            write_trace_csv(path, t, {"counts": rng.poisson(values * 5e4)},
+                            counts=True)
+            names.append(str(path))
+    # a background above the signal in the last three bins clamps them
+    background = np.zeros(len(t), dtype=np.int64)
+    background[-3:] = 10**9
+    bg_path = tmp_path / "background.csv"
+    write_trace_csv(bg_path, t, {"counts": background}, counts=True)
+    cfg = _write(tmp_path / "fit.cfg", f"""
+rates.gamma_rad_mhz = 13.2
+depol.temp_cold_k = 5.0
+depol.temp_warm_k = 20.0
+depol.gamma_mix_cold_mhz = 0.08
+depol.gamma_mix_warm_mhz = 18.5
+trace.background = {bg_path}
+trace.normalization = 5e4
+""")
+    seen = []
+    real_fit = estimate.fit_depolarization
+
+    def spy(traces, **kwargs):
+        seen.extend(traces)
+        return real_fit(traces, **kwargs)
+
+    monkeypatch.setattr(estimate, "fit_depolarization", spy)
+    code = cli.main(["fit", "--procedure", "depol", "--config", cfg,
+                     "--out", str(tmp_path / "params.csv")] + names)
+    assert code == EXIT_OK
+    assert [tr.clamped_bins for tr in seen] == [3, 3, 3, 3]
+    assert [tr.channel for tr in seen] == ["a", "b", "a", "b"]
+    assert all(tr.background_subtracted for tr in seen)
+    assert float(np.max(seen[0].values)) < 1.0
 
 
 def test_fit_gamma_a1_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from nvphonon import closedform, dynamics
@@ -74,9 +76,9 @@ def test_mixing_matches_closed_form():
     rho_b, rho_d = closedform.depolarization_populations(
         GAMMA_RAD.value, GAMMA_MIX_WARM.value, t)
     np.testing.assert_allclose(result.populations["x"].values, rho_b,
-                               atol=1e-8)
+                               atol=1e-12)
     np.testing.assert_allclose(result.populations["y"].values, rho_d,
-                               atol=1e-8)
+                               atol=1e-12)
 
 
 def test_trace_preserved_with_sink():
@@ -101,25 +103,22 @@ def test_coherence_reported():
     assert result.coherence.values.max() > 0.01
 
 
-def test_adaptive_agrees_with_fixed_step():
+def test_driven_mixing_dephased_trace_and_positivity():
     model = _decay_model(gamma_mix_xy=GAMMA_MIX_WARM,
                          gamma_mix_yx=GAMMA_MIX_WARM,
                          rabi=TWO_PI * 0.05, gamma_t2=0.02)
     t = np.linspace(0.0, 30.0, 31)
-    fixed = evolve_lindblad(model, DensityMatrix3.pure("g"), t)
-    adaptive = evolve_lindblad(model, DensityMatrix3.pure("g"), t,
-                               method="adaptive")
-    for key in ("g", "x", "y"):
-        np.testing.assert_allclose(adaptive.populations[key].values,
-                                   fixed.populations[key].values,
-                                   atol=1e-7)
-
-
-def test_unknown_method_rejected():
-    model = _decay_model()
-    with pytest.raises(ValidationError):
-        evolve_lindblad(model, DensityMatrix3.pure("x"),
-                        np.array([0.0, 1.0]), method="euler")
+    result = evolve_lindblad(model, DensityMatrix3.pure("g"), t)
+    pops = {key: result.populations[key].values for key in ("g", "x", "y")}
+    # no loss channel: the populations keep summing to one
+    total = pops["g"] + pops["x"] + pops["y"]
+    np.testing.assert_allclose(total, np.ones_like(t), atol=1e-12)
+    for values in pops.values():
+        assert np.all(values >= 0.0) and np.all(values <= 1.0 + 1e-12)
+    # positivity of the g-x block: |rho_gx|^2 <= rho_gg rho_xx
+    gap = pops["g"] * pops["x"] - result.coherence.values ** 2
+    assert np.all(gap >= -1e-12)
+    assert result.coherence.values.max() > 0.01
 
 
 def test_times_validated():
@@ -131,14 +130,15 @@ def test_times_validated():
         evolve_lindblad(model, rho0, np.array([-1.0, 0.5]))
 
 
-def test_coarse_step_instability_is_reported():
-    model = ThreeLevelModel(rabi=rate_from_linear_mhz(500.0), detuning=0.0,
-                            gamma_rad_x=GAMMA_RAD, gamma_rad_y=GAMMA_RAD,
-                            gamma_mix_xy=0.0, gamma_mix_yx=0.0,
-                            gamma_isc_x=0.0, gamma_t2=0.0)
-    with pytest.raises(IntegrationError):
-        evolve_lindblad(model, DensityMatrix3.pure("g"),
-                        np.array([0.0, 40.0]), dt=5.0)
+def test_fast_drive_on_two_samples_is_exact():
+    # 500 MHz drive: 20 Rabi cycles between the only two samples
+    omega = rate_from_linear_mhz(500.0)
+    model = ThreeLevelModel(rabi=omega)
+    t = np.array([0.0, 40.0])
+    result = evolve_lindblad(model, DensityMatrix3.pure("g"), t)
+    expected = np.sin(0.5 * omega.value * t) ** 2
+    np.testing.assert_allclose(result.populations["x"].values, expected,
+                               rtol=0.0, atol=1e-12)
 
 
 def test_density_matrix_validation():
@@ -187,6 +187,34 @@ def test_rate_evolution_against_expm():
                 expected[0], rel=1e-8, abs=1e-12)
             assert pops["A2"].values[i] == pytest.approx(
                 expected[1], rel=1e-8, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rates=st.tuples(*[st.floats(1e-3, 0.3)] * 3),
+       branch=st.sampled_from(("A1", "A2")),
+       start=st.floats(0.0, 5.0),
+       steps=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=30))
+def test_rate_evolution_matches_closed_form_on_irregular_grid(
+        rates, branch, start, steps):
+    # nearly every spacing differs, so each sample builds its own propagator
+    t = start + np.concatenate([[0.0], np.cumsum(steps)])
+    assume(np.all(np.diff(t) > 0.0))
+    gr, gm, gi = rates
+    p0 = np.array([1.0, 0.0] if branch == "A1" else [0.0, 1.0])
+    pops = evolve_rates(build_a12_model(gr, gm, gi), p0, t)
+    total = pops["A1"].values + pops["A2"].values
+    closed = closedform.fluorescence_a12(gr, gm, gi, branch, t)
+    np.testing.assert_allclose(total, closed, rtol=1e-12, atol=0.0)
+
+
+def test_negative_population_is_reported(monkeypatch):
+    model = build_a12_model(0.1, 0.05, 0.08)
+    t = np.array([0.0, 1.0])
+    monkeypatch.setattr(dynamics, "_propagate",
+                        lambda matrix, y0, times: np.array([[1.0, 0.0],
+                                                            [1.0, -1e-6]]))
+    with pytest.raises(IntegrationError):
+        evolve_rates(model, np.array([1.0, 0.0]), t)
 
 
 def test_rate_evolution_conserves_without_loss():

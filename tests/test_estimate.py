@@ -84,6 +84,17 @@ def test_nlls_weight_validation():
         estimate.nlls(model, trace, {"a": 1.0}, weights=np.ones(3))
 
 
+def test_nlls_accepts_explicit_weight_array():
+    trace = _exp_trace()
+    model = lambda t, amplitude, rate: amplitude * np.exp(-rate * t)
+    start = {"amplitude": 10.0, "rate": 0.2}
+    explicit = estimate.nlls(model, trace, start, weights=np.ones(len(trace)))
+    uniform = estimate.nlls(model, trace, start)
+    assert explicit.converged
+    for name in ("amplitude", "rate"):
+        assert explicit[name] == pytest.approx(uniform[name], rel=1e-12)
+
+
 def test_nlls_requires_excess_data():
     trace = TimeTrace(np.array([0.0, 1.0]), np.array([2.0, 1.0]))
     model = lambda t, a, b: a * np.exp(-b * t)
@@ -328,6 +339,17 @@ def test_depolarization_fit_noiseless_recovery():
     assert fit["t0"] == pytest.approx(-3.6, abs=1e-8)
     assert fit["epsilon"] == pytest.approx(0.1, abs=1e-8)
     assert fit.derived["bright_channel"] == "H"
+
+
+def test_depolarization_fit_accepts_explicit_weight_array():
+    traces = _depol_traces()
+    n = sum(len(tr) for tr in traces)
+    fit = estimate.fit_depolarization(
+        traces, gamma_mix_cold=GAMMA_MIX_COLD, gamma_mix_warm=GAMMA_MIX_WARM,
+        gamma_rad=GAMMA_RAD, weights=np.ones(n))
+    assert fit.converged
+    assert fit["epsilon"] == pytest.approx(0.1, abs=1e-8)
+    assert fit["t0"] == pytest.approx(-3.6, abs=1e-8)
 
 
 def test_depolarization_fit_label_symmetry():
