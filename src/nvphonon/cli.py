@@ -30,6 +30,10 @@ EXIT_INPUT = 2
 EXIT_MODEL = 3
 EXIT_NO_CONVERGENCE = 4
 
+# Most samples a time grid, sweep grid or synthetic histogram may hold (80 MB
+# per float64 column); larger requests are input errors, refused unallocated.
+MAX_SAMPLES = 10_000_000
+
 
 class ConfigError(ValidationError):
     """Malformed config file or rejected key/value."""
@@ -41,6 +45,12 @@ class TraceFormatError(ValidationError):
 
 def _fmt(x):
     return format(float(x), ".17g")
+
+
+def _check_sample_count(count, what):
+    if not count <= MAX_SAMPLES:  # count is a float and may be inf
+        raise ConfigError(f"{what} would hold {count:.3g} samples "
+                          f"(limit {MAX_SAMPLES})")
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +335,8 @@ def write_trace_csv(path, times, columns, counts=False):
 
 
 def _read_points_file(path, expected_header):
-    """Parse a small points CSV with an exact header."""
+    """Parse a small points CSV with an exact header; `*_mhz` columns become
+    fitted AngularRates."""
     rows = _read_csv_rows(path)
     header_line, header = rows[0]
     if header != list(expected_header):
@@ -346,8 +357,10 @@ def _read_points_file(path, expected_header):
                 parsed.append(cell)
             else:
                 try:
-                    parsed.append(float(cell))
-                except ValueError as exc:
+                    value = float(cell)
+                    parsed.append(rate_from_linear_mhz(value, fitted=True)
+                                  if name.endswith("_mhz") else value)
+                except (ValueError, ValidationError) as exc:
                     raise TraceFormatError(
                         f"{path}:{lineno}: bad value {cell!r} for {name}") from exc
         points.append(tuple(parsed))
@@ -444,6 +457,7 @@ def cmd_simulate(args):
             pulse_edge=cfg.get("synth.pulse_edge_ns", 2.0),
             seed=seed,
         )
+        _check_sample_count(spec.span / spec.bin_width, "synthetic histogram")
         trace = synth.generate(spec)
         write_trace_csv(args.out, trace.times, {"counts": trace.values},
                         counts=True)
@@ -453,6 +467,7 @@ def cmd_simulate(args):
     start = cfg.get("grid.start_ns", 0.0)
     span = cfg.get("grid.span_ns", 120.0)
     step = cfg.get("grid.step_ns", 0.25)
+    _check_sample_count(span / step + 1.0, "time grid")
     n = int(math.floor(span / step + 1e-9))
     times = start + step * np.arange(n + 1)
     series = {label: synth.model_intensity(name, params)(times)
@@ -542,10 +557,7 @@ def _fit_t5(args, cfg, inputs):
         raise ConfigError("procedure t5 takes exactly one points CSV")
     points = _read_points_file(
         inputs[0], ("temperature_k", "gamma_add_mhz", "sigma_mhz"))
-    converted = [(t, rate_from_linear_mhz(g, fitted=True),
-                  rate_from_linear_mhz(s, fitted=True))
-                 for t, g, s in points]
-    result = estimate.fit_t5(converted, max_iter=cfg.get("fit.max_iter", 200))
+    result = estimate.fit_t5(points, max_iter=cfg.get("fit.max_iter", 200))
     units = {"a": (_TO_MHZ, "MHz/K^5"), "t0": (1.0, "K"), "c": (_TO_MHZ, "MHz")}
     return result, units
 
@@ -585,15 +597,12 @@ def _fit_gamma_a1(args, cfg, inputs):
         raise ConfigError("procedure gamma-a1 takes exactly one points CSV")
     points = _read_points_file(
         inputs[0], ("temperature_k", "gamma_eff_mhz", "sigma_mhz", "branch"))
-    converted = [(t, rate_from_linear_mhz(g, fitted=True),
-                  rate_from_linear_mhz(s, fitted=True), branch)
-                 for t, g, s, branch in points]
     mix_model = phonon.MixingFitForm(
         a=_require(cfg, "t5.a_mhz_per_k5", "gamma-a1"),
         t0_k=_require(cfg, "t5.t0_k", "gamma-a1"),
         c=_require(cfg, "t5.c_mhz", "gamma-a1"))
     result = estimate.fit_gamma_a1(
-        converted, mix_model,
+        points, mix_model,
         gamma_rad=_require(cfg, "rates.gamma_rad_mhz", "gamma-a1"),
         window_start=cfg.get("window.start_ns", 4.0),
         window_length=cfg.get("window.length_ns", 115.0),
@@ -651,7 +660,7 @@ def _parse_sweep_spec(text):
     if axis not in ("T", "delta"):
         raise ConfigError(f"unknown sweep axis {axis!r} (use T or delta)")
     try:
-        lo, hi, step = (float(p) for p in parts[1:])
+        lo, hi, step = (_conv_float(p) for p in parts[1:])
     except ValueError as exc:
         raise ConfigError(f"bad sweep bounds in {text!r}: {exc}") from exc
     return axis, lo, hi, step
@@ -662,6 +671,7 @@ def _sweep_grid(lo, hi, step):
         raise ConfigError("sweep step must be > 0")
     if hi < lo:
         raise ConfigError("sweep upper bound below lower bound")
+    _check_sample_count((hi - lo) / step + 1.0, "sweep grid")
     n = int(math.floor((hi - lo) / step + 1e-9))
     return lo + step * np.arange(n + 1)
 

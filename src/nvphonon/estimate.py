@@ -1,27 +1,32 @@
-"""Nonlinear least-squares estimation of physical rates from count traces.
+"""Nonlinear least-squares estimation of physical rates from count traces,
+and the windowed forward model that the crossing-rate fit inverts.
 
-The minimizer is a damped Gauss-Newton iteration (Levenberg-style
-lambda adaptation) with a forward-difference Jacobian. Steps are only
-accepted when they lower chi^2, so converged fits always end at or below
-the chi^2 of their initialization. Parameter covariance is the inverse
-of the weighted normal matrix, scaled by reduced chi^2 when the weights
-are uniform (relative); rank-deficient directions are reported with
-effectively unbounded confidence intervals rather than hidden.
+Every fit runs through `_least_squares`: a damped Gauss-Newton iteration
+(Levenberg-style lambda adaptation) with a forward-difference Jacobian
+that accepts only steps lowering chi^2. Weighting schemes: "uniform"
+(covariance scaled by reduced chi^2, as unit weights carry no absolute
+scale), "provided" (1/sigma^2 from the data's uncertainties), an explicit
+weight array, or "poisson": 1/max(y, 1), then two refits weighted by
+1/max(model, 1), which removes at first order the bias toward downward
+fluctuations that weights from observed counts cause. Rank-deficient
+directions get effectively unbounded variances rather than being hidden.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .closedform import (
     additional_decoherence,
     depolarization_populations,
+    fluorescence_a12,
     rabi_fit_model,
 )
-from .core import AngularRate, TimeTrace, ValidationError, rate_value
+from .core import (AngularRate, TimeTrace, ValidationError, rate_value,
+                   temperature_value)
 
 _JACOBIAN_REL_STEP = 1e-6
 _HUGE_VARIANCE = 1e300
@@ -90,35 +95,28 @@ class FitResult:
 
     def with_derived(self, **extra):
         """Copy of this result with additional derived quantities."""
-        merged = dict(self.derived)
-        merged.update(extra)
-        return FitResult(
-            names=self.names, values=self.values, sigma=self.sigma,
-            covariance=self.covariance, chi2=self.chi2, dof=self.dof,
-            converged=self.converged, iterations=self.iterations,
-            derived=merged,
-        )
+        return replace(self, derived={**self.derived, **extra})
 
 
 def _resolve_weights(weights, values, uncertainty):
-    """Return (weight array, scale_covariance_by_reduced_chi2)."""
+    """Weight array of a weighting scheme (see the module docstring)."""
     if isinstance(weights, str):
         if weights == "uniform":
-            return np.ones_like(np.asarray(values, dtype=float)), True
+            return np.ones_like(values)
         if weights == "poisson":
-            return 1.0 / np.maximum(np.asarray(values, dtype=float), 1.0), False
+            return 1.0 / np.maximum(values, 1.0)
         if weights == "provided":
             if uncertainty is None:
                 raise ValidationError("weights='provided' requires trace uncertainty")
             sigma = np.asarray(uncertainty, dtype=float)
             if np.any(sigma <= 0):
                 raise ValidationError("provided uncertainties must be > 0")
-            return 1.0 / sigma**2, False
+            return 1.0 / sigma**2
         raise ValidationError(f"unknown weighting scheme {weights!r}")
     w = np.asarray(weights, dtype=float)
     if w.shape != np.shape(values) or np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValidationError("weight array must be finite, >= 0, matching data length")
-    return w, False
+    return w
 
 
 def _jacobian(predict, theta, f0):
@@ -150,37 +148,13 @@ def _covariance(jac, weights, chi2, dof, scale):
     return cov
 
 
-def _poisson_refit(predict, y, result, max_iter):
-    """Reweight counting data by the model expectation and refit.
-
-    Weights taken from the observed counts bias the fit toward downward
-    fluctuations; two reweighted passes remove that at first order.
-    """
-    for _ in range(2):
-        expected = np.asarray(predict(result.values), dtype=float)
-        w = 1.0 / np.maximum(expected, 1.0)
-        result = _least_squares(predict, y, w, result.values, result.names,
-                                max_iter=max_iter, scale_covariance=False)
-    return result
-
-
-def _least_squares(predict, y, weights, init_values, names,
-                   max_iter=200, scale_covariance=True):
-    """Damped Gauss-Newton minimization of sum(w * (y - predict(theta))^2)."""
-    theta = np.array(init_values, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n_points = len(y)
-    n_params = len(theta)
-    if n_points <= n_params:
-        raise ValidationError(
-            f"{n_points} points cannot constrain {n_params} parameters"
-        )
-    dof = n_points - n_params
-
+def _minimize(predict, y, weights, theta, f, max_iter):
+    """Damped Gauss-Newton descent of sum(w * (y - predict(theta))^2) from
+    theta, with f = predict(theta); returns the same pair at the end, chi2,
+    whether it converged and the iteration count."""
     def chi2_of(residual):
         return float(np.sum(weights * residual * residual))
 
-    f = predict(theta)
     r = y - f
     chi2 = chi2_of(r)
     y_scale = max(float(np.sum(weights * y * y)), 1e-300)
@@ -224,9 +198,31 @@ def _least_squares(predict, y, weights, init_values, names,
                 or chi2 <= 1e-28 * y_scale):
             converged = True
             break
+    return theta, f, chi2, converged, iterations
 
-    jac = _jacobian(predict, theta, predict(theta))
-    cov = _covariance(jac, weights, chi2, dof, scale_covariance)
+
+def _least_squares(predict, y, weights, init, names, max_iter=200,
+                   uncertainty=None):
+    """Fit predict(theta) to y under a weighting scheme (module docstring)."""
+    y = np.asarray(y, dtype=float)
+    w = _resolve_weights(weights, y, uncertainty)
+    theta = np.array(init, dtype=float)
+    n_points, n_params = len(y), len(theta)
+    if n_points <= n_params:
+        raise ValidationError(
+            f"{n_points} points cannot constrain {n_params} parameters"
+        )
+    scheme = weights if isinstance(weights, str) else "array"
+    f = predict(theta)
+    for refit in range(3 if scheme == "poisson" else 1):
+        if refit:  # reweight counts by the previous fit's expectation
+            w = 1.0 / np.maximum(f, 1.0)
+        theta, f, chi2, converged, iterations = _minimize(
+            predict, y, w, theta, f, max_iter)
+
+    dof = n_points - n_params
+    cov = _covariance(_jacobian(predict, theta, f), w, chi2, dof,
+                      scale=scheme == "uniform")
     sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return FitResult(
         names=tuple(names),
@@ -249,27 +245,18 @@ def nlls(model, data, init, weights="uniform", max_iter=200):
     data : TimeTrace
     init : dict of name -> starting value; the key order defines the
         parameter vector.
-    weights : "uniform", "poisson" (1/max(y, 1)), "provided" (from the
-        trace's uncertainty), or an explicit array.
+    weights : "uniform", "poisson" or "provided" (from the trace's
+        uncertainty; see the module docstring), or an explicit array.
     """
     names = tuple(init)
-    theta0 = [float(init[name]) for name in names]
-    w, scale = _resolve_weights(weights, data.values, data.uncertainty)
     times = data.times
-    values = np.asarray(data.values, dtype=float)
 
     def predict(theta):
         return np.asarray(model(times, *theta), dtype=float)
 
-    result = _least_squares(predict, values, w, theta0, names,
-                            max_iter=max_iter, scale_covariance=scale)
-    if isinstance(weights, str) and weights == "poisson":
-        result = _poisson_refit(predict, values, result, max_iter)
-    return result
-
-
-def _with_derived(result, derived):
-    return result.with_derived(**derived)
+    return _least_squares(predict, data.values, weights,
+                          [float(init[name]) for name in names], names,
+                          max_iter=max_iter, uncertainty=data.uncertainty)
 
 
 def fit_exponential_window(trace, window, weights="uniform", max_iter=200):
@@ -382,11 +369,26 @@ def fit_rabi_trace(trace, init=None, gamma_rad=None, weights="uniform",
 
     result = nlls(rabi_fit_model, trace, defaults, weights=weights,
                   max_iter=max_iter)
-    derived = {}
     tau_fit = result["tau_rabi"]
     if gamma_rad is not None and tau_fit > 0:
-        derived["gamma_add"] = additional_decoherence(tau_fit, gamma_rad)
-    return _with_derived(result, derived)
+        return result.with_derived(gamma_add=additional_decoherence(tau_fit, gamma_rad))
+    return result
+
+
+def _rate_points(points):
+    """Temperatures, rates, 1/sigma^2 weights and the remaining fields of
+    (temperature_K, rate, sigma, *rest) points; rates and sigmas in rad/ns
+    (AngularRate accepted) must be finite, and sigmas > 0."""
+    temps, rates, sigmas, rest = [], [], [], []
+    for temperature, rate, sigma, *more in points:
+        temps.append(temperature_value(temperature))
+        rates.append(rate_value(rate))
+        sigmas.append(rate_value(sigma))
+        rest.append(tuple(more))
+    sigmas = np.array(sigmas)
+    if np.any(sigmas <= 0):
+        raise ValidationError("point sigmas must be > 0")
+    return np.array(temps), np.array(rates), 1.0 / sigmas**2, rest
 
 
 def fit_t5(points, init=None, max_iter=200):
@@ -396,20 +398,13 @@ def fit_t5(points, init=None, max_iter=200):
     in rad/ns (AngularRate accepted); sigma must be > 0. Needs at least
     4 points spanning at least 10 K.
     """
-    pts = [(float(T), rate_value(g) if isinstance(g, AngularRate) else float(g),
-            rate_value(s) if isinstance(s, AngularRate) else float(s))
-           for T, g, s in points]
-    if len(pts) < 4:
+    temps, rates, weights, _ = _rate_points(points)
+    if len(temps) < 4:
         raise ValidationError("t5 fit needs at least 4 points")
-    temps = np.array([p[0] for p in pts])
-    rates = np.array([p[1] for p in pts])
-    sigmas = np.array([p[2] for p in pts])
     if temps.max() - temps.min() < 10.0:
         raise ValidationError("t5 fit needs points spanning at least 10 K")
-    if np.any(sigmas <= 0):
-        raise ValidationError("t5 fit sigmas must be > 0")
     order = np.argsort(temps)
-    temps, rates, sigmas = temps[order], rates[order], sigmas[order]
+    temps, rates, weights = temps[order], rates[order], weights[order]
 
     defaults = {
         "a": (rates[-1] - rates[0]) / max((temps[-1] - temps[0] + 0.5) ** 5, 1e-300),
@@ -418,7 +413,6 @@ def fit_t5(points, init=None, max_iter=200):
     }
     if init:
         defaults.update({k: float(v) for k, v in init.items()})
-    weights = 1.0 / sigmas**2
 
     def predict(theta):
         a, t0, c = theta
@@ -426,8 +420,7 @@ def fit_t5(points, init=None, max_iter=200):
 
     return _least_squares(predict, rates, weights,
                           [defaults["a"], defaults["t0"], defaults["c"]],
-                          ("a", "t0", "c"), max_iter=max_iter,
-                          scale_covariance=False)
+                          ("a", "t0", "c"), max_iter=max_iter)
 
 
 def t5_confidence_band(result, temperatures):
@@ -495,7 +488,6 @@ def fit_depolarization(traces, gamma_mix_cold, gamma_mix_warm, gamma_rad,
     uncert = None
     if all(tr.uncertainty is not None for tr in traces):
         uncert = np.concatenate([tr.uncertainty for tr in traces])
-    w, scale = _resolve_weights(weights, values, uncert)
 
     def predict(theta):
         amplitude, t0, epsilon = theta
@@ -519,14 +511,41 @@ def fit_depolarization(traces, gamma_mix_cold, gamma_mix_warm, gamma_rad,
                 "epsilon": 0.05}
     if init:
         defaults.update({k: float(v) for k, v in init.items()})
-    result = _least_squares(predict, values, w,
+    result = _least_squares(predict, values, weights,
                             [defaults["amplitude"], defaults["t0"],
                              defaults["epsilon"]],
                             ("amplitude", "t0", "epsilon"),
-                            max_iter=max_iter, scale_covariance=scale)
-    if isinstance(weights, str) and weights == "poisson":
-        result = _poisson_refit(predict, values, result, max_iter)
-    return _with_derived(result, {"bright_channel": bright_channel})
+                            max_iter=max_iter, uncertainty=uncert)
+    return result.with_derived(bright_channel=bright_channel)
+
+
+def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix,
+                        window_start=4.0, window_length=115.0, dt=0.25):
+    """Windowed single-exponential rates of the two-branch fluorescence.
+
+    Simulates the noiseless two-branch decay for each initial branch,
+    fits A exp(-Gamma t) over the same window used on measured traces,
+    and subtracts the radiative rate. This is the forward model mapping
+    (Gamma_a1, Gamma_mix(T)) to the crossing rates a windowed lifetime
+    fit reports; the second branch's own crossing is taken as zero.
+
+    Returns (rate_a1_branch, rate_a2_branch) as fitted AngularRates.
+    """
+    gr = rate_value(gamma_rad)
+    ga1 = rate_value(gamma_a1)
+    gm = rate_value(gamma_mix)
+    if window_length <= 0 or dt <= 0:
+        raise ValidationError("window_length and dt must be > 0")
+    n = int(round(window_length / dt))
+    times = window_start + dt * np.arange(n + 1)
+    window = FitWindow(start=window_start, length=window_length)
+    out = []
+    for branch in ("A1", "A2"):
+        intensity = fluorescence_a12(gr, gm, ga1, branch, times)
+        trace = TimeTrace(times, intensity)
+        fit = fit_exponential_window(trace, window)
+        out.append(AngularRate(fit["rate"] - gr, fitted=True))
+    return tuple(out)
 
 
 def fit_gamma_a1(points, mix_model, gamma_rad, window_start=4.0,
@@ -537,27 +556,20 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window_start=4.0,
     gamma_eff is the windowed single-exponential rate minus the radiative
     rate for that branch ("A1" or "A2") and sigma its uncertainty
     (rad/ns). mix_model maps temperature to the mixing rate (e.g. the
-    clamped empirical T^5 law). The forward model re-runs the same
-    windowed analysis on noiseless two-branch decays.
+    clamped empirical T^5 law). The forward model, effective_isc_rates,
+    re-runs the same windowed analysis on noiseless two-branch decays.
     """
-    from .phonon import effective_isc_rates  # deferred: phonon calls back here
-
-    pts = []
-    for T, g, s, branch in points:
+    temps, rates, weights, rest = _rate_points(points)
+    branches = [branch for (branch,) in rest]
+    for branch in branches:
         if branch not in ("A1", "A2"):
             raise ValidationError(f"branch must be 'A1' or 'A2', got {branch!r}")
-        g_v = rate_value(g) if isinstance(g, AngularRate) else float(g)
-        s_v = rate_value(s) if isinstance(s, AngularRate) else float(s)
-        if s_v <= 0:
-            raise ValidationError("point sigmas must be > 0")
-        pts.append((float(T), g_v, s_v, branch))
-    if len(pts) < 2:
+    if len(branches) < 2:
         raise ValidationError("gamma_a1 fit needs at least 2 points")
-    rates = np.array([p[1] for p in pts])
-    sigmas = np.array([p[2] for p in pts])
-    weights = 1.0 / sigmas**2
     gr = rate_value(gamma_rad)
-    unique_temps = sorted({p[0] for p in pts})
+    lookup = [(T, 0 if branch == "A1" else 1)
+              for T, branch in zip(temps.tolist(), branches)]
+    unique_temps = sorted({T for T, _ in lookup})
     # accept either a callable T -> rate or a fit-form bundle
     mix_fn = getattr(mix_model, "clamped", mix_model)
     mix_by_temp = {T: rate_value(mix_fn(T)) for T in unique_temps}
@@ -570,17 +582,13 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window_start=4.0,
                                    window_length=window_length, dt=dt)
             for T in unique_temps
         }
-        out = np.empty(len(pts))
-        for i, (T, _g, _s, branch) in enumerate(pts):
-            pair = eff[T]
-            out[i] = pair[0].value if branch == "A1" else pair[1].value
-        return out
+        return np.array([eff[T][index].value for T, index in lookup])
 
-    a1_rates = [p[1] for p in pts if p[3] == "A1"]
+    a1_rates = [g for g, branch in zip(rates, branches) if branch == "A1"]
     default_init = max(a1_rates) if a1_rates else max(rates.max(), 1e-3)
     ga1_0 = float(init) if init is not None else max(float(default_init), 1e-3)
     return _least_squares(predict, rates, weights, [ga1_0], ("gamma_a1",),
-                          max_iter=max_iter, scale_covariance=False)
+                          max_iter=max_iter)
 
 
 def ensemble_spread(values):

@@ -28,16 +28,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .closedform import fluorescence_a12
 from .core import (
     AngularRate,
     EnergyMeV,
-    TimeTrace,
     ValidationError,
     energy_value,
     rate_value,
     temperature_value,
 )
+
+# The windowed forward model lives in `estimate`, beside the fit that inverts
+# it; the package namespace, the tests and the benchmark's span tracer
+# (bench/tracer.py) still resolve it as `phonon.effective_isc_rates`.
+from .estimate import effective_isc_rates  # noqa: F401
 
 
 class OverlapSupportError(ValidationError):
@@ -203,21 +206,27 @@ class OverlapTable:
 
     @classmethod
     def from_csv(cls, path, provenance=None):
+        """Read an `energy_mev,f_per_mev` table (`#` lines are comments);
+        read errors and bad rows raise ValidationError naming the path."""
         energies, values = [], []
-        with open(path, "r", encoding="utf-8") as handle:
-            reader = csv.reader(line for line in handle if not line.lstrip().startswith("#"))
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["energy_mev", "f_per_mev"]:
-                raise ValidationError(
-                    f"{path}: expected header 'energy_mev,f_per_mev'"
-                )
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ValidationError(f"{path}: expected 2 columns, got {row!r}")
-                energies.append(float(row[0]))
-                values.append(float(row[1]))
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                reader = csv.reader(handle)
+                rows = (row for row in reader
+                        if row and not row[0].lstrip().startswith("#"))
+                if [h.strip() for h in next(rows, [])] != ["energy_mev", "f_per_mev"]:
+                    raise ValidationError(f"{path}: expected header 'energy_mev,f_per_mev'")
+                for row in rows:
+                    try:
+                        energy, value = (float(cell) for cell in row)
+                    except ValueError as exc:
+                        raise ValidationError(f"{path}, line {reader.line_num}: expected "
+                                              f"2 numbers, got {row!r}") from exc
+                    energies.append(energy)
+                    values.append(value)
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ValidationError(f"cannot read overlap table {path}: {reason}") from exc
         return cls(np.array(energies), np.array(values),
                    provenance=provenance if provenance is not None else str(path))
 
@@ -343,34 +352,3 @@ def ratio_scan(coupling, overlap, deltas, measured_ratio=None, measured_sigma=0.
     boundary = float(deltas[idx[-1]]) if contiguous else None
     return RatioScanResult(deltas, ratios, upper, excluded, boundary, contiguous)
 
-
-def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix,
-                        window_start=4.0, window_length=115.0, dt=0.25):
-    """Windowed single-exponential rates of the two-branch fluorescence.
-
-    Simulates the noiseless two-branch decay for each initial branch,
-    fits A exp(-Gamma t) over the same window used on measured traces,
-    and subtracts the radiative rate. This is the forward model mapping
-    (Gamma_a1, Gamma_mix(T)) to the crossing rates a windowed lifetime
-    fit reports; the second branch's own crossing is taken as zero.
-
-    Returns (rate_a1_branch, rate_a2_branch) as fitted AngularRates.
-    """
-    # deferred import: estimate.fit_gamma_a1 calls back into this module
-    from .estimate import FitWindow, fit_exponential_window
-
-    gr = rate_value(gamma_rad)
-    ga1 = rate_value(gamma_a1)
-    gm = rate_value(gamma_mix)
-    if window_length <= 0 or dt <= 0:
-        raise ValidationError("window_length and dt must be > 0")
-    n = int(round(window_length / dt))
-    times = window_start + dt * np.arange(n + 1)
-    window = FitWindow(start=window_start, length=window_length)
-    out = []
-    for branch in ("A1", "A2"):
-        intensity = fluorescence_a12(gr, gm, ga1, branch, times)
-        trace = TimeTrace(times, intensity)
-        fit = fit_exponential_window(trace, window)
-        out.append(AngularRate(fit["rate"] - gr, fitted=True))
-    return tuple(out)

@@ -451,6 +451,15 @@ def test_fit_malformed_input_is_input_error(tmp_path):
         == EXIT_INPUT
 
 
+def test_fit_non_finite_point_cites_line(tmp_path, capsys):
+    path = _write(tmp_path / "points.csv", "temperature_k,gamma_add_mhz,sigma_mhz\n"
+                  "5,0.1,0.05\n9,0.2,nan\n14,0.3,0.05\n19,0.4,0.05\n")
+    assert cli.main(["fit", "--procedure", "t5", path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{path}:3" in err and "sigma_mhz" in err
+
+
 def test_fit_unknown_procedure_is_input_error(tmp_path):
     path = _write(tmp_path / "x.csv", "time_ns,counts\n0.5,1\n")
     assert cli.main(["fit", "--procedure", "wavelet", str(path)]) \
@@ -527,6 +536,64 @@ def test_sweep_rejects_bad_axis(tmp_path):
                      "--out", str(out)]) == EXIT_INPUT
     assert cli.main(["sweep", "--sweep", "T:20:5:1",
                      "--out", str(out)]) == EXIT_INPUT
+
+
+def _assert_sweep_input_error(argv, capsys, message):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
+def test_sweep_missing_overlap_table_is_input_error(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    cfg = _write(tmp_path / "sweep.cfg", f"files.overlap_table = {missing}\n")
+    _assert_sweep_input_error(
+        ["sweep", "--config", cfg, "--sweep", "delta:100:200:50",
+         "--out", str(tmp_path / "x.csv")], capsys, str(missing))
+
+
+def test_sweep_bad_overlap_cell_is_input_error(tmp_path, capsys):
+    table = _write(tmp_path / "table.csv", "energy_mev,f_per_mev\n0,abc\n")
+    cfg = _write(tmp_path / "sweep.cfg", f"files.overlap_table = {table}\n")
+    _assert_sweep_input_error(
+        ["sweep", "--config", cfg, "--sweep", "delta:100:200:50",
+         "--out", str(tmp_path / "x.csv")], capsys, f"{table}, line 2")
+
+
+def test_sample_cap_refuses_oversized_grids(tmp_path, capsys):
+    # each request is refused by the size check, before numpy sees it
+    out = str(tmp_path / "x.csv")
+    _assert_sweep_input_error(["sweep", "--sweep", "T:1:1e9:1e-9", "--out", out],
+                              capsys, "sweep grid")
+    _assert_sweep_input_error(["sweep", "--sweep", "delta:0:1e300:1e-300",
+                               "--out", out], capsys, "sweep grid")
+    grid = _write(tmp_path / "grid.cfg", """
+model.name = exponential
+model.rate_mhz = 29.2
+grid.span_ns = 1e9
+grid.step_ns = 1e-9
+""")
+    _assert_sweep_input_error(["simulate", "--config", grid, "--out", out],
+                              capsys, "time grid")
+    histogram = _write(tmp_path / "synth.cfg", """
+model.name = exponential
+model.rate_mhz = 29.2
+synth.total_counts = 1000
+synth.span_ns = 1e9
+synth.bin_ns = 1e-9
+""")
+    _assert_sweep_input_error(["simulate", "--config", histogram, "--out", out],
+                              capsys, "synthetic histogram")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sample_cap_boundary(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 5)
+    assert len(cli._sweep_grid(1.0, 5.0, 1.0)) == 5
+    with pytest.raises(ConfigError, match="limit 5"):
+        cli._sweep_grid(1.0, 6.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

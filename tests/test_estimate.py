@@ -112,6 +112,14 @@ def test_fit_result_accessors():
     assert fit.sigma_of("rate") >= 0.0
     extended = fit.with_derived(note=3)
     assert extended.derived["note"] == 3
+    # every other field is carried over; the original is not touched
+    for name in ("names", "values", "sigma", "covariance", "chi2", "dof",
+                 "converged", "iterations"):
+        assert getattr(extended, name) is getattr(fit, name)
+    assert fit.derived == {}
+    again = extended.with_derived(other=4)
+    assert again.derived == {"note": 3, "other": 4}
+    assert extended.derived == {"note": 3}
     with pytest.raises(KeyError):
         fit["missing"]
 
@@ -285,6 +293,15 @@ def test_t5_fit_input_checks():
         estimate.fit_t5(bad_sigma)
 
 
+@pytest.mark.parametrize("field", [1, 2], ids=["rate", "sigma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_t5_fit_rejects_non_finite_points(field, bad):
+    pts = [list(p) for p in _t5_points()]
+    pts[2][field] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        estimate.fit_t5(pts)
+
+
 def test_t5_fit_flat_data_flags_unbounded_offset():
     # without any T dependence the offset is unconstrained; its variance
     # must be reported as effectively infinite rather than a small number
@@ -447,6 +464,15 @@ def test_gamma_a1_fit_input_checks():
     with pytest.raises(ValidationError):
         estimate.fit_gamma_a1(bad_sigma, phonon.MIXING_FIT_DEFAULT,
                               GAMMA_RAD)
+
+
+@pytest.mark.parametrize("field", [1, 2], ids=["rate", "sigma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gamma_a1_fit_rejects_non_finite_points(field, bad):
+    points = [list(p) for p in _gamma_a1_points()]
+    points[3][field] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        estimate.fit_gamma_a1(points, phonon.MIXING_FIT_DEFAULT, GAMMA_RAD)
 
 
 # ---------------------------------------------------------------------------
