@@ -10,6 +10,11 @@ weight array, or "poisson": 1/max(y, 1), then two refits weighted by
 1/max(model, 1), which removes at first order the bias toward downward
 fluctuations that weights from observed counts cause. Rank-deficient
 directions get effectively unbounded variances rather than being hidden.
+
+The windowed forward model, `effective_isc_rates`, does not go through
+that core: it fits every (temperature, branch) curve of an evaluation in
+one vectorised variable-projection solve, `_windowed_rates`, with the
+amplitude eliminated and Newton steps on the rate alone.
 """
 
 from __future__ import annotations
@@ -25,11 +30,14 @@ from .closedform import (
     fluorescence_a12,
     rabi_fit_model,
 )
-from .core import (AngularRate, TimeTrace, ValidationError, rate_value,
-                   temperature_value)
+from .core import AngularRate, ValidationError, rate_value, temperature_value
 
 _JACOBIAN_REL_STEP = 1e-6
 _HUGE_VARIANCE = 1e300
+# projected Newton solve of the windowed forward model (_windowed_rates)
+_NEWTON_RTOL = 1e-9
+_NEWTON_MAX_ITER = 30
+_FORWARD_BLOCK_SAMPLES = 1 << 20   # curve samples per solve (8 MB a copy)
 
 
 @dataclass(frozen=True)
@@ -519,33 +527,108 @@ def fit_depolarization(traces, gamma_mix_cold, gamma_mix_warm, gamma_rad,
     return result.with_derived(bright_channel=bright_channel)
 
 
+def _moments(weights, powers):
+    """Mean and variance of tau under each row of weights; the columns of
+    powers are 1, tau and tau^2."""
+    total, first, second = (weights @ powers).T
+    mean = first / total
+    return mean, second / total - mean * mean
+
+
+def _windowed_rates(y, t):
+    """Rate k of the uniform-weight least-squares fit of A exp(-k t) to
+    each row of y (curves x samples) on the common sample times t.
+
+    The amplitude is projected out (Golub & Pereyra 1973): at fixed k it
+    is S1/S2 with S1 = sum(y e), S2 = sum(e^2), e = exp(-k t), leaving
+    the residual sum(y^2) - S1^2/S2, so k maximizes
+    h(k) = ln S1 - ln(S2)/2. Newton steps on k alone start from the
+    log-linear regression of fit_exponential_window; h' and h'' are
+    differences of means and variances of t under the weights y e and
+    e^2. h is unchanged by shifting t or rescaling e, so t is measured
+    from the window start and e is scaled to a maximum of 1.
+    """
+    if len(t) < 3:
+        raise ValidationError("window must contain at least 3 samples")
+    positive = y > 0
+    n_positive = np.count_nonzero(positive, axis=1)
+    if np.any(n_positive < 2):
+        raise ValidationError("need >= 2 positive samples to initialize the rate")
+    tau = t - t[0]
+    logs = np.log(np.where(positive, y, 1.0))
+    tau_mean = (positive * tau).sum(axis=1) / n_positive
+    dtau = np.where(positive, tau - tau_mean[:, None], 0.0)
+    k = -(dtau * logs).sum(axis=1) / (dtau * dtau).sum(axis=1)
+
+    powers = np.stack([np.ones_like(tau), tau, tau * tau], axis=1)
+    tolerance = _NEWTON_RTOL * (np.abs(k) + 1.0 / tau[-1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_MAX_ITER):
+            e = np.exp(np.minimum(k, 0.0)[:, None] * tau[-1] - k[:, None] * tau)
+            mean_ye, var_ye = _moments(y * e, powers)
+            mean_ee, var_ee = _moments(e * e, powers)
+            # Newton ascent k -= h'/h'', h' = mean_ee - mean_ye and
+            # h'' = var_ye - 2 var_ee; a zero h' is a stationary point even
+            # where e^2 underflows beyond the first sample and h'' = 0 too
+            slope = mean_ee - mean_ye
+            step = np.where(slope == 0.0, 0.0, slope / (2.0 * var_ee - var_ye))
+            if not np.all(np.isfinite(step)):
+                break
+            k = k + step
+            if np.all(np.abs(step) <= tolerance):
+                return k
+    raise ValidationError(
+        f"windowed rate did not converge in {_NEWTON_MAX_ITER} Newton steps")
+
+
 def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix,
                         window_start=4.0, window_length=115.0, dt=0.25):
     """Windowed single-exponential rates of the two-branch fluorescence.
 
-    Simulates the noiseless two-branch decay for each initial branch,
-    fits A exp(-Gamma t) over the same window used on measured traces,
-    and subtracts the radiative rate. This is the forward model mapping
+    Samples the noiseless two-branch decay for each initial branch every
+    dt over the same window used on measured traces, fits A exp(-Gamma t)
+    to every curve in one projected Newton solve (`_windowed_rates`), and
+    subtracts the radiative rate. This is the forward model mapping
     (Gamma_a1, Gamma_mix(T)) to the crossing rates a windowed lifetime
     fit reports; the second branch's own crossing is taken as zero.
 
-    Returns (rate_a1_branch, rate_a2_branch) as fitted AngularRates.
+    For a single mixing rate, returns (rate_a1_branch, rate_a2_branch)
+    as fitted AngularRates. For a 1-d sequence of mixing rates, returns
+    two float arrays (rad/ns) with one entry per mixing rate.
     """
     gr = rate_value(gamma_rad)
     ga1 = rate_value(gamma_a1)
-    gm = rate_value(gamma_mix)
-    if window_length <= 0 or dt <= 0:
-        raise ValidationError("window_length and dt must be > 0")
-    n = int(round(window_length / dt))
-    times = window_start + dt * np.arange(n + 1)
+    scalar = isinstance(gamma_mix, AngularRate) or np.ndim(gamma_mix) == 0
+    if not scalar and np.ndim(gamma_mix) != 1:
+        raise ValidationError("gamma_mix must be a rate or a 1-d sequence of rates")
+    mixes = [rate_value(gamma_mix)] if scalar else [rate_value(g) for g in gamma_mix]
+    if not mixes:
+        raise ValidationError("gamma_mix sequence is empty")
     window = FitWindow(start=window_start, length=window_length)
-    out = []
-    for branch in ("A1", "A2"):
-        intensity = fluorescence_a12(gr, gm, ga1, branch, times)
-        trace = TimeTrace(times, intensity)
-        fit = fit_exponential_window(trace, window)
-        out.append(AngularRate(fit["rate"] - gr, fitted=True))
-    return tuple(out)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError("dt must be finite and > 0")
+    n_samples = window.length / dt + 1.0
+    # a block holds at least the two curves of one mixing rate
+    if not n_samples <= _FORWARD_BLOCK_SAMPLES // 2:
+        raise ValidationError(
+            f"forward-model window would hold {n_samples:.3g} samples "
+            f"(limit {_FORWARD_BLOCK_SAMPLES // 2})")
+    times = window.start + dt * np.arange(int(round(window.length / dt)) + 1)
+    times = times[times <= window.stop]
+
+    def solve(block):
+        curves = [fluorescence_a12(gr, gm, ga1, branch, times)
+                  for gm in block for branch in ("A1", "A2")]
+        return _windowed_rates(np.reshape(curves, (len(curves), len(times))), times)
+
+    # long mixing sequences are solved in blocks of bounded memory
+    per_block = _FORWARD_BLOCK_SAMPLES // (2 * len(times))
+    rates = np.concatenate([solve(mixes[i:i + per_block])
+                            for i in range(0, len(mixes), per_block)]) - gr
+    a1, a2 = rates[0::2], rates[1::2]
+    if scalar:
+        return AngularRate(a1[0], fitted=True), AngularRate(a2[0], fitted=True)
+    return a1, a2
 
 
 def fit_gamma_a1(points, mix_model, gamma_rad, window_start=4.0,
@@ -567,22 +650,19 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window_start=4.0,
     if len(branches) < 2:
         raise ValidationError("gamma_a1 fit needs at least 2 points")
     gr = rate_value(gamma_rad)
-    lookup = [(T, 0 if branch == "A1" else 1)
-              for T, branch in zip(temps.tolist(), branches)]
-    unique_temps = sorted({T for T, _ in lookup})
+    unique_temps, temp_index = np.unique(temps, return_inverse=True)
+    branch_index = np.array([0 if branch == "A1" else 1 for branch in branches])
     # accept either a callable T -> rate or a fit-form bundle
     mix_fn = getattr(mix_model, "clamped", mix_model)
-    mix_by_temp = {T: rate_value(mix_fn(T)) for T in unique_temps}
+    mixes = [rate_value(mix_fn(T)) for T in unique_temps.tolist()]
 
     def predict(theta):
-        ga1 = float(theta[0])
-        eff = {
-            T: effective_isc_rates(gr, ga1, mix_by_temp[T],
-                                   window_start=window_start,
-                                   window_length=window_length, dt=dt)
-            for T in unique_temps
-        }
-        return np.array([eff[T][index].value for T, index in lookup])
+        # one forward-model call covers every temperature and branch
+        eff = np.stack(effective_isc_rates(gr, float(theta[0]), mixes,
+                                           window_start=window_start,
+                                           window_length=window_length,
+                                           dt=dt))
+        return eff[branch_index, temp_index]
 
     a1_rates = [g for g, branch in zip(rates, branches) if branch == "A1"]
     default_init = max(a1_rates) if a1_rates else max(rates.max(), 1e-3)

@@ -201,12 +201,27 @@ def _bin_centers(spec):
     return (np.arange(n_bins) + 0.5) * spec.bin_width
 
 
+def _pulse_edge(spec):
+    """Sigma of the Gaussian pulse edge (pulse_edge is its FWHM) and the
+    bins of padding, 4 sigma, on each side (a float, inf for an absurd
+    spec)."""
+    sigma = spec.pulse_edge / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    return sigma, float(np.ceil(4.0 * sigma / spec.bin_width))
+
+
+def sample_count(spec):
+    """Samples of the model intensity that `generate` evaluates: the bins
+    plus the pulse-edge padding on both sides. A float, so a size check
+    can refuse a spec before anything is built."""
+    return spec.span / spec.bin_width + 2.0 * _pulse_edge(spec)[1]
+
+
 def _expected_signal(spec):
     intensity = model_intensity(spec.model, spec.params)
     centers = _bin_centers(spec)
     if spec.pulse_edge > 0.0:
-        sigma = spec.pulse_edge / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        pad = int(math.ceil(4.0 * sigma / spec.bin_width))
+        sigma, pad = _pulse_edge(spec)
+        pad = int(pad)
         offsets = np.arange(-pad, pad + 1) * spec.bin_width
         kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
         kernel /= kernel.sum()

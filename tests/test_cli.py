@@ -248,6 +248,25 @@ synth.span_ns = 60.0
     _assert_one_line_input_error(cfg, tmp_path / "x.csv", capsys)
 
 
+def test_simulate_pulse_edge_padding_counts_toward_the_cap(tmp_path, capsys,
+                                                          monkeypatch):
+    # 480 bins, but 4 sigma of a 1e15 ns pulse edge pads them by ~3e16 bins
+    monkeypatch.setattr(synth, "generate",
+                        lambda spec: pytest.fail("the histogram was built"))
+    cfg = _write(tmp_path / "sim.cfg", """
+model.name = exponential
+model.rate_mhz = 29.2
+synth.total_counts = 1e6
+synth.bin_ns = 0.25
+synth.span_ns = 120
+synth.pulse_edge_ns = 1e15
+""")
+    out = tmp_path / "x.csv"
+    _assert_sweep_input_error(["simulate", "--config", cfg, "--out", str(out)],
+                              capsys, "synthetic histogram would hold 1.36e+16")
+    assert not out.exists()
+
+
 def test_simulate_bad_branch_is_model_error(tmp_path):
     cfg = _write(tmp_path / "sim.cfg", """
 model.name = a12
@@ -506,6 +525,34 @@ rates.gamma_a1_mhz = 16.0
     assert gap_warm < gap_cold
 
 
+def test_sweep_temperature_matches_scalar_forward_model(tmp_path):
+    cfg = _write(tmp_path / "sweep.cfg", """
+rates.gamma_rad_mhz = 13.2
+rates.gamma_a1_mhz = 16.0
+t5.a_mhz_per_k5 = 2e-5
+t5.t0_k = 4.4
+t5.c_mhz = 0.08
+""")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--sweep", "T:5:26:3", "--config", cfg,
+                     "--out", str(out)]) == EXIT_OK
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["temperature_k", "gamma_mix_mhz",
+                       "gamma_eff_a1_mhz", "gamma_eff_a2_mhz"]
+    assert len(rows) == 9
+    form = phonon.MixingFitForm(a=rate_from_linear_mhz(2e-5), t0_k=4.4,
+                                c=rate_from_linear_mhz(0.08))
+    for row in rows[1:]:
+        temp, mix, a1, a2 = (float(x) for x in row)
+        gm = form.clamped(temp)
+        eff_a1, eff_a2 = phonon.effective_isc_rates(
+            GAMMA_RAD, rate_from_linear_mhz(16.0), gm)
+        np.testing.assert_allclose(
+            [mix, a1, a2], [gm.linear_mhz, eff_a1.linear_mhz, eff_a2.linear_mhz],
+            rtol=1e-12)
+
+
 def test_sweep_delta_ratio_ignores_spin_orbit(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -544,6 +591,19 @@ def _assert_sweep_input_error(argv, capsys, message):
     assert code == EXIT_INPUT
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
+
+
+def test_sweep_temperature_short_window_is_input_error(tmp_path, capsys):
+    # 0.3 ns holds two 0.25 ns forward-model samples
+    cfg = _write(tmp_path / "sweep.cfg", """
+rates.gamma_rad_mhz = 13.2
+rates.gamma_a1_mhz = 16.0
+window.length_ns = 0.3
+""")
+    _assert_sweep_input_error(
+        ["sweep", "--config", cfg, "--sweep", "T:5:26:3",
+         "--out", str(tmp_path / "x.csv")], capsys,
+        "window must contain at least 3 samples")
 
 
 def test_sweep_missing_overlap_table_is_input_error(tmp_path, capsys):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvphonon import closedform, estimate, phonon, synth
 from nvphonon.core import (
@@ -413,6 +417,81 @@ def test_depolarization_fit_shape_checks():
                                     gamma_mix_cold=GAMMA_MIX_COLD,
                                     gamma_mix_warm=GAMMA_MIX_WARM,
                                     gamma_rad=GAMMA_RAD)
+
+
+# ---------------------------------------------------------------------------
+# windowed forward model
+
+TO_MHZ = 1e3 / TWO_PI
+# no mixing, then the clamped empirical law across the criterion-5 range
+FORWARD_MIXES = [0.0] + [phonon.MIXING_FIT_DEFAULT.clamped(temp).value
+                         for temp in np.linspace(5.0, 26.0, 8)]
+
+
+def test_effective_rates_sequence_matches_scalar():
+    a1, a2 = estimate.effective_isc_rates(GAMMA_RAD, GAMMA_ISC, FORWARD_MIXES)
+    assert a1.shape == a2.shape == (len(FORWARD_MIXES),)
+    for gm, rate_a1, rate_a2 in zip(FORWARD_MIXES, a1, a2):
+        eff_a1, eff_a2 = estimate.effective_isc_rates(GAMMA_RAD, GAMMA_ISC, gm)
+        assert eff_a1.fitted and eff_a2.fitted
+        np.testing.assert_allclose([rate_a1, rate_a2], [eff_a1.value, eff_a2.value],
+                                   rtol=1e-12, atol=1e-12 * GAMMA_RAD.value)
+
+
+def test_effective_rates_solve_long_sequences_in_blocks(monkeypatch):
+    whole = estimate.effective_isc_rates(GAMMA_RAD, GAMMA_ISC, FORWARD_MIXES)
+    # three mixing rates (six 461-sample curves) per solve
+    monkeypatch.setattr(estimate, "_FORWARD_BLOCK_SAMPLES", 6 * 461)
+    blocked = estimate.effective_isc_rates(GAMMA_RAD, GAMMA_ISC, FORWARD_MIXES)
+    np.testing.assert_allclose(blocked, whole, rtol=1e-12,
+                               atol=1e-12 * GAMMA_RAD.value)
+
+
+@pytest.mark.parametrize("gamma_a1", [0.01, 0.03, 0.1, 0.3])
+def test_effective_rates_match_window_fit(gamma_a1):
+    # the windowed Levenberg-Marquardt fit of each noiseless branch curve
+    # is an independent route to the same least-squares rate
+    t = 4.0 + 0.25 * np.arange(461)
+    gr = GAMMA_RAD.value
+    a1, a2 = estimate.effective_isc_rates(gr, gamma_a1, FORWARD_MIXES)
+    for gm, rate_a1, rate_a2 in zip(FORWARD_MIXES, a1, a2):
+        for branch, rate in (("A1", rate_a1), ("A2", rate_a2)):
+            curve = closedform.fluorescence_a12(gr, gm, gamma_a1, branch, t)
+            fit = estimate.fit_exponential_window(TimeTrace(t, curve),
+                                                  FitWindow(4.0, 115.0))
+            assert abs(rate - (fit["rate"] - gr)) * TO_MHZ <= 1e-5
+
+
+@settings(max_examples=50, deadline=None)
+@given(amplitude=st.floats(1e-6, 1e6),
+       decays=st.floats(0.05, 50.0),
+       delay=st.floats(0.0, 20.0),
+       dt=st.floats(0.01, 2.0),
+       n=st.integers(3, 400))
+def test_windowed_rate_of_pure_exponential(amplitude, decays, delay, dt, n):
+    # decays = k * window span and delay = k * window start, in 1/k units
+    rate = decays / ((n - 1) * dt)
+    t = delay / rate + dt * np.arange(n)
+    y = amplitude * np.exp(-rate * t)
+    fitted = estimate._windowed_rates(y[None, :], t)
+    assert fitted.shape == (1,)
+    assert abs(fitted[0] - rate) <= 1e-12 * rate
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(gamma_a1=GAMMA_ISC, window_length=0.3),
+     "window must contain at least 3 samples"),
+    # gamma_a1 = 6283 rad/ns without mixing underflows the whole A1 curve
+    (dict(gamma_a1=6283.0), "need >= 2 positive samples to initialize the rate"),
+    # refused before any sample is built
+    (dict(gamma_a1=GAMMA_ISC, window_length=1e18),
+     r"forward-model window would hold 4e\+18 samples"),
+])
+def test_effective_rates_refuse_unfittable_windows(kwargs, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            estimate.effective_isc_rates(GAMMA_RAD, gamma_mix=0.0, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,21 @@ def test_pulse_edge_smooths_the_rise():
     assert sharp.sum() == pytest.approx(soft.sum(), rel=1e-9)
 
 
+@pytest.mark.parametrize("edge", [0.0, 2.0, 7.5])
+def test_sample_count_includes_pulse_edge_padding(edge, monkeypatch):
+    evaluated = []
+    model_intensity = synth.model_intensity
+
+    def recording(name, params):
+        intensity = model_intensity(name, params)
+        return lambda t: evaluated.append(len(t)) or intensity(t)
+
+    monkeypatch.setattr(synth, "model_intensity", recording)
+    spec = _spec(pulse_edge=edge)
+    synth.generate(spec)
+    assert evaluated == [synth.sample_count(spec)]
+
+
 def test_vanishing_model_rejected():
     spec = _spec(model="depolarization",
                  params=dict(gamma_rad=GAMMA_RAD.value, gamma_mix=0.0,
