@@ -1,8 +1,9 @@
 """Command-line interface: simulate, fit, sweep, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input or
-config, 3 model construction error, 4 fit non-convergence (the report
-is still written, flagged converged=false).
+config (an output file that cannot be written included), 3 model
+construction error, 4 fit non-convergence (the report is still written,
+flagged converged=false).
 
 Config files are plain ``key = value`` lines with ``#`` comments.
 Every key must appear in the registry below; unknown keys are rejected
@@ -13,6 +14,7 @@ is applied internally), times in ns, energies in meV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import math
@@ -316,6 +318,18 @@ def load_trace(path, background_path=None, reject_before=None, column=None,
     return trace
 
 
+@contextlib.contextmanager
+def _csv_writer(path):
+    """csv.writer on a new output file; failing to open or write it is an
+    input error naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield csv.writer(handle)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_trace_csv(path, times, columns, counts=False):
     """Write a trace CSV (time_ns plus one column per named series).
 
@@ -323,8 +337,7 @@ def write_trace_csv(path, times, columns, counts=False):
     lossless; counts columns are written as bare integers.
     """
     names = list(columns)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
+    with _csv_writer(path) as writer:
         writer.writerow(["time_ns"] + names)
         for i, t in enumerate(times):
             row = [_fmt(t)]
@@ -505,8 +518,7 @@ def _print_fit_report(procedure, result, unit_map):
 
 
 def _write_fit_csv(path, result, unit_map):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
+    with _csv_writer(path) as writer:
         writer.writerow(["parameter", "value", "sigma", "ci95_lo", "ci95_hi",
                          "unit", "converged"])
         flag = "true" if result.converged else "false"
@@ -756,8 +768,7 @@ def _sweep_delta(cfg, grid, out):
 
 
 def _write_table(path, axis_name, axis, rows):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
+    with _csv_writer(path) as writer:
         writer.writerow([axis_name] + list(rows))
         for i, x in enumerate(axis):
             writer.writerow([_fmt(x)] + [_fmt(rows[name][i]) for name in rows])

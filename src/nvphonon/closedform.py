@@ -147,6 +147,37 @@ def rabi_fit_model(t, amplitude, omega, phi, t0, tau_rabi, gamma_isc_x):
     return amplitude * (osc + 1.0) * np.exp(-0.5 * gamma_isc_x * t)
 
 
+def _a12_modes(gamma_rad, gamma_mix, gamma_isc, branch):
+    """The exponentials of fluorescence_a12 and their derivatives with
+    respect to Gamma_isc: (weight, rate, d weight, d rate) for the slow
+    mode, then for the fast one; a single mode when Gamma' = 0."""
+    if branch not in ("A1", "A2"):
+        raise ValidationError(f"branch must be 'A1' or 'A2', got {branch!r}")
+    gr = rate_value(gamma_rad)
+    gm = rate_value(gamma_mix)
+    gi = rate_value(gamma_isc)
+    gamma_prime = np.hypot(gi, 2.0 * gm)
+    mid = gr + gm + 0.5 * gi
+    if gamma_prime == 0.0:
+        # without mixing only the first branch feels the crossing
+        return ((1.0, mid, 0.0, 1.0 if branch == "A1" else 0.0),)
+    if branch == "A1":
+        if 2.0 * gm >= gi:
+            w_slow = (gamma_prime + 2.0 * gm - gi) / (2.0 * gamma_prime)
+            w_fast = 2.0 * gm * gi / (gamma_prime * (gamma_prime + 2.0 * gm - gi))
+        else:
+            w_slow = 2.0 * gm * gi / (gamma_prime * (gamma_prime + gi - 2.0 * gm))
+            w_fast = (gamma_prime + gi - 2.0 * gm) / (2.0 * gamma_prime)
+        dc = -2.0 * gm * (2.0 * gm + gi) / gamma_prime**3
+    else:
+        w_slow = (gamma_prime + 2.0 * gm + gi) / (2.0 * gamma_prime)
+        w_fast = -2.0 * gm * gi / (gamma_prime * (gamma_prime + 2.0 * gm + gi))
+        dc = 2.0 * gm * (2.0 * gm - gi) / gamma_prime**3
+    d_split = 0.5 * gi / gamma_prime
+    return ((w_slow, mid - 0.5 * gamma_prime, 0.5 * dc, 0.5 - d_split),
+            (w_fast, mid + 0.5 * gamma_prime, -0.5 * dc, 0.5 + d_split))
+
+
 def fluorescence_a12(gamma_rad, gamma_mix, gamma_isc, branch, t):
     """Fluorescence after populating one orbital branch, with crossing
     from only the first branch.
@@ -167,29 +198,29 @@ def fluorescence_a12(gamma_rad, gamma_mix, gamma_isc, branch, t):
     reductions at Gamma_mix = 0 or Gamma_isc = 0 are exact and the
     Gamma' -> 0 limit needs no series switch.
     """
-    if branch not in ("A1", "A2"):
-        raise ValidationError(f"branch must be 'A1' or 'A2', got {branch!r}")
-    gr = rate_value(gamma_rad)
-    gm = rate_value(gamma_mix)
-    gi = rate_value(gamma_isc)
     t = np.asarray(t, dtype=float)
-    gamma_prime = np.hypot(gi, 2.0 * gm)
-    mid = gr + gm + 0.5 * gi
-    if gamma_prime == 0.0:
-        return np.exp(-mid * t)
-    if branch == "A1":
-        if 2.0 * gm >= gi:
-            w_slow = (gamma_prime + 2.0 * gm - gi) / (2.0 * gamma_prime)
-            w_fast = 2.0 * gm * gi / (gamma_prime * (gamma_prime + 2.0 * gm - gi))
-        else:
-            w_slow = 2.0 * gm * gi / (gamma_prime * (gamma_prime + gi - 2.0 * gm))
-            w_fast = (gamma_prime + gi - 2.0 * gm) / (2.0 * gamma_prime)
-    else:
-        w_slow = (gamma_prime + 2.0 * gm + gi) / (2.0 * gamma_prime)
-        w_fast = -2.0 * gm * gi / (gamma_prime * (gamma_prime + 2.0 * gm + gi))
-    slow = np.exp(-(mid - 0.5 * gamma_prime) * t)
-    fast = np.exp(-(mid + 0.5 * gamma_prime) * t)
-    return w_slow * slow + w_fast * fast
+    (w_slow, k_slow, _, _), *fast = _a12_modes(gamma_rad, gamma_mix,
+                                               gamma_isc, branch)
+    value = w_slow * np.exp(-k_slow * t)
+    for w_fast, k_fast, _, _ in fast:
+        value = value + w_fast * np.exp(-k_fast * t)
+    return value
+
+
+def fluorescence_a12_isc_slope(gamma_rad, gamma_mix, gamma_isc, branch, t):
+    """Derivative of fluorescence_a12 with respect to Gamma_isc.
+
+    Each exponential w exp(-k t) contributes (dw - t w dk) exp(-k t). The
+    slow and fast weights are (1 + c)/2 and (1 - c)/2, so dw = +/- c'/2
+    with c' = dc/dGamma_isc = -2 Gamma_mix (2 Gamma_mix + Gamma_isc)/Gamma'^3
+    for "A1" and 2 Gamma_mix (2 Gamma_mix - Gamma_isc)/Gamma'^3 for "A2";
+    the rates m -/+ Gamma'/2 give dk = 1/2 -/+ Gamma_isc/(2 Gamma').
+    Without mixing the "A1" curve is exp(-(Gamma_rad + Gamma_isc) t) and
+    the "A2" curve does not depend on Gamma_isc.
+    """
+    t = np.asarray(t, dtype=float)
+    return sum((dw - w * dk * t) * np.exp(-k * t) for w, k, dw, dk in
+               _a12_modes(gamma_rad, gamma_mix, gamma_isc, branch))
 
 
 def isc_rate_from_lifetime(tau, gamma_rad):

@@ -11,6 +11,7 @@ Unit conventions used throughout the package:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -234,19 +235,22 @@ class TimeTrace:
         return len(self.times)
 
     def window(self, start, length):
-        """Return the sub-trace with start <= t <= start + length."""
+        """Return the sub-trace with start <= t <= start + length.
+
+        The sub-trace holds read-only views of this trace's arrays; a
+        contiguous slice of a validated trace is valid, so it is not
+        checked again.
+        """
         if length <= 0:
             raise ValidationError("window length must be > 0")
-        mask = (self.times >= start) & (self.times <= start + length)
-        if not np.any(mask):
+        # the selection is contiguous, as times are strictly increasing
+        selected = np.flatnonzero((self.times >= start)
+                                  & (self.times <= start + length))
+        if not len(selected):
             raise ValidationError("window selects no samples")
-        sigma = self.uncertainty[mask] if self.uncertainty is not None else None
-        return TimeTrace(
-            self.times[mask],
-            self.values[mask],
-            uncertainty=sigma,
-            temperature=self.temperature,
-            channel=self.channel,
-            background_subtracted=self.background_subtracted,
-            clamped_bins=self.clamped_bins,
-        )
+        part = slice(selected[0], selected[-1] + 1)
+        sub = copy.copy(self)
+        for name in ("times", "values", "uncertainty"):
+            array = getattr(self, name)
+            object.__setattr__(sub, name, None if array is None else array[part])
+        return sub

@@ -1,20 +1,24 @@
 """Nonlinear least-squares estimation of physical rates from count traces,
 and the windowed forward model that the crossing-rate fit inverts.
 
-Every fit runs through `_least_squares`: a damped Gauss-Newton iteration
-(Levenberg-style lambda adaptation) with a forward-difference Jacobian
-that accepts only steps lowering chi^2. Weighting schemes: "uniform"
-(covariance scaled by reduced chi^2, as unit weights carry no absolute
-scale), "provided" (1/sigma^2 from the data's uncertainties), an explicit
-weight array, or "poisson": 1/max(y, 1), then two refits weighted by
-1/max(model, 1), which removes at first order the bias toward downward
-fluctuations that weights from observed counts cause. Rank-deficient
-directions get effectively unbounded variances rather than being hidden.
+Weighting schemes, shared by every fit: "uniform" (covariance scaled by
+reduced chi^2, as unit weights carry no absolute scale), "provided"
+(1/sigma^2 from the data's uncertainties), an explicit weight array, or
+"poisson": 1/max(y, 1), then two refits weighted by 1/max(model, 1),
+which removes at first order the bias toward downward fluctuations that
+weights from observed counts cause. Rank-deficient directions get
+effectively unbounded variances rather than being hidden.
 
-The windowed forward model, `effective_isc_rates`, does not go through
-that core: it fits every (temperature, branch) curve of an evaluation in
-one vectorised variable-projection solve, `_windowed_rates`, with the
-amplitude eliminated and Newton steps on the rate alone.
+Windowed single-exponential fits, of measured traces
+(`fit_exponential_window`) and of the noiseless forward model
+(`effective_isc_rates`) alike, run through one variable-projection
+solve, `_windowed_rates`: the amplitude is eliminated and Newton steps
+act on the rate alone, for any number of curves at once. Every other fit
+runs through `_least_squares`: a damped Gauss-Newton iteration
+(Levenberg-style lambda adaptation) that accepts only steps lowering
+chi^2, with a forward-difference Jacobian unless the caller supplies an
+exact one (`fit_gamma_a1` takes its own from the implicit derivative of
+the windowed rates).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .closedform import (
     additional_decoherence,
     depolarization_populations,
     fluorescence_a12,
+    fluorescence_a12_isc_slope,
     rabi_fit_model,
 )
 from .core import AngularRate, ValidationError, rate_value, temperature_value
@@ -36,6 +41,10 @@ _JACOBIAN_REL_STEP = 1e-6
 _HUGE_VARIANCE = 1e300
 # projected Newton solve of the windowed forward model (_windowed_rates)
 _NEWTON_RTOL = 1e-9
+# a step lowering S1^2/S2 by less than this share is taken as rounding:
+# the objective carries ~1e-15 relative noise, while the steps it could
+# not resolve above that are still up to 1e-8 of the rate
+_PROFILE_RTOL = 1e-12
 _NEWTON_MAX_ITER = 30
 _FORWARD_BLOCK_SAMPLES = 1 << 20   # curve samples per solve (8 MB a copy)
 
@@ -141,25 +150,51 @@ def _covariance(jac, weights, chi2, dof, scale):
     # column-scale first so the rank test sees collinearity, not unit
     # mismatches between parameters (their scales differ by many decades)
     wjac = jac * np.sqrt(weights)[:, None]
-    norms = np.sqrt(np.sum(wjac * wjac, axis=0))
+    norms = np.sqrt((wjac * wjac).sum(axis=0))
     norms = np.where(norms > 0.0, norms, 1.0)
     scaled = wjac / norms
     normal = scaled.T @ scaled
     vals, vecs = np.linalg.eigh(normal)
-    top = float(np.max(vals)) if len(vals) else 0.0
-    rank_tol = max(top, 0.0) * 1e-12
-    inv_vals = np.where(vals > rank_tol, 1.0 / np.where(vals > rank_tol, vals, 1.0),
+    top = float(vals.max()) if len(vals) else 0.0
+    full_rank = vals > max(top, 0.0) * 1e-12
+    inv_vals = np.where(full_rank, 1.0 / np.where(full_rank, vals, 1.0),
                         _HUGE_VARIANCE)
-    cov = (vecs * inv_vals) @ vecs.T / np.outer(norms, norms)
+    cov = (vecs * inv_vals) @ vecs.T / (norms[:, None] * norms)
     if scale and dof > 0:
         cov = cov * (chi2 / dof)
     return cov
 
 
-def _minimize(predict, y, weights, theta, f, max_iter):
+def _fit_result(names, values, jac, weights, chi2, scheme, converged,
+                iterations):
+    """FitResult at values, with the covariance of the model Jacobian jac
+    (points x parameters) under a weighting scheme's final weights."""
+    dof = len(weights) - len(values)
+    cov = _covariance(jac, weights, chi2, dof, scale=scheme == "uniform")
+    return FitResult(
+        names=tuple(names),
+        values=values,
+        sigma=np.sqrt(np.maximum(cov.diagonal(), 0.0)),
+        covariance=cov,
+        chi2=chi2,
+        dof=dof,
+        converged=converged,
+        iterations=iterations,
+    )
+
+
+def _passes(scheme):
+    """Fits a weighting scheme runs: "poisson" refits twice, reweighted by
+    1/max(model, 1)."""
+    return 3 if scheme == "poisson" else 1
+
+
+def _minimize(predict, jacobian, y, weights, theta, f, max_iter):
     """Damped Gauss-Newton descent of sum(w * (y - predict(theta))^2) from
-    theta, with f = predict(theta); returns the same pair at the end, chi2,
-    whether it converged and the iteration count."""
+    theta, with f = predict(theta) and jacobian(theta, f) its derivative;
+    returns the same pair at the end, chi2, whether it converged, the
+    iteration count and the Jacobian at the end (None if not taken
+    there)."""
     def chi2_of(residual):
         return float(np.sum(weights * residual * residual))
 
@@ -169,9 +204,10 @@ def _minimize(predict, y, weights, theta, f, max_iter):
     lam = 1e-3
     converged = False
     iterations = 0
+    jac = None
 
     for iterations in range(1, max_iter + 1):
-        jac = _jacobian(predict, theta, f)
+        jac = jacobian(theta, f)
         grad = jac.T @ (weights * r)
         normal = (jac * weights[:, None]).T @ jac
         diag = np.diag(normal).copy()
@@ -186,6 +222,11 @@ def _minimize(predict, y, weights, theta, f, max_iter):
                 step, *_ = np.linalg.lstsq(normal + lam * np.diag(diag), grad,
                                            rcond=None)
             theta_try = theta + step
+            rel_step = float(np.max(np.abs(step) / (np.abs(theta_try) + 1e-300)))
+            if rel_step < 1e-10:
+                # converged: evaluating a step this small could only accept
+                # it, or reject it on rounding noise in chi^2 and retry
+                break
             f_try = predict(theta_try)
             if np.all(np.isfinite(f_try)):
                 r_try = y - f_try
@@ -194,24 +235,28 @@ def _minimize(predict, y, weights, theta, f, max_iter):
                     accepted = True
                     break
             lam *= 10.0
+        if rel_step < 1e-10:
+            converged = True
+            break
         if not accepted:
             break
 
         drop = chi2 - chi2_try
-        rel_step = float(np.max(np.abs(step) / (np.abs(theta_try) + 1e-300)))
-        theta, f, r, chi2 = theta_try, f_try, r_try, chi2_try
+        theta, f, r, chi2, jac = theta_try, f_try, r_try, chi2_try, None
         lam = max(lam * 0.3, 1e-12)
-        if (drop <= 1e-13 * max(chi2, 1e-300)
-                or rel_step < 1e-10
-                or chi2 <= 1e-28 * y_scale):
+        if drop <= 1e-13 * max(chi2, 1e-300) or chi2 <= 1e-28 * y_scale:
             converged = True
             break
-    return theta, f, chi2, converged, iterations
+    return theta, f, chi2, converged, iterations, jac
 
 
 def _least_squares(predict, y, weights, init, names, max_iter=200,
-                   uncertainty=None):
-    """Fit predict(theta) to y under a weighting scheme (module docstring)."""
+                   uncertainty=None, jacobian=None):
+    """Fit predict(theta) to y under a weighting scheme (module docstring).
+
+    jacobian(theta, f), given f = predict(theta), returns the model's
+    derivative (points x parameters); forward differences by default.
+    """
     y = np.asarray(y, dtype=float)
     w = _resolve_weights(weights, y, uncertainty)
     theta = np.array(init, dtype=float)
@@ -220,28 +265,19 @@ def _least_squares(predict, y, weights, init, names, max_iter=200,
         raise ValidationError(
             f"{n_points} points cannot constrain {n_params} parameters"
         )
+    if jacobian is None:
+        jacobian = lambda theta, f: _jacobian(predict, theta, f)
     scheme = weights if isinstance(weights, str) else "array"
     f = predict(theta)
-    for refit in range(3 if scheme == "poisson" else 1):
+    for refit in range(_passes(scheme)):
         if refit:  # reweight counts by the previous fit's expectation
             w = 1.0 / np.maximum(f, 1.0)
-        theta, f, chi2, converged, iterations = _minimize(
-            predict, y, w, theta, f, max_iter)
-
-    dof = n_points - n_params
-    cov = _covariance(_jacobian(predict, theta, f), w, chi2, dof,
-                      scale=scheme == "uniform")
-    sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    return FitResult(
-        names=tuple(names),
-        values=theta,
-        sigma=sigma,
-        covariance=cov,
-        chi2=chi2,
-        dof=dof,
-        converged=converged,
-        iterations=iterations,
-    )
+        theta, f, chi2, converged, iterations, jac = _minimize(
+            predict, jacobian, y, w, theta, f, max_iter)
+    if jac is None:
+        jac = jacobian(theta, f)
+    return _fit_result(names, theta, jac, w, chi2, scheme, converged,
+                       iterations)
 
 
 def nlls(model, data, init, weights="uniform", max_iter=200):
@@ -270,22 +306,38 @@ def nlls(model, data, init, weights="uniform", max_iter=200):
 def fit_exponential_window(trace, window, weights="uniform", max_iter=200):
     """Fit A exp(-rate t) to the samples inside `window`.
 
-    Initialized by log-linear regression on the positive samples in the
-    window. Times are absolute (not window-relative), so `rate` is
-    directly comparable across windows.
+    The least-squares fit under a weighting scheme (module docstring),
+    solved by `_windowed_rates` from log-linear regression on the
+    window's positive samples ("poisson" refits start from the previous
+    rate); the amplitude is the projection
+    sum(w y e)/sum(w e^2), e = exp(-rate t). max_iter caps the Newton
+    steps of each solve ("poisson" runs three); `iterations` reports the
+    Newton steps of the last solve, and a solve stopped by the cap gives
+    converged=False. Times are absolute (not window-relative), so `rate`
+    is directly comparable across windows.
     """
     sub = trace.window(window.start, window.length)
-    if len(sub) < 3:
-        raise ValidationError("window must contain at least 3 samples")
     t = sub.times
     y = np.asarray(sub.values, dtype=float)
-    positive = y > 0
-    if np.count_nonzero(positive) < 2:
-        raise ValidationError("need >= 2 positive samples to initialize the rate")
-    slope, intercept = np.polyfit(t[positive], np.log(y[positive]), 1)
-    init = {"amplitude": math.exp(intercept), "rate": -slope}
-    model = lambda tt, amplitude, rate: amplitude * np.exp(-rate * tt)
-    return nlls(model, sub, init, weights=weights, max_iter=max_iter)
+    w = _resolve_weights(weights, y, sub.uncertainty)
+    scheme = weights if isinstance(weights, str) else "array"
+    rates = None
+    for refit in range(_passes(scheme)):
+        if refit:  # reweight counts by the previous fit's expectation
+            w = 1.0 / np.maximum(model, 1.0)
+        rates, iterations, converged = _windowed_rates(
+            y[None, :], t, w, max_iter, start=rates)
+        rate = float(rates[0])
+        decay = np.exp(-rate * (t - t[0]))
+        w_decay = w * decay
+        model = decay * ((w_decay @ y) / (w_decay @ decay))
+    with np.errstate(over="ignore"):
+        amplitude = float(model[0] * np.exp(rate * t[0]))
+    residual = y - model
+    jac = np.array([decay * math.exp(-rate * t[0]), -t * model]).T
+    return _fit_result(("amplitude", "rate"), np.array([amplitude, rate]), jac,
+                       w, float(w * residual @ residual), scheme, converged,
+                       iterations)
 
 
 def _fft_frequency_estimate(times, values):
@@ -528,57 +580,131 @@ def fit_depolarization(traces, gamma_mix_cold, gamma_mix_warm, gamma_rad,
 
 
 def _moments(weights, powers):
-    """Mean and variance of tau under each row of weights; the columns of
-    powers are 1, tau and tau^2."""
+    """Total, mean and variance of tau under each row of weights; the
+    columns of powers are 1, tau and tau^2."""
     total, first, second = (weights @ powers).T
     mean = first / total
-    return mean, second / total - mean * mean
+    return total, mean, second / total - mean * mean
 
 
-def _windowed_rates(y, t):
-    """Rate k of the uniform-weight least-squares fit of A exp(-k t) to
-    each row of y (curves x samples) on the common sample times t.
+def _decays(k, tau):
+    """exp(-k tau) for each rate k (rows), scaled to a maximum of 1."""
+    return np.exp(np.minimum(k, 0.0)[:, None] * tau[-1] - k[:, None] * tau)
+
+
+def _profile(wy, w, k, tau, powers):
+    """The projected objective S1^2/S2 of `_windowed_rates` at the rates
+    k, with h' = mean_ee - mean_ye and h'' = var_ye - 2 var_ee."""
+    e = _decays(k, tau)
+    s_ye, mean_ye, var_ye = _moments(wy * e, powers)
+    s_ee, mean_ee, var_ee = _moments(w * e * e, powers)
+    return s_ye * s_ye / s_ee, mean_ee - mean_ye, var_ye - 2.0 * var_ee
+
+
+def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
+                    start=None):
+    """Rate k of the least-squares fit of A exp(-k t) to each row of y
+    (curves x samples) on the common sample times t, with per-sample
+    weights broadcasting against y (uniform when None).
 
     The amplitude is projected out (Golub & Pereyra 1973): at fixed k it
-    is S1/S2 with S1 = sum(y e), S2 = sum(e^2), e = exp(-k t), leaving
-    the residual sum(y^2) - S1^2/S2, so k maximizes
-    h(k) = ln S1 - ln(S2)/2. Newton steps on k alone start from the
-    log-linear regression of fit_exponential_window; h' and h'' are
-    differences of means and variances of t under the weights y e and
-    e^2. h is unchanged by shifting t or rescaling e, so t is measured
-    from the window start and e is scaled to a maximum of 1.
+    is S1/S2 with S1 = sum(w y e), S2 = sum(w e^2), e = exp(-k t),
+    leaving the residual sum(w y^2) - S1^2/S2, so k maximizes
+    h(k) = ln |S1| - ln(S2)/2. Newton steps on k alone start from the
+    rates `start`, or else from the log-linear regression of the
+    positive samples weighted by w y^2; h' and h'' are differences of
+    means and variances of t under the weights w y e and w e^2. A step
+    that would lower S1^2/S2 beyond rounding is halved, and where h is
+    not concave the step goes uphill by the rate's own size. h is
+    unchanged by shifting t or rescaling e, so t is measured from the
+    window start and e is scaled to a maximum of 1.
+
+    Returns (k, steps, converged): the Newton steps taken, at most
+    max_iter, and whether the last one was within tolerance for every
+    curve. A non-finite start or step (all-zero weights, say) raises
+    ValidationError.
     """
     if len(t) < 3:
         raise ValidationError("window must contain at least 3 samples")
     positive = y > 0
-    n_positive = np.count_nonzero(positive, axis=1)
-    if np.any(n_positive < 2):
+    if (positive.sum(axis=1) < 2).any():
         raise ValidationError("need >= 2 positive samples to initialize the rate")
     tau = t - t[0]
-    logs = np.log(np.where(positive, y, 1.0))
-    tau_mean = (positive * tau).sum(axis=1) / n_positive
-    dtau = np.where(positive, tau - tau_mean[:, None], 0.0)
-    k = -(dtau * logs).sum(axis=1) / (dtau * dtau).sum(axis=1)
-
+    w = 1.0 if weights is None else weights
+    wy = w * y
     powers = np.stack([np.ones_like(tau), tau, tau * tau], axis=1)
-    tolerance = _NEWTON_RTOL * (np.abs(k) + 1.0 / tau[-1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_NEWTON_MAX_ITER):
-            e = np.exp(np.minimum(k, 0.0)[:, None] * tau[-1] - k[:, None] * tau)
-            mean_ye, var_ye = _moments(y * e, powers)
-            mean_ee, var_ee = _moments(e * e, powers)
-            # Newton ascent k -= h'/h'', h' = mean_ee - mean_ye and
-            # h'' = var_ye - 2 var_ee; a zero h' is a stationary point even
-            # where e^2 underflows beyond the first sample and h'' = 0 too
-            slope = mean_ee - mean_ye
-            step = np.where(slope == 0.0, 0.0, slope / (2.0 * var_ee - var_ye))
-            if not np.all(np.isfinite(step)):
-                break
+        if start is None:
+            # log-linear regression weighted by w y^2: to first order in
+            # the relative residuals the same objective as the least squares
+            scaled = np.where(positive, y / np.max(y, axis=1, keepdims=True), 0.0)
+            start_weights = w * scaled * scaled
+            logs = np.log(np.where(positive, y, 1.0))
+            dtau = tau - (start_weights @ tau / start_weights.sum(axis=1))[:, None]
+            k = (-(start_weights * dtau * logs).sum(axis=1)
+                 / (start_weights * dtau * dtau).sum(axis=1))
+        else:
+            k = np.asarray(start, dtype=float)
+        if not np.isfinite(k).all():
+            raise ValidationError("windowed fit has a non-finite starting rate")
+        tolerance = _NEWTON_RTOL * (np.abs(k) + 1.0 / tau[-1])
+        objective, slope, curvature = _profile(wy, w, k, tau, powers)
+        for steps in range(1, max_iter + 1):
+            # Newton ascent k -= h'/h'' where h is concave, else a step
+            # the size of the rate uphill; a zero h' is a stationary point
+            # even where e^2 underflows beyond the first sample and h'' = 0
+            uphill = np.sign(slope) * (np.abs(k) + 1.0 / tau[-1])
+            step = np.where(slope == 0.0, 0.0,
+                            np.where(curvature < 0.0, -slope / curvature, uphill))
+            if not np.isfinite(step).all():
+                raise ValidationError("windowed fit took a non-finite Newton step")
+            if (np.abs(step) <= tolerance).all():
+                return k + step, steps, True
+            # halve the steps that would lower the objective
+            while True:
+                trial = _profile(wy, w, k + step, tau, powers)
+                lower = (~(trial[0] >= objective * (1.0 - _PROFILE_RTOL))
+                         & (np.abs(step) > tolerance))
+                if not lower.any():
+                    break
+                step = np.where(lower, 0.5 * step, step)
             k = k + step
-            if np.all(np.abs(step) <= tolerance):
-                return k
-    raise ValidationError(
-        f"windowed rate did not converge in {_NEWTON_MAX_ITER} Newton steps")
+            objective, slope, curvature = trial
+    return k, max_iter, False
+
+
+def _windowed_rate_slopes(y, dy, t, k):
+    """Derivatives dk/dp of the uniform-weight rates k that
+    `_windowed_rates` fitted to the curves y, given dy = dy/dp.
+
+    At the optimum h'(k; y) = mean_ee - mean_ye = 0, so by the implicit
+    function theorem dk/dp = (d mean_ye/dp) / h''(k), with
+    d mean_ye/dp = sum(dy e (t - mean_ye)) / sum(y e): one pass over the
+    moments, no Newton steps.
+    """
+    tau = t - t[0]
+    powers = np.stack([np.ones_like(tau), tau, tau * tau], axis=1)
+    e = _decays(k, tau)
+    _, mean_ye, var_ye = _moments(y * e, powers)
+    _, _, var_ee = _moments(e * e, powers)
+    dye = dy * e
+    d_mean_ye = (dye @ tau - mean_ye * dye.sum(axis=1)) / (y * e).sum(axis=1)
+    return d_mean_ye / (var_ye - 2.0 * var_ee)
+
+
+def _forward_times(window_start, window_length, dt):
+    """Sample times of the forward model: every dt across the window."""
+    window = FitWindow(start=window_start, length=window_length)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError("dt must be finite and > 0")
+    n_samples = window.length / dt + 1.0
+    # a solve block holds at least the two curves of one mixing rate
+    if not n_samples <= _FORWARD_BLOCK_SAMPLES // 2:
+        raise ValidationError(
+            f"forward-model window would hold {n_samples:.3g} samples "
+            f"(limit {_FORWARD_BLOCK_SAMPLES // 2})")
+    times = window.start + dt * np.arange(int(round(window.length / dt)) + 1)
+    return times[times <= window.stop]
 
 
 def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix,
@@ -604,22 +730,17 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix,
     mixes = [rate_value(gamma_mix)] if scalar else [rate_value(g) for g in gamma_mix]
     if not mixes:
         raise ValidationError("gamma_mix sequence is empty")
-    window = FitWindow(start=window_start, length=window_length)
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError("dt must be finite and > 0")
-    n_samples = window.length / dt + 1.0
-    # a block holds at least the two curves of one mixing rate
-    if not n_samples <= _FORWARD_BLOCK_SAMPLES // 2:
-        raise ValidationError(
-            f"forward-model window would hold {n_samples:.3g} samples "
-            f"(limit {_FORWARD_BLOCK_SAMPLES // 2})")
-    times = window.start + dt * np.arange(int(round(window.length / dt)) + 1)
-    times = times[times <= window.stop]
+    times = _forward_times(window_start, window_length, dt)
 
     def solve(block):
         curves = [fluorescence_a12(gr, gm, ga1, branch, times)
                   for gm in block for branch in ("A1", "A2")]
-        return _windowed_rates(np.reshape(curves, (len(curves), len(times))), times)
+        rates, _, converged = _windowed_rates(
+            np.reshape(curves, (len(curves), len(times))), times)
+        if not converged:
+            raise ValidationError(
+                f"windowed rate did not converge in {_NEWTON_MAX_ITER} Newton steps")
+        return rates
 
     # long mixing sequences are solved in blocks of bounded memory
     per_block = _FORWARD_BLOCK_SAMPLES // (2 * len(times))
@@ -640,7 +761,9 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window_start=4.0,
     rate for that branch ("A1" or "A2") and sigma its uncertainty
     (rad/ns). mix_model maps temperature to the mixing rate (e.g. the
     clamped empirical T^5 law). The forward model, effective_isc_rates,
-    re-runs the same windowed analysis on noiseless two-branch decays.
+    re-runs the same windowed analysis on noiseless two-branch decays,
+    once per trial Gamma_a1; the fit's Jacobian is the implicit
+    derivative of those windowed rates, which needs no further call.
     """
     temps, rates, weights, rest = _rate_points(points)
     branches = [branch for (branch,) in rest]
@@ -655,6 +778,7 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window_start=4.0,
     # accept either a callable T -> rate or a fit-form bundle
     mix_fn = getattr(mix_model, "clamped", mix_model)
     mixes = [rate_value(mix_fn(T)) for T in unique_temps.tolist()]
+    times = _forward_times(window_start, window_length, dt)
 
     def predict(theta):
         # one forward-model call covers every temperature and branch
@@ -664,11 +788,22 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window_start=4.0,
                                            dt=dt))
         return eff[branch_index, temp_index]
 
+    def jacobian(theta, f):
+        # implicit derivative of the windowed rates f + gr that
+        # predict(theta) returned: no forward-model call
+        ga1 = float(theta[0])
+        cases = [(mixes[i], branch) for i, branch in zip(temp_index, branches)]
+        curves = np.array([fluorescence_a12(gr, gm, ga1, branch, times)
+                           for gm, branch in cases])
+        slopes = np.array([fluorescence_a12_isc_slope(gr, gm, ga1, branch, times)
+                           for gm, branch in cases])
+        return _windowed_rate_slopes(curves, slopes, times, f + gr)[:, None]
+
     a1_rates = [g for g, branch in zip(rates, branches) if branch == "A1"]
     default_init = max(a1_rates) if a1_rates else max(rates.max(), 1e-3)
     ga1_0 = float(init) if init is not None else max(float(default_init), 1e-3)
     return _least_squares(predict, rates, weights, [ga1_0], ("gamma_a1",),
-                          max_iter=max_iter)
+                          max_iter=max_iter, jacobian=jacobian)
 
 
 def ensemble_spread(values):

@@ -657,6 +657,26 @@ def test_sample_cap_boundary(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# unwritable outputs
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "sweep"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "x.csv")
+    if command == "simulate":
+        cfg = _write(tmp_path / "sim.cfg",
+                     "model.name = exponential\nmodel.rate_mhz = 29.2\n")
+        argv = ["simulate", "--config", cfg, "--out", out]
+    elif command == "fit":
+        trace_path, _ = _count_trace_file(tmp_path)
+        argv = ["fit", "--procedure", "exp-window", "--out", out, str(trace_path)]
+    else:
+        argv = ["sweep", "--sweep", "delta:100:200:50", "--out", out]
+    capsys.readouterr()
+    _assert_sweep_input_error(argv, capsys, f"cannot write {out}")
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 

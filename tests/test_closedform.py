@@ -268,6 +268,26 @@ def test_fluorescence_a12_matches_matrix_exponential():
             assert value[0] == pytest.approx(expected, rel=1e-9, abs=1e-13)
 
 
+def test_fluorescence_a12_isc_slope_matches_matrix_exponential():
+    # d/dgi expm(G t) is the upper-right block of expm([[G, dG], [0, G]] t)
+    rng = np.random.default_rng(23)
+    rates = [tuple(rng.uniform(0.0, 0.3, size=3)) for _ in range(20)]
+    rates += [(GAMMA_RAD, 0.0, GAMMA_ISC), (GAMMA_RAD, GAMMA_MIX_WARM, 0.0),
+              (GAMMA_RAD, 0.0, 0.0), (GAMMA_RAD, 1e-5, 6.0)]
+    d_gen = np.array([[-1.0, 0.0], [0.0, 0.0]])
+    for gr, gm, gi in rates:
+        gen = np.array([[-(gr + gi + gm), gm], [gm, -(gr + gm)]])
+        block = np.block([[gen, d_gen], [np.zeros((2, 2)), gen]])
+        for t in (0.0, 3.0, 20.0, 60.0):
+            slope = expm(block * t)[:2, 2:]
+            for branch, start in (("A1", [1.0, 0.0]), ("A2", [0.0, 1.0])):
+                expected = (slope @ np.array(start)).sum()
+                value = closedform.fluorescence_a12_isc_slope(
+                    gr, gm, gi, branch, np.array([t]))
+                assert value[0] == pytest.approx(
+                    expected, abs=1e-12 * (1.0 + t) * np.exp(-gr * t))
+
+
 def test_fluorescence_a12_degenerate_splitting_is_continuous():
     # gamma' -> 0 corner: both branches approach exp(-(gr + gm + gi/2) t)
     t = np.linspace(0.0, 30.0, 31)

@@ -191,6 +191,105 @@ def test_window_fit_poisson_ci_calibration():
     assert hits >= 0.9 * n_try
 
 
+def _nlls_window_fit(trace, window, weights="uniform"):
+    """The Levenberg-Marquardt route to fit_exponential_window's fit: nlls
+    on A exp(-rate t), started from log-linear regression."""
+    sub = trace.window(window.start, window.length)
+    positive = sub.values > 0
+    slope, intercept = np.polyfit(sub.times[positive],
+                                  np.log(sub.values[positive]), 1)
+    model = lambda tt, amplitude, rate: amplitude * np.exp(-rate * tt)
+    return estimate.nlls(model, sub, {"amplitude": np.exp(intercept),
+                                      "rate": -slope}, weights=weights)
+
+
+@pytest.mark.parametrize("weights", ["uniform", "poisson", "provided", "array"])
+@pytest.mark.parametrize("model, params", [
+    ("a12", dict(gamma_rad=GAMMA_RAD.value, gamma_mix=GAMMA_MIX_COLD.value,
+                 gamma_isc=GAMMA_ISC.value, branch="A1")),
+    ("exponential", dict(rate=rate_from_linear_mhz(29.2).value)),
+])
+def test_window_fit_matches_nlls(model, params, weights):
+    window = FitWindow(4.0, 115.0)
+    for seed in range(3):
+        spec = synth.ExperimentSpec(model=model, params=params, bin_width=0.25,
+                                    span=120.0, total_counts=2e5,
+                                    background_rate=0.0, pulse_edge=0.0,
+                                    seed=seed)
+        counts = synth.generate(spec)
+        trace = TimeTrace(counts.times, counts.values,
+                          uncertainty=np.sqrt(np.maximum(counts.values, 1.0)))
+        scheme = weights
+        if weights == "array":
+            scheme = np.random.default_rng(seed).uniform(
+                0.5, 2.0, len(trace.window(window.start, window.length)))
+        fit = estimate.fit_exponential_window(trace, window, weights=scheme)
+        oracle = _nlls_window_fit(trace, window, weights=scheme)
+        assert fit.converged and oracle.converged
+        assert fit["rate"] == pytest.approx(oracle["rate"], rel=1e-6)
+        assert fit.sigma_of("rate") == pytest.approx(oracle.sigma_of("rate"),
+                                                     rel=1e-4)
+        assert fit["amplitude"] == pytest.approx(oracle["amplitude"], rel=1e-6)
+        assert fit.dof == oracle.dof
+        assert fit.chi2 == pytest.approx(oracle.chi2, rel=1e-6)
+
+
+def test_window_fit_fast_decay_over_background():
+    # the background-dominated tail makes the profile non-concave between
+    # the start and the optimum: the ascent must still reach the optimum
+    window = FitWindow(4.0, 115.0)
+    for seed in range(4):
+        spec = synth.ExperimentSpec(model="exponential", params=dict(rate=1.0),
+                                    bin_width=0.25, span=120.0, total_counts=1e4,
+                                    background_rate=0.5, pulse_edge=0.0,
+                                    seed=seed)
+        trace = synth.generate(spec)
+        fit = estimate.fit_exponential_window(trace, window, weights="poisson")
+        oracle = _nlls_window_fit(trace, window, weights="poisson")
+        assert fit.converged
+        assert fit["rate"] == pytest.approx(oracle["rate"], rel=1e-6)
+
+
+def test_window_fit_does_not_stop_on_the_fast_plateau():
+    # a Levenberg-Marquardt window fit of this curve walked to k -> inf
+    # (rate 2840 rad/ns, sigma 2e148) and reported convergence
+    t = 0.25 * np.arange(121)
+    curve = closedform.fluorescence_a12(0.0829, 1e-5, 6.0, "A1", t)
+    fit = estimate.fit_exponential_window(TimeTrace(t, curve),
+                                          FitWindow(0.0, 30.0))
+    # the least-squares optimum from near the truth, by the LM route
+    model = lambda tt, amplitude, rate: amplitude * np.exp(-rate * tt)
+    oracle = estimate.nlls(model, TimeTrace(t, curve),
+                           {"amplitude": 1.0, "rate": 6.0})
+    assert fit.converged
+    assert fit["rate"] == pytest.approx(oracle["rate"], rel=1e-6)
+    # the slow branch's 2e-6 weight holds the optimum 4e-6 below
+    # gamma_rad + gamma_a1 = 6.0829 rad/ns
+    assert fit["rate"] == pytest.approx(6.0829, rel=1e-5)
+    assert np.isfinite(fit.sigma_of("rate"))
+    assert fit.sigma_of("rate") < 1e-3 * fit["rate"]
+
+
+def test_window_fit_zero_weights_are_an_error():
+    trace = _exp_trace()
+    with pytest.raises(ValidationError, match="non-finite"):
+        estimate.fit_exponential_window(trace, FitWindow(0.0, 100.0),
+                                        weights=np.zeros(len(trace)))
+
+
+def test_window_fit_iteration_cap():
+    spec = synth.ExperimentSpec(model="exponential",
+                                params=dict(rate=GAMMA_RAD.value),
+                                bin_width=0.25, span=120.0, total_counts=1e6,
+                                background_rate=0.0, pulse_edge=0.0, seed=5)
+    trace = synth.generate(spec)
+    window = FitWindow(4.0, 115.0)
+    capped = estimate.fit_exponential_window(trace, window, max_iter=1)
+    assert not capped.converged and capped.iterations == 1
+    full = estimate.fit_exponential_window(trace, window)
+    assert full.converged and 1 <= full.iterations <= 200
+
+
 # ---------------------------------------------------------------------------
 # driven oscillation
 
@@ -449,16 +548,15 @@ def test_effective_rates_solve_long_sequences_in_blocks(monkeypatch):
 
 @pytest.mark.parametrize("gamma_a1", [0.01, 0.03, 0.1, 0.3])
 def test_effective_rates_match_window_fit(gamma_a1):
-    # the windowed Levenberg-Marquardt fit of each noiseless branch curve
-    # is an independent route to the same least-squares rate
+    # the Levenberg-Marquardt fit of each noiseless branch curve is an
+    # independent route to the same least-squares rate
     t = 4.0 + 0.25 * np.arange(461)
     gr = GAMMA_RAD.value
     a1, a2 = estimate.effective_isc_rates(gr, gamma_a1, FORWARD_MIXES)
     for gm, rate_a1, rate_a2 in zip(FORWARD_MIXES, a1, a2):
         for branch, rate in (("A1", rate_a1), ("A2", rate_a2)):
             curve = closedform.fluorescence_a12(gr, gm, gamma_a1, branch, t)
-            fit = estimate.fit_exponential_window(TimeTrace(t, curve),
-                                                  FitWindow(4.0, 115.0))
+            fit = _nlls_window_fit(TimeTrace(t, curve), FitWindow(4.0, 115.0))
             assert abs(rate - (fit["rate"] - gr)) * TO_MHZ <= 1e-5
 
 
@@ -473,7 +571,8 @@ def test_windowed_rate_of_pure_exponential(amplitude, decays, delay, dt, n):
     rate = decays / ((n - 1) * dt)
     t = delay / rate + dt * np.arange(n)
     y = amplitude * np.exp(-rate * t)
-    fitted = estimate._windowed_rates(y[None, :], t)
+    fitted, steps, converged = estimate._windowed_rates(y[None, :], t)
+    assert converged and 1 <= steps <= estimate._NEWTON_MAX_ITER
     assert fitted.shape == (1,)
     assert abs(fitted[0] - rate) <= 1e-12 * rate
 
@@ -515,6 +614,78 @@ def test_gamma_a1_fit_noiseless_recovery():
     assert fit.converged
     assert fit["gamma_a1"] == pytest.approx(GAMMA_ISC.value, rel=1e-8)
     assert fit.names == ("gamma_a1",)
+
+
+# as acceptance criterion 5 writes them, so its seeds give the same bits
+CRITERION_GAMMA_RAD = TWO_PI * 13.2e-3
+CRITERION_GAMMA_ISC = TWO_PI * 16.0e-3
+CRITERION_TEMPERATURES = np.linspace(5.0, 26.0, 8)
+
+
+def _criterion5_points(seed):
+    points = []
+    for k, temp in enumerate(CRITERION_TEMPERATURES):
+        gm = phonon.MIXING_FIT_DEFAULT.clamped(temp)
+        for j, branch in enumerate(("A1", "A2")):
+            spec = synth.ExperimentSpec(
+                model="a12", params=dict(gamma_rad=CRITERION_GAMMA_RAD,
+                                         gamma_mix=gm,
+                                         gamma_isc=CRITERION_GAMMA_ISC,
+                                         branch=branch),
+                bin_width=0.25, span=120.0, total_counts=1e6,
+                background_rate=0.0, pulse_edge=0.0, seed=seed * 100 + 2 * k + j)
+            fit = estimate.fit_exponential_window(synth.generate(spec),
+                                                  FitWindow(4.0, 115.0))
+            points.append((temp, fit["rate"] - CRITERION_GAMMA_RAD,
+                           fit.sigma_of("rate"), branch))
+    return points
+
+
+@pytest.mark.parametrize("gamma_a1", [0.03, 0.1, 0.3])
+def test_gamma_a1_jacobian_matches_central_difference(monkeypatch, gamma_a1):
+    captured = {}
+    least_squares = estimate._least_squares
+
+    def capture(predict, *args, jacobian=None, **kwargs):
+        captured.update(predict=predict, jacobian=jacobian)
+        return least_squares(predict, *args, jacobian=jacobian, **kwargs)
+
+    monkeypatch.setattr(estimate, "_least_squares", capture)
+    # points at every criterion-5 temperature, A1 then A2
+    estimate.fit_gamma_a1(_criterion5_points(0), phonon.MIXING_FIT_DEFAULT,
+                          CRITERION_GAMMA_RAD)
+    mixes = [phonon.MIXING_FIT_DEFAULT.clamped(temp).value
+             for temp in CRITERION_TEMPERATURES]
+    theta = np.array([gamma_a1])
+    implicit = captured["jacobian"](theta, captured["predict"](theta))[:, 0]
+    step = 1e-4 * gamma_a1
+    upper, lower = (np.stack(estimate.effective_isc_rates(
+        CRITERION_GAMMA_RAD, gamma_a1 + sign * step, mixes)).T.ravel()
+        for sign in (1.0, -1.0))
+    central = (upper - lower) / (2.0 * step)
+    np.testing.assert_allclose(implicit, central, rtol=1e-5)
+
+
+def test_gamma_a1_fit_forward_model_calls(monkeypatch):
+    # one forward-model call per trial Gamma_A1 and none for derivatives
+    calls = []
+    forward = estimate.effective_isc_rates
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(estimate, "effective_isc_rates", counted)
+    per_fit = []
+    for seed in range(10):
+        points = _criterion5_points(seed)
+        del calls[:]
+        fit = estimate.fit_gamma_a1(points, phonon.MIXING_FIT_DEFAULT,
+                                    CRITERION_GAMMA_RAD)
+        assert fit.converged
+        assert abs(fit["gamma_a1"] * TO_MHZ - 16.0) <= 0.6
+        per_fit.append(len(calls))
+    assert np.mean(per_fit) <= 7
 
 
 def test_gamma_a1_fit_weighted_mean_limit():
