@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -35,6 +36,12 @@ EXIT_NO_CONVERGENCE = 4
 # Most samples a time grid, sweep grid or synthetic histogram may hold (80 MB
 # per float64 column); larger requests are input errors, refused unallocated.
 MAX_SAMPLES = 10_000_000
+# Most multiply-adds the pulse-edge convolution of a synthetic histogram may
+# cost. np.convolve's work grows as samples x kernel taps, so a wide edge over
+# fine bins is slow well inside MAX_SAMPLES (a 3000 ns edge on 0.25 ns bins,
+# 1.7e9 terms, took 1.3 s on a 2-CPU host); 1e9 still admits 1 ps bins
+# under a 2 ns edge (8.6e8).
+MAX_CONVOLUTION_TERMS = 1_000_000_000
 
 
 class ConfigError(ValidationError):
@@ -237,10 +244,8 @@ def _read_csv_rows(path):
     return rows
 
 
-def _read_trace_file(path, column=None):
-    """Parse a trace CSV; returns (times, values, is_counts)."""
-    rows = _read_csv_rows(path)
-    header_line, header = rows[0]
+def _trace_layout(path, header_line, header, column):
+    """Check a trace header; returns (index of the value column, is_counts)."""
     if not header or header[0] != "time_ns":
         raise TraceFormatError(
             f"{path}:{header_line}: first column must be 'time_ns'")
@@ -257,8 +262,27 @@ def _read_trace_file(path, column=None):
         raise TraceFormatError(
             f"{path}:{header_line}: no column {column!r} "
             f"(available: {', '.join(value_names)})")
-    index = 1 + value_names.index(column)
-    is_counts = column == "counts" or column.startswith("counts_")
+    return 1 + value_names.index(column), _is_counts(column)
+
+
+def _is_counts(name):
+    return name == "counts" or name.startswith("counts_")
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _parse_trace_rows(path, column=None):
+    """Parse a trace CSV one row at a time; returns (times, values, is_counts).
+
+    Reads every form csv.reader and float()/int() accept: comment and
+    blank rows, a header below them, quoted cells, '1_0' and Unicode
+    digits. Only the time and the selected column are converted. The
+    first bad row is named by its line.
+    """
+    rows = _read_csv_rows(path)
+    header_line, header = rows[0]
+    index, is_counts = _trace_layout(path, header_line, header, column)
     times = []
     values = []
     for lineno, row in rows[1:]:
@@ -270,24 +294,75 @@ def _read_trace_file(path, column=None):
         except ValueError as exc:
             raise TraceFormatError(f"{path}:{lineno}: bad time {row[0]!r}") from exc
         try:
-            values.append(int(row[index]) if is_counts else float(row[index]))
+            value = int(row[index]) if is_counts else float(row[index])
         except ValueError as exc:
             raise TraceFormatError(
                 f"{path}:{lineno}: bad {'count' if is_counts else 'value'} "
                 f"{row[index]!r}") from exc
+        if is_counts and not _INT64.min <= value <= _INT64.max:
+            raise TraceFormatError(
+                f"{path}:{lineno}: count {row[index]!r} outside the int64 range")
+        values.append(value)
     if len(times) < 1:
         raise TraceFormatError(f"{path}: header only, no samples")
     dtype = np.int64 if is_counts else float
     return np.asarray(times, dtype=float), np.asarray(values, dtype=dtype), is_counts
 
 
+def _parse_trace_bulk(path, column=None):
+    """Parse a plain trace CSV in one np.loadtxt call; None where it cannot.
+
+    Plain means the header is the first line and holds no quote, no line
+    is longer than csv.reader's field limit, and every data line holds
+    exactly one number per column: float64 for time and value columns,
+    int64 for counts columns. Anything else (comment rows, quoted cells,
+    forms only float()/int() read, any error) is left to _parse_trace_rows,
+    which reads it or names the bad line. comments=None keeps numpy from
+    cutting a row at a '#'.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+    except (OSError, ValueError):  # ValueError: not UTF-8
+        return None
+    header = [cell.strip() for cell in lines[0].split(",")]
+    if ('"' in lines[0] or header[0] != "time_ns"
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    index, is_counts = _trace_layout(path, 1, header, column)
+    dtype = [(f"f{i}", np.int64 if i and _is_counts(name) else np.float64)
+             for i, name in enumerate(header)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on no data rows
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                               skiprows=1, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    return (np.ascontiguousarray(table["f0"]),
+            np.ascontiguousarray(table[f"f{index}"]), is_counts)
+
+
+def _read_trace_file(path, column=None):
+    """Parse a trace CSV; returns (times, values, is_counts)."""
+    return _parse_trace_bulk(path, column) or _parse_trace_rows(path, column)
+
+
 def load_trace(path, background_path=None, reject_before=None, column=None,
                temperature=None, channel=None):
     """Load a photon trace CSV into a TimeTrace.
 
-    Counts columns are parsed as integers and intensity columns as
-    floats. An optional background trace (same binning) is subtracted
-    with clamping at zero; a warning with the clamped-bin count goes to
+    The header starts with time_ns; a file with several value columns
+    needs ``column``. Counts columns (``counts``, ``counts_*``) are parsed
+    as int64 and any other column as float64. A plain file (header on the
+    first line, one number per column on every row) is parsed in one
+    np.loadtxt call; other files (comment or blank rows, quoted cells,
+    numbers only float()/int() read) are read row by row, and a malformed
+    file is a TraceFormatError naming its line. Files write_trace_csv
+    wrote come back bit for bit.
+
+    An optional background trace (same binning) is subtracted with
+    clamping at zero; a warning with the clamped-bin count goes to
     stderr. ``reject_before`` drops early bins before any fitting.
     """
     times, values, is_counts = _read_trace_file(path, column=column)
@@ -319,32 +394,49 @@ def load_trace(path, background_path=None, reject_before=None, column=None,
 
 
 @contextlib.contextmanager
-def _csv_writer(path):
-    """csv.writer on a new output file; failing to open or write it is an
+def _csv_output(path):
+    """A new output file opened for CSV; failing to open or write it is an
     input error naming the path."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            yield csv.writer(handle)
+            yield handle
     except OSError as exc:
         raise ValidationError(
             f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+# Rows formatted per write, so a table at the MAX_SAMPLES cap is written in
+# bounded memory rather than as one string.
+_ROWS_PER_WRITE = 1 << 16
+
+
+def _write_columns(path, header, columns, formats):
+    """Write equal-length columns as a CSV: the header row as csv.writer
+    writes it, then each row with one %-format over its cells ('%.17g' for
+    floats, '%d' for counts) and csv.writer's CRLF line end."""
+    columns = [np.asarray(column) for column in columns]
+    if any(len(column) != len(columns[0]) for column in columns):
+        raise ValueError("columns differ in length")
+    line = ",".join(formats) + "\r\n"
+    with _csv_output(path) as handle:
+        csv.writer(handle).writerow(header)
+        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            cells = [column[start:start + _ROWS_PER_WRITE].tolist()
+                     for column in columns]
+            handle.write("".join([line % row for row in zip(*cells)]))
+
+
 def write_trace_csv(path, times, columns, counts=False):
     """Write a trace CSV (time_ns plus one column per named series).
 
-    Floats are rendered with %.17g so a load_trace round trip is
-    lossless; counts columns are written as bare integers.
+    Floats are rendered with %.17g, so a load_trace round trip returns
+    the same bits; counts columns are written as bare integers. Lines end
+    in CRLF. An unwritable path is a ValidationError naming it.
     """
     names = list(columns)
-    with _csv_writer(path) as writer:
-        writer.writerow(["time_ns"] + names)
-        for i, t in enumerate(times):
-            row = [_fmt(t)]
-            for name in names:
-                value = columns[name][i]
-                row.append(str(int(value)) if counts else _fmt(value))
-            writer.writerow(row)
+    _write_columns(path, ["time_ns"] + names,
+                   [times] + [columns[name] for name in names],
+                   ["%.17g"] + ["%d" if counts else "%.17g"] * len(names))
 
 
 def _read_points_file(path, expected_header):
@@ -471,6 +563,11 @@ def cmd_simulate(args):
             seed=seed,
         )
         _check_sample_count(synth.sample_count(spec), "synthetic histogram")
+        terms = synth.convolution_terms(spec)
+        if not terms <= MAX_CONVOLUTION_TERMS:
+            raise ConfigError(
+                f"a {spec.pulse_edge:g} ns pulse edge would cost {terms:.3g} "
+                f"convolution terms (limit {MAX_CONVOLUTION_TERMS:.3g})")
         trace = synth.generate(spec)
         write_trace_csv(args.out, trace.times, {"counts": trace.values},
                         counts=True)
@@ -518,7 +615,8 @@ def _print_fit_report(procedure, result, unit_map):
 
 
 def _write_fit_csv(path, result, unit_map):
-    with _csv_writer(path) as writer:
+    with _csv_output(path) as handle:
+        writer = csv.writer(handle)
         writer.writerow(["parameter", "value", "sigma", "ci95_lo", "ci95_hi",
                          "unit", "converged"])
         flag = "true" if result.converged else "false"
@@ -768,10 +866,8 @@ def _sweep_delta(cfg, grid, out):
 
 
 def _write_table(path, axis_name, axis, rows):
-    with _csv_writer(path) as writer:
-        writer.writerow([axis_name] + list(rows))
-        for i, x in enumerate(axis):
-            writer.writerow([_fmt(x)] + [_fmt(rows[name][i]) for name in rows])
+    _write_columns(path, [axis_name] + list(rows), [axis] + list(rows.values()),
+                   ["%.17g"] * (1 + len(rows)))
 
 
 # ---------------------------------------------------------------------------

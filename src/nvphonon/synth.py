@@ -216,6 +216,15 @@ def sample_count(spec):
     return spec.span / spec.bin_width + 2.0 * _pulse_edge(spec)[1]
 
 
+def convolution_terms(spec):
+    """Multiply-adds of the pulse-edge convolution in `generate`: the
+    samples times the kernel's taps (2 pad + 1), 0 without an edge. A
+    float, like sample_count, so a work check can refuse a spec first."""
+    if spec.pulse_edge <= 0.0:
+        return 0.0
+    return sample_count(spec) * (2.0 * _pulse_edge(spec)[1] + 1.0)
+
+
 def _expected_signal(spec):
     intensity = model_intensity(spec.model, spec.params)
     centers = _bin_centers(spec)

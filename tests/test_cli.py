@@ -106,6 +106,14 @@ def test_load_trace_cites_bad_row(tmp_path):
     assert ":3" in str(err.value)
 
 
+@pytest.mark.parametrize("cell", ["99999999999999999999", "-9223372036854775809"])
+def test_fit_count_beyond_int64_cites_line(tmp_path, capsys, cell):
+    path = _write(tmp_path / "big.csv", f"time_ns,counts\n0.5,5\n1.5,{cell}\n")
+    assert cli.main(["fit", "--procedure", "exp-window", path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:3: count {cell!r} outside the int64 range\n"
+
+
 def test_load_trace_multicolumn_needs_selection(tmp_path):
     path = _write(tmp_path / "two.csv",
                   "time_ns,intensity_a1,intensity_a2\n0.0,1.0,1.0\n")
@@ -264,6 +272,26 @@ synth.pulse_edge_ns = 1e15
     out = tmp_path / "x.csv"
     _assert_sweep_input_error(["simulate", "--config", cfg, "--out", str(out)],
                               capsys, "synthetic histogram would hold 1.36e+16")
+    assert not out.exists()
+
+
+def test_simulate_wide_pulse_edge_is_refused_unbuilt(tmp_path, capsys,
+                                                    monkeypatch):
+    # 41 248 samples, inside MAX_SAMPLES, but 40 769 kernel taps each
+    monkeypatch.setattr(synth, "generate",
+                        lambda spec: pytest.fail("the histogram was built"))
+    cfg = _write(tmp_path / "sim.cfg", """
+model.name = exponential
+model.rate_mhz = 29.2
+synth.total_counts = 1e6
+synth.bin_ns = 0.25
+synth.span_ns = 120
+synth.pulse_edge_ns = 3000
+""")
+    out = tmp_path / "x.csv"
+    _assert_sweep_input_error(["simulate", "--config", cfg, "--out", str(out)],
+                              capsys, "a 3000 ns pulse edge would cost 1.68e+09 "
+                              "convolution terms (limit 1e+09)")
     assert not out.exists()
 
 

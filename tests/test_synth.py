@@ -187,10 +187,19 @@ def test_sample_count_includes_pulse_edge_padding(edge, monkeypatch):
         intensity = model_intensity(name, params)
         return lambda t: evaluated.append(len(t)) or intensity(t)
 
+    terms = []
+    convolve = np.convolve
+
+    def counting(a, v, mode):
+        terms.append(len(a) * len(v))
+        return convolve(a, v, mode)
+
     monkeypatch.setattr(synth, "model_intensity", recording)
+    monkeypatch.setattr(np, "convolve", counting)
     spec = _spec(pulse_edge=edge)
     synth.generate(spec)
     assert evaluated == [synth.sample_count(spec)]
+    assert sum(terms) == synth.convolution_terms(spec)
 
 
 def test_vanishing_model_rejected():
