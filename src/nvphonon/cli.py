@@ -193,7 +193,7 @@ def parse_config(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     cfg = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -231,8 +231,12 @@ def _require(cfg, key, context):
 def _read_csv_rows(path):
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            raw_rows = list(csv.reader(handle))
-    except OSError as exc:
+            reader = csv.reader(handle)
+            try:
+                raw_rows = list(reader)
+            except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+                raise TraceFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"cannot read {path}: {exc}") from exc
     rows = []
     for lineno, row in enumerate(raw_rows, start=1):

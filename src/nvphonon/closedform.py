@@ -147,6 +147,27 @@ def rabi_fit_model(t, amplitude, omega, phi, t0, tau_rabi, gamma_isc_x):
     return amplitude * (osc + 1.0) * np.exp(-0.5 * gamma_isc_x * t)
 
 
+def rabi_fit_model_jacobian(t, amplitude, omega, phi, t0, tau_rabi, gamma_isc_x):
+    """Derivative of rabi_fit_model: (points x 6), columns in signature order.
+
+    With c = cos(omega t - phi), s = sin(omega t - phi),
+    D = exp(-(t - t0)/tau_rabi) and E = exp(-gamma_isc_x t / 2) the
+    columns are (c D + 1) E, -t A E s D, A E s D, A E c D / tau_rabi,
+    A E c D (t - t0)/tau_rabi^2 and -(t/2) f.
+    """
+    t = np.asarray(t, dtype=float)
+    phase = omega * t - phi
+    decay = np.exp(-(t - t0) / tau_rabi)
+    loss = np.exp(-0.5 * gamma_isc_x * t)
+    cos_decay = np.cos(phase) * decay
+    d_amplitude = (cos_decay + 1.0) * loss
+    sine = amplitude * loss * np.sin(phase) * decay
+    cosine = amplitude * loss * cos_decay
+    return np.stack([d_amplitude, -t * sine, sine, cosine / tau_rabi,
+                     cosine * (t - t0) / tau_rabi**2,
+                     -0.5 * t * amplitude * d_amplitude], axis=1)
+
+
 def _a12_modes(gamma_rad, gamma_mix, gamma_isc, branch):
     """The exponentials of fluorescence_a12 and their derivatives with
     respect to Gamma_isc: (weight, rate, d weight, d rate) for the slow

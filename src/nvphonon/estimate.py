@@ -16,9 +16,11 @@ solve, `_windowed_rates`: the amplitude is eliminated and Newton steps
 act on the rate alone, for any number of curves at once. Every other fit
 runs through `_least_squares`: a damped Gauss-Newton iteration
 (Levenberg-style lambda adaptation) that accepts only steps lowering
-chi^2, with a forward-difference Jacobian unless the caller supplies an
-exact one (`fit_gamma_a1` takes its own from the implicit derivative of
-the windowed rates).
+chi^2. Its Jacobian is exact for `fit_gamma_a1` (the implicit derivative
+of the windowed rates), `fit_rabi_trace` (the closed form
+`rabi_fit_model_jacobian`) and `fit_t5`; `nlls`, for user models, and
+`fit_depolarization`, whose model has a kink at the pulse, take forward
+differences.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .closedform import (
     fluorescence_a12,
     fluorescence_a12_isc_slope,
     rabi_fit_model,
+    rabi_fit_model_jacobian,
 )
 from .core import AngularRate, ValidationError, rate_value, temperature_value
 
@@ -395,6 +398,11 @@ def fit_rabi_trace(trace, init=None, gamma_rad=None, weights="uniform",
     guards against fitting at an alias of the true period). When
     gamma_rad is given, the additional decoherence rate implied by the
     fitted tau_rabi is reported in `derived` (rad/ns).
+
+    The fit runs `_least_squares` with the exact derivative of the form,
+    `rabi_fit_model_jacobian`, so each Gauss-Newton step evaluates the
+    model once and a parameter whose optimum is near 0 (gamma_isc_x on a
+    trace without crossing loss) keeps a finite sigma.
     """
     times = trace.times
     values = np.asarray(trace.values, dtype=float)
@@ -427,8 +435,12 @@ def fit_rabi_trace(trace, init=None, gamma_rad=None, weights="uniform",
                 )
         defaults.update({k: float(v) for k, v in init.items()})
 
-    result = nlls(rabi_fit_model, trace, defaults, weights=weights,
-                  max_iter=max_iter)
+    names = tuple(defaults)
+    result = _least_squares(
+        lambda theta: rabi_fit_model(times, *theta), values, weights,
+        [defaults[name] for name in names], names, max_iter=max_iter,
+        uncertainty=trace.uncertainty,
+        jacobian=lambda theta, f: rabi_fit_model_jacobian(times, *theta))
     tau_fit = result["tau_rabi"]
     if gamma_rad is not None and tau_fit > 0:
         return result.with_derived(gamma_add=additional_decoherence(tau_fit, gamma_rad))
@@ -449,6 +461,14 @@ def _rate_points(points):
     if np.any(sigmas <= 0):
         raise ValidationError("point sigmas must be > 0")
     return np.array(temps), np.array(rates), 1.0 / sigmas**2, rest
+
+
+def _t5_gradient(temps, a, t0):
+    """Derivative of a (T - t0)^5 + c with respect to (a, t0, c), one
+    row per temperature."""
+    shifted = temps - t0
+    return np.stack([shifted**5, -5.0 * a * shifted**4, np.ones_like(temps)],
+                    axis=1)
 
 
 def fit_t5(points, init=None, max_iter=200):
@@ -478,9 +498,10 @@ def fit_t5(points, init=None, max_iter=200):
         a, t0, c = theta
         return a * (temps - t0) ** 5 + c
 
-    return _least_squares(predict, rates, weights,
-                          [defaults["a"], defaults["t0"], defaults["c"]],
-                          ("a", "t0", "c"), max_iter=max_iter)
+    return _least_squares(
+        predict, rates, weights, [defaults["a"], defaults["t0"], defaults["c"]],
+        ("a", "t0", "c"), max_iter=max_iter,
+        jacobian=lambda theta, f: _t5_gradient(temps, theta[0], theta[1]))
 
 
 def t5_confidence_band(result, temperatures):
@@ -488,11 +509,7 @@ def t5_confidence_band(result, temperatures):
     temps = np.asarray(temperatures, dtype=float)
     a, t0, c = (result["a"], result["t0"], result["c"])
     mean = a * (temps - t0) ** 5 + c
-    grad = np.stack([
-        (temps - t0) ** 5,
-        -5.0 * a * (temps - t0) ** 4,
-        np.ones_like(temps),
-    ], axis=1)
+    grad = _t5_gradient(temps, a, t0)
     var = np.einsum("ij,jk,ik->i", grad, result.covariance, grad)
     half = 1.96 * np.sqrt(np.clip(var, 0.0, None))
     return mean, mean - half, mean + half
@@ -515,6 +532,9 @@ def fit_depolarization(traces, gamma_mix_cold, gamma_mix_warm, gamma_rad,
     brightness), so relabeling the channels swaps the reported assignment
     but not the fitted values; epsilon is the leakage fraction under the
     convention epsilon <= 1/2.
+
+    The Jacobian is taken by forward differences: the model is 0 before
+    the pulse, so its derivative in t0 jumps where t - t0 = 0.
     """
     traces = list(traces)
     if len(traces) != 4:

@@ -224,6 +224,8 @@ class OverlapTable:
                                               f"2 numbers, got {row!r}") from exc
                     energies.append(energy)
                     values.append(value)
+        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+            raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             raise ValidationError(f"cannot read overlap table {path}: {reason}") from exc

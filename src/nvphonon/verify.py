@@ -144,7 +144,10 @@ def check_lindblad_unitary():
     return err <= 1e-8, f"max abs error {err:.2e}"
 
 
-def check_lindblad_envelope():
+def _lindblad_envelope_case():
+    """The noiseless strongly driven fluorescence trace that
+    check_lindblad_envelope fits, and its standard-result envelope time
+    tau_rabi = 1/(3/4 Gamma_rad + Gamma_t2/2)."""
     gr = rate_from_linear_mhz(13.2)
     gt2 = rate_from_linear_mhz(10.0)
     model = dynamics.ThreeLevelModel(gamma_rad_x=gr, gamma_rad_y=gr,
@@ -152,8 +155,12 @@ def check_lindblad_envelope():
     t = np.arange(0.0, 40.0, 0.05)
     result = dynamics.evolve_lindblad(model, dynamics.DensityMatrix3.pure("g"), t)
     signal = result.populations["x"].values + result.populations["y"].values
-    fit = estimate.fit_rabi_trace(TimeTrace(t, signal))
-    expected = 1.0 / (0.75 * gr.value + 0.5 * gt2.value)
+    return TimeTrace(t, signal), 1.0 / (0.75 * gr.value + 0.5 * gt2.value)
+
+
+def check_lindblad_envelope():
+    trace, expected = _lindblad_envelope_case()
+    fit = estimate.fit_rabi_trace(trace)
     rel = abs(fit["tau_rabi"] - expected) / expected
     return rel <= 0.02, f"tau_rabi off by {rel:.3%} (standard-result check)"
 

@@ -114,6 +114,33 @@ def test_fit_count_beyond_int64_cites_line(tmp_path, capsys, cell):
     assert err == f"error: {path}:3: count {cell!r} outside the int64 range\n"
 
 
+# a byte that is not UTF-8, in a trace, a points file and a config file
+@pytest.mark.parametrize("text, argv", [
+    (b"time_ns,counts\n0.5,\xff\n", ["fit", "--procedure", "exp-window"]),
+    (b"temperature_k,gamma_add_mhz,sigma_mhz\n5,0.1,\xff\n",
+     ["fit", "--procedure", "t5"]),
+    (b"model.name = \xff\n", ["simulate", "--out", "OUT", "--config"]),
+], ids=["trace", "points", "config"])
+def test_non_utf8_input_is_input_error(tmp_path, capsys, text, argv):
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    argv = [str(tmp_path / "x.csv") if arg == "OUT" else arg for arg in argv]
+    assert cli.main(argv + [str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_fit_oversized_cell_cites_line(tmp_path, capsys):
+    # csv.reader refuses a cell over its field size limit
+    path = _write(tmp_path / "long.csv",
+                  f"time_ns,counts\n0.5,{'1' * (csv.field_size_limit() + 1)}\n")
+    assert cli.main(["fit", "--procedure", "exp-window", path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}:2: field larger than field limit "
+                   f"({csv.field_size_limit()})\n")
+
+
 def test_load_trace_multicolumn_needs_selection(tmp_path):
     path = _write(tmp_path / "two.csv",
                   "time_ns,intensity_a1,intensity_a2\n0.0,1.0,1.0\n")
@@ -648,6 +675,16 @@ def test_sweep_bad_overlap_cell_is_input_error(tmp_path, capsys):
     _assert_sweep_input_error(
         ["sweep", "--config", cfg, "--sweep", "delta:100:200:50",
          "--out", str(tmp_path / "x.csv")], capsys, f"{table}, line 2")
+
+
+def test_sweep_oversized_overlap_cell_is_input_error(tmp_path, capsys):
+    table = _write(tmp_path / "table.csv", "energy_mev,f_per_mev\n"
+                   f"0,{'1' * (csv.field_size_limit() + 1)}\n")
+    cfg = _write(tmp_path / "sweep.cfg", f"files.overlap_table = {table}\n")
+    _assert_sweep_input_error(
+        ["sweep", "--config", cfg, "--sweep", "delta:100:200:50",
+         "--out", str(tmp_path / "x.csv")], capsys,
+        f"{table}, line 2: field larger than field limit")
 
 
 def test_sample_cap_refuses_oversized_grids(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from nvphonon import closedform
@@ -36,6 +38,21 @@ def test_envelope_starts_at_one_and_stays_in_unit_interval():
         assert env[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(env > 0.0)
         assert np.all(env <= 1.0 + 1e-12)
+
+
+# radiative rates are > 0; mixing and dephasing may vanish (rad/ns)
+_radiative = st.floats(1e-3, 1.0)
+_optional_rate = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rates=st.tuples(_radiative, _radiative, _optional_rate, _optional_rate,
+                       _optional_rate))
+def test_envelope_identities_hold_for_any_rates(rates):
+    params = EnvelopeParams(*rates)
+    _, _, weight_a, weight_b = closedform.envelope_timescales(params)
+    assert weight_a + weight_b == pytest.approx(1.0, abs=1e-12)
+    assert closedform.rabi_envelope(params, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_envelope_weight_bounded_for_symmetric_mixing():
@@ -138,6 +155,20 @@ def test_observed_intensity_sum_rule():
                                rtol=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(amplitude=st.floats(1e-3, 1e6), epsilon=st.floats(0.0, 0.5),
+       t0=st.floats(-10.0, 10.0), gamma_rad=_radiative, gamma_mix=_optional_rate)
+def test_observed_intensity_sum_is_radiative_for_any_parameters(
+        amplitude, epsilon, t0, gamma_rad, gamma_mix):
+    # after the pulse, where the closed form describes the populations
+    tau = np.linspace(0.0, 60.0, 121)
+    bright, dark = closedform.observed_polarized_intensity(
+        amplitude, epsilon, t0, gamma_rad, gamma_mix, t0 + tau)
+    np.testing.assert_allclose(bright + dark,
+                               amplitude * np.exp(-gamma_rad * tau),
+                               rtol=1e-12)
+
+
 def test_observed_intensity_frozen_points():
     bright5, dark5 = closedform.observed_polarized_intensity(
         0.90, 0.10, -3.6, GAMMA_RAD, GAMMA_MIX_COLD, np.array([10.0]))
@@ -220,6 +251,33 @@ def test_rabi_fit_model_plateau():
     value = closedform.rabi_fit_model(np.array([300.0]), 1.3, omega,
                                       0.4, 0.5, 9.0, 0.0)
     assert value[0] == pytest.approx(1.3, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(amplitude=st.floats(1e-2, 1e6), omega=st.floats(0.05, 5.0),
+       phi=st.floats(-np.pi, np.pi), t0=st.floats(-2.0, 2.0),
+       tau_rabi=st.floats(2.0, 50.0),
+       gamma_isc_x=st.one_of(st.just(0.0), st.floats(0.0, 0.2)))
+@example(amplitude=1.3, omega=TWO_PI * 80e-3, phi=0.3, t0=1.5, tau_rabi=9.0,
+         gamma_isc_x=0.0)
+def test_rabi_fit_model_jacobian_matches_central_differences(
+        amplitude, omega, phi, t0, tau_rabi, gamma_isc_x):
+    # each column agrees with a central difference to 1e-6 of its largest
+    # entry; the box keeps exp(-(t - t0)/tau_rabi) >= 1/e at t = 0, so no
+    # column falls to the rounding noise of the differences
+    t = np.linspace(0.0, 40.0, 161)
+    theta = np.array([amplitude, omega, phi, t0, tau_rabi, gamma_isc_x])
+    exact = closedform.rabi_fit_model_jacobian(t, *theta)
+    assert exact.shape == (len(t), 6)
+    for j in range(6):
+        step = 1e-6 * max(abs(theta[j]), 1.0)
+        upper, lower = theta.copy(), theta.copy()
+        upper[j] += step
+        lower[j] -= step
+        central = (closedform.rabi_fit_model(t, *upper)
+                   - closedform.rabi_fit_model(t, *lower)) / (2.0 * step)
+        scale = np.abs(exact[:, j]).max()
+        assert np.abs(exact[:, j] - central).max() <= 1e-6 * scale, j
 
 
 def test_fluorescence_a12_initial_and_order():

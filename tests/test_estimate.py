@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvphonon import closedform, estimate, phonon, synth
+from nvphonon import closedform, estimate, phonon, synth, verify
 from nvphonon.core import (
     TWO_PI,
     AngularRate,
@@ -357,6 +357,63 @@ def test_rabi_fit_lindblad_envelope():
     fit = estimate.fit_rabi_trace(TimeTrace(t, signal))
     tau_expected = 1.0 / (0.75 * GAMMA_RAD.value + 0.5 * gt2.value)
     assert fit["tau_rabi"] == pytest.approx(tau_expected, rel=0.05)
+
+
+def _rabi_counts(seed):
+    spec = synth.ExperimentSpec(model="rabi", params=_rabi_truth(),
+                                bin_width=0.1, span=60.0, total_counts=2e5,
+                                pulse_edge=0.0, seed=seed)
+    return synth.generate(spec)
+
+
+@pytest.mark.parametrize("weights", ["uniform", "poisson"])
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_rabi_fit_matches_difference_jacobian_route(monkeypatch, weights, seed):
+    # the exact-Jacobian fit and nlls (forward differences), from the
+    # same start, reach the same optimum and sigmas
+    starts = []
+    least_squares = estimate._least_squares
+
+    def capture(predict, y, weights, init, names, **kwargs):
+        starts.append(dict(zip(names, init)))
+        return least_squares(predict, y, weights, init, names, **kwargs)
+
+    monkeypatch.setattr(estimate, "_least_squares", capture)
+    trace = _rabi_counts(seed)
+    fit = estimate.fit_rabi_trace(trace, weights=weights)
+    oracle = estimate.nlls(closedform.rabi_fit_model, trace, starts[0],
+                           weights=weights)
+    assert fit.converged and oracle.converged
+    assert fit.names == oracle.names
+    assert np.all(np.abs(fit.values - oracle.values) <= 1e-3 * oracle.sigma)
+    np.testing.assert_allclose(fit.sigma, oracle.sigma, rtol=1e-3)
+
+
+def test_rabi_fit_bounds_a_vanishing_crossing_rate():
+    # the verify check's noiseless trace has no crossing loss, so
+    # gamma_isc_x fits to ~0, where a relative difference step vanishes
+    trace, _ = verify._lindblad_envelope_case()
+    fit = estimate.fit_rabi_trace(trace)
+    assert fit.converged
+    assert abs(fit["gamma_isc_x"]) < 1e-9
+    assert np.isfinite(fit.sigma_of("gamma_isc_x"))
+    assert fit.sigma_of("gamma_isc_x") < 1.0
+
+
+def test_rabi_fit_model_calls(monkeypatch):
+    # one model evaluation per Gauss-Newton step and none for derivatives
+    calls = []
+    model = estimate.rabi_fit_model
+
+    def counted(*args):
+        calls.append(args[1:])
+        return model(*args)
+
+    monkeypatch.setattr(estimate, "rabi_fit_model", counted)
+    trace, expected = verify._lindblad_envelope_case()
+    fit = estimate.fit_rabi_trace(trace)
+    assert fit["tau_rabi"] == pytest.approx(expected, rel=0.02)
+    assert 1 <= len(calls) <= 12
 
 
 # ---------------------------------------------------------------------------
