@@ -168,35 +168,70 @@ def rabi_fit_model_jacobian(t, amplitude, omega, phi, t0, tau_rabi, gamma_isc_x)
                      -0.5 * t * amplitude * d_amplitude], axis=1)
 
 
-def _a12_modes(gamma_rad, gamma_mix, gamma_isc, branch):
-    """The exponentials of fluorescence_a12 and their derivatives with
-    respect to Gamma_isc: (weight, rate, d weight, d rate) for the slow
-    mode, then for the fast one; a single mode when Gamma' = 0."""
+def _check_branch(branch):
     if branch not in ("A1", "A2"):
         raise ValidationError(f"branch must be 'A1' or 'A2', got {branch!r}")
-    gr = rate_value(gamma_rad)
-    gm = rate_value(gamma_mix)
-    gi = rate_value(gamma_isc)
-    gamma_prime = np.hypot(gi, 2.0 * gm)
-    mid = gr + gm + 0.5 * gi
-    if gamma_prime == 0.0:
-        # without mixing only the first branch feels the crossing
-        return ((1.0, mid, 0.0, 1.0 if branch == "A1" else 0.0),)
-    if branch == "A1":
-        if 2.0 * gm >= gi:
-            w_slow = (gamma_prime + 2.0 * gm - gi) / (2.0 * gamma_prime)
-            w_fast = 2.0 * gm * gi / (gamma_prime * (gamma_prime + 2.0 * gm - gi))
-        else:
-            w_slow = 2.0 * gm * gi / (gamma_prime * (gamma_prime + gi - 2.0 * gm))
-            w_fast = (gamma_prime + gi - 2.0 * gm) / (2.0 * gamma_prime)
-        dc = -2.0 * gm * (2.0 * gm + gi) / gamma_prime**3
-    else:
-        w_slow = (gamma_prime + 2.0 * gm + gi) / (2.0 * gamma_prime)
-        w_fast = -2.0 * gm * gi / (gamma_prime * (gamma_prime + 2.0 * gm + gi))
-        dc = 2.0 * gm * (2.0 * gm - gi) / gamma_prime**3
-    d_split = 0.5 * gi / gamma_prime
-    return ((w_slow, mid - 0.5 * gamma_prime, 0.5 * dc, 0.5 - d_split),
-            (w_fast, mid + 0.5 * gamma_prime, -0.5 * dc, 0.5 + d_split))
+
+
+def _a12_modes(gamma_rad, gamma_mix, gamma_isc, crosses):
+    """The two exponentials of fluorescence_a12 and their derivatives with
+    respect to Gamma_isc, for every curve at once.
+
+    gamma_mix (a float or an array, rad/ns) and crosses (True for the
+    branch "A1" that crosses, False for "A2"; a bool or a bool array)
+    broadcast to the shape of the curves; gamma_rad and gamma_isc are
+    shared floats. Returns (weight, rate, d weight, d rate), each
+    broadcasting to (2, *curves): the slow mode, then the fast one. The
+    rates and their derivatives do not depend on the branch, so they keep
+    the shape of gamma_mix.
+    """
+    # a numpy scalar keeps a single curve's arithmetic with the bool
+    # `degenerate` below in fast scalar operations
+    gamma_isc = np.float64(gamma_isc)
+    two_gm = 2.0 * gamma_mix
+    gamma_prime = np.hypot(gamma_isc, two_gm)
+    # Gamma' = 0 (no mixing, no crossing) takes the weights and derivatives
+    # of Gamma_mix = 0 at Gamma_isc = 1: one mode of weight 1, whose rate
+    # moves with Gamma_isc on the branch that crosses, and no division by 0.
+    # So does a Gamma' below 1e-100 rad/ns, whose cube would underflow.
+    degenerate = gamma_prime < 1e-100
+    gp = gamma_prime + degenerate
+    gi = gamma_isc + degenerate
+    # c = (2 Gamma_mix - g)/Gamma' with g = +/-Gamma_isc for "A1"/"A2"; the
+    # larger weight (1 + |c|)/2 is a/(2 Gamma'), and the smaller one,
+    # (1 - |c|)/2 = (1 - c^2)/(2 (1 + |c|)) = 2 Gamma_mix g/(Gamma' a), is
+    # computed without cancellation
+    sign = 2.0 * crosses - 1.0
+    g = sign * gi
+    a = gp + np.maximum(two_gm, g) - np.minimum(two_gm, g)
+    weights = np.array([a / (2.0 * gp), two_gm * g / (gp * a)])
+    # dc/dGamma_isc = -/+2 Gamma_mix (2 Gamma_mix + g)/Gamma'^3; the slow
+    # weight gains dc/2, and the rates m -/+ Gamma'/2, with
+    # m = Gamma_rad + Gamma_mix + Gamma_isc/2, move by 1/2 -/+ d_split
+    d_weight = 0.5 * sign * (two_gm * (two_gm + g) / (gp * gp * gp))
+    mid = gamma_rad + gamma_mix + 0.5 * gamma_isc
+    d_split = 0.5 * gi / gp
+    return (np.where(two_gm >= g, weights, weights[::-1]),
+            np.array([mid - 0.5 * gamma_prime, mid + 0.5 * gamma_prime]),
+            np.array([-d_weight, d_weight]),
+            np.array([0.5 - d_split, 0.5 + d_split]))
+
+
+def _a12_curves(modes, t, slopes=False):
+    """fluorescence_a12 for every curve of the modes `_a12_modes` returned,
+    at the times t: shape (*curves, *t.shape). With slopes=True, also its
+    Gamma_isc derivative, to which each exponential w exp(-k t)
+    contributes (dw - t w dk) exp(-k t)."""
+    t = np.asarray(t, dtype=float)
+    along_t = (...,) + (None,) * t.ndim
+    w, k = modes[0][along_t], modes[1][along_t]
+    decays = np.exp(-k * t)
+    curves = w[0] * decays[0] + w[1] * decays[1]
+    if not slopes:
+        return curves
+    dw, dk = modes[2][along_t], modes[3][along_t]
+    return curves, ((dw[0] - w[0] * dk[0] * t) * decays[0]
+                    + (dw[1] - w[1] * dk[1] * t) * decays[1])
 
 
 def fluorescence_a12(gamma_rad, gamma_mix, gamma_isc, branch, t):
@@ -219,13 +254,9 @@ def fluorescence_a12(gamma_rad, gamma_mix, gamma_isc, branch, t):
     reductions at Gamma_mix = 0 or Gamma_isc = 0 are exact and the
     Gamma' -> 0 limit needs no series switch.
     """
-    t = np.asarray(t, dtype=float)
-    (w_slow, k_slow, _, _), *fast = _a12_modes(gamma_rad, gamma_mix,
-                                               gamma_isc, branch)
-    value = w_slow * np.exp(-k_slow * t)
-    for w_fast, k_fast, _, _ in fast:
-        value = value + w_fast * np.exp(-k_fast * t)
-    return value
+    _check_branch(branch)
+    return _a12_curves(_a12_modes(rate_value(gamma_rad), rate_value(gamma_mix),
+                                  rate_value(gamma_isc), branch == "A1"), t)
 
 
 def fluorescence_a12_isc_slope(gamma_rad, gamma_mix, gamma_isc, branch, t):
@@ -239,9 +270,10 @@ def fluorescence_a12_isc_slope(gamma_rad, gamma_mix, gamma_isc, branch, t):
     Without mixing the "A1" curve is exp(-(Gamma_rad + Gamma_isc) t) and
     the "A2" curve does not depend on Gamma_isc.
     """
-    t = np.asarray(t, dtype=float)
-    return sum((dw - w * dk * t) * np.exp(-k * t) for w, k, dw, dk in
-               _a12_modes(gamma_rad, gamma_mix, gamma_isc, branch))
+    _check_branch(branch)
+    return _a12_curves(_a12_modes(rate_value(gamma_rad), rate_value(gamma_mix),
+                                  rate_value(gamma_isc), branch == "A1"), t,
+                       slopes=True)[1]
 
 
 def isc_rate_from_lifetime(tau, gamma_rad):

@@ -13,11 +13,15 @@ Windowed single-exponential fits, of measured traces
 (`fit_exponential_window`) and of the noiseless forward model
 (`effective_isc_rates`) alike, run through one variable-projection
 solve, `_windowed_rates`: the amplitude is eliminated and Newton steps
-act on the rate alone, for any number of curves at once. Every other fit
-runs through `_least_squares`: a damped Gauss-Newton iteration
-(Levenberg-style lambda adaptation) that accepts only steps lowering
-chi^2. Its Jacobian is exact for `fit_gamma_a1` (the implicit derivative
-of the windowed rates), `fit_rabi_trace` (the closed form
+act on the rate alone, for any number of curves at once. The forward
+model builds all its curves in one array evaluation of the two-branch
+closed form, and its solve can start from the rates of an earlier call
+(`start=`), which `fit_gamma_a1` passes from one trial Gamma_a1 to the
+next. Every other fit runs through `_least_squares`: a damped
+Gauss-Newton iteration (Levenberg-style lambda adaptation) that accepts
+only steps lowering chi^2, and stops as converged at a step that raises
+chi^2 by rounding only. Its Jacobian is exact for `fit_gamma_a1` (the
+implicit derivative of the windowed rates), `fit_rabi_trace` (the closed form
 `rabi_fit_model_jacobian`) and `fit_t5`; `nlls`, for user models, and
 `fit_depolarization`, whose model has a kink at the pulse, take forward
 differences.
@@ -31,10 +35,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .closedform import (
+    _a12_curves,
+    _a12_modes,
     additional_decoherence,
     depolarization_populations,
-    fluorescence_a12,
-    fluorescence_a12_isc_slope,
     rabi_fit_model,
     rabi_fit_model_jacobian,
 )
@@ -49,7 +53,13 @@ _NEWTON_RTOL = 1e-9
 # not resolve above that are still up to 1e-8 of the rate
 _PROFILE_RTOL = 1e-12
 _NEWTON_MAX_ITER = 30
+# a Gauss-Newton step raising chi^2 by less than this share ends the fit:
+# a model evaluated by iterative solves (fit_gamma_a1's forward model)
+# puts ~1e-13 relative rounding noise on chi^2
+_CHI2_RTOL = 1e-12
 _FORWARD_BLOCK_SAMPLES = 1 << 20   # curve samples per solve (8 MB a copy)
+# the `crosses` flags of `_a12_modes` for the branches "A1" and "A2"
+_BRANCHES_A1_A2 = np.array([True, False])
 
 
 @dataclass(frozen=True)
@@ -229,6 +239,7 @@ def _minimize(predict, jacobian, y, weights, theta, f, max_iter):
             if rel_step < 1e-10:
                 # converged: evaluating a step this small could only accept
                 # it, or reject it on rounding noise in chi^2 and retry
+                converged = True
                 break
             f_try = predict(theta_try)
             if np.all(np.isfinite(f_try)):
@@ -237,11 +248,13 @@ def _minimize(predict, jacobian, y, weights, theta, f, max_iter):
                 if math.isfinite(chi2_try) and chi2_try <= chi2:
                     accepted = True
                     break
+                if math.isfinite(chi2_try) and chi2_try <= chi2 * (1.0 + _CHI2_RTOL):
+                    # chi^2 rose by rounding only: theta is the optimum,
+                    # and smaller steps would be rejected the same way
+                    converged = True
+                    break
             lam *= 10.0
-        if rel_step < 1e-10:
-            converged = True
-            break
-        if not accepted:
+        if converged or not accepted:
             break
 
         drop = chi2 - chi2_try
@@ -728,7 +741,8 @@ def _forward_times(window_start, window_length, dt):
 
 
 def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix,
-                        window_start=4.0, window_length=115.0, dt=0.25):
+                        window_start=4.0, window_length=115.0, dt=0.25,
+                        start=None):
     """Windowed single-exponential rates of the two-branch fluorescence.
 
     Samples the noiseless two-branch decay for each initial branch every
@@ -741,22 +755,42 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix,
     For a single mixing rate, returns (rate_a1_branch, rate_a2_branch)
     as fitted AngularRates. For a 1-d sequence of mixing rates, returns
     two float arrays (rad/ns) with one entry per mixing rate.
+
+    start, the (a1, a2) pair an earlier call returned for the same mixing
+    rates, starts the Newton solve from those rates instead of the
+    log-linear regression of each curve; near the earlier Gamma_a1 that
+    saves steps, and the solve converges to the same rates either way.
     """
     gr = rate_value(gamma_rad)
     ga1 = rate_value(gamma_a1)
     scalar = isinstance(gamma_mix, AngularRate) or np.ndim(gamma_mix) == 0
     if not scalar and np.ndim(gamma_mix) != 1:
         raise ValidationError("gamma_mix must be a rate or a 1-d sequence of rates")
-    mixes = [rate_value(gamma_mix)] if scalar else [rate_value(g) for g in gamma_mix]
-    if not mixes:
+    mixes = np.array([rate_value(gamma_mix)] if scalar
+                     else [rate_value(g) for g in gamma_mix])
+    if not mixes.size:
         raise ValidationError("gamma_mix sequence is empty")
     times = _forward_times(window_start, window_length, dt)
+    if start is not None:
+        shape = (2,) if scalar else (2, len(mixes))
+        try:
+            start = np.asarray(start, dtype=float)
+            valid = start.shape == shape
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ValidationError(
+                f"start must be the (a1, a2) rates of shape {shape} that an "
+                "earlier call returned for the same mixing rates")
+        # branches interleaved like the curves, A1 then A2 per mixing rate
+        start = start.reshape(2, -1).T.ravel() + gr
 
-    def solve(block):
-        curves = [fluorescence_a12(gr, gm, ga1, branch, times)
-                  for gm in block for branch in ("A1", "A2")]
+    def solve(i, j):
+        # curves ordered (mixing rate, branch): A1 then A2 for each rate
+        modes = _a12_modes(gr, mixes[i:j, None], ga1, _BRANCHES_A1_A2)
+        curves = _a12_curves(modes, times).reshape(-1, len(times))
         rates, _, converged = _windowed_rates(
-            np.reshape(curves, (len(curves), len(times))), times)
+            curves, times, start=None if start is None else start[2 * i:2 * j])
         if not converged:
             raise ValidationError(
                 f"windowed rate did not converge in {_NEWTON_MAX_ITER} Newton steps")
@@ -764,7 +798,7 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix,
 
     # long mixing sequences are solved in blocks of bounded memory
     per_block = _FORWARD_BLOCK_SAMPLES // (2 * len(times))
-    rates = np.concatenate([solve(mixes[i:i + per_block])
+    rates = np.concatenate([solve(i, i + per_block)
                             for i in range(0, len(mixes), per_block)]) - gr
     a1, a2 = rates[0::2], rates[1::2]
     if scalar:
@@ -782,8 +816,9 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window_start=4.0,
     (rad/ns). mix_model maps temperature to the mixing rate (e.g. the
     clamped empirical T^5 law). The forward model, effective_isc_rates,
     re-runs the same windowed analysis on noiseless two-branch decays,
-    once per trial Gamma_a1; the fit's Jacobian is the implicit
-    derivative of those windowed rates, which needs no further call.
+    once per trial Gamma_a1, each solve started from the rates of the
+    previous trial; the fit's Jacobian is the implicit derivative of
+    those windowed rates, which needs no further call.
     """
     temps, rates, weights, rest = _rate_points(points)
     branches = [branch for (branch,) in rest]
@@ -798,25 +833,25 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window_start=4.0,
     # accept either a callable T -> rate or a fit-form bundle
     mix_fn = getattr(mix_model, "clamped", mix_model)
     mixes = [rate_value(mix_fn(T)) for T in unique_temps.tolist()]
+    point_mixes = np.array(mixes)[temp_index]
     times = _forward_times(window_start, window_length, dt)
+    previous = None
 
     def predict(theta):
         # one forward-model call covers every temperature and branch
-        eff = np.stack(effective_isc_rates(gr, float(theta[0]), mixes,
-                                           window_start=window_start,
-                                           window_length=window_length,
-                                           dt=dt))
-        return eff[branch_index, temp_index]
+        nonlocal previous
+        previous = effective_isc_rates(gr, float(theta[0]), mixes,
+                                       window_start=window_start,
+                                       window_length=window_length, dt=dt,
+                                       start=previous)
+        return np.stack(previous)[branch_index, temp_index]
 
     def jacobian(theta, f):
         # implicit derivative of the windowed rates f + gr that
         # predict(theta) returned: no forward-model call
-        ga1 = float(theta[0])
-        cases = [(mixes[i], branch) for i, branch in zip(temp_index, branches)]
-        curves = np.array([fluorescence_a12(gr, gm, ga1, branch, times)
-                           for gm, branch in cases])
-        slopes = np.array([fluorescence_a12_isc_slope(gr, gm, ga1, branch, times)
-                           for gm, branch in cases])
+        curves, slopes = _a12_curves(
+            _a12_modes(gr, point_mixes, float(theta[0]), branch_index == 0),
+            times, slopes=True)
         return _windowed_rate_slopes(curves, slopes, times, f + gr)[:, None]
 
     a1_rates = [g for g, branch in zip(rates, branches) if branch == "A1"]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -358,6 +360,63 @@ def test_fluorescence_a12_rejects_unknown_branch():
     with pytest.raises(ValidationError):
         closedform.fluorescence_a12(GAMMA_RAD, 0.0, 0.0, "A3",
                                     np.array([1.0]))
+    with pytest.raises(ValidationError, match="got 'B'"):
+        closedform.fluorescence_a12_isc_slope(GAMMA_RAD, 0.0, 0.0, "B",
+                                              np.array([1.0]))
+
+
+# (Gamma_mix, Gamma_isc): Gamma' = 0, Gamma_mix = 0, Gamma_isc = 0,
+# 2 Gamma_mix = Gamma_isc, Gamma_mix ~ 1e-7, either side of the split,
+# and Gamma' -> 0
+A12_GRID = [(0.0, 0.0), (0.0, GAMMA_ISC), (0.1, 0.0), (0.5 * GAMMA_ISC, GAMMA_ISC),
+            (1e-7, GAMMA_ISC), (0.02, GAMMA_ISC), (0.3, GAMMA_ISC),
+            (2e-13, 1e-13)]
+
+
+def test_fluorescence_a12_output_bytes_are_pinned():
+    # recorded before the two exponentials were evaluated as arrays of
+    # curves; seeded synthetic traces are built from these bits
+    t = 0.25 * np.arange(-4, 481)
+    digest = hashlib.sha256()
+    for branch in ("A1", "A2"):
+        for gm, gi in A12_GRID:
+            curve = closedform.fluorescence_a12(GAMMA_RAD, gm, gi, branch, t)
+            digest.update(curve.astype("<f8").tobytes())
+    assert digest.hexdigest() == (
+        "c6741bef6f45117f9d42d8abef3a8d7ec5d8a92c6c6dfb2eb3ff5254a7d201f6")
+
+
+_rates = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gr=st.floats(0.01, 0.3), gi=_rates,
+       mixes=st.lists(st.one_of(_rates, st.floats(1e-9, 1e-5)), min_size=1,
+                      max_size=6),
+       half=st.booleans())
+@example(gr=GAMMA_RAD, gi=GAMMA_ISC, mixes=[0.0, 1e-7, 0.02], half=True)
+@example(gr=GAMMA_RAD, gi=0.0, mixes=[0.0, 0.1], half=False)
+def test_a12_array_evaluation_matches_single_curves(gr, gi, mixes, half):
+    # every curve at once, both in the forward model's layout (mixing rate
+    # x branch) and in one branch per curve, against the single-curve
+    # public functions
+    if half:
+        mixes = mixes + [0.5 * gi]
+    t = np.linspace(0.0, 120.0, 97)
+    mixes = np.array(mixes)
+    curves, slopes = closedform._a12_curves(closedform._a12_modes(
+        gr, mixes[:, None], gi, np.array([True, False])), t, slopes=True)
+    branches = ["A1", "A2"] * len(mixes)
+    per_point = closedform._a12_curves(closedform._a12_modes(
+        gr, np.repeat(mixes, 2), gi, np.array(branches) == "A1"), t, slopes=True)
+    assert curves.shape == slopes.shape == (len(mixes), 2, len(t))
+    for i, (gm, branch) in enumerate(zip(np.repeat(mixes, 2), branches)):
+        curve = closedform.fluorescence_a12(gr, gm, gi, branch, t)
+        slope = closedform.fluorescence_a12_isc_slope(gr, gm, gi, branch, t)
+        for got_curve, got_slope in ((curves[i // 2, i % 2], slopes[i // 2, i % 2]),
+                                     (per_point[0][i], per_point[1][i])):
+            np.testing.assert_array_equal(got_curve, curve)
+            np.testing.assert_allclose(got_slope, slope, rtol=1e-15, atol=0.0)
 
 
 def test_isc_rate_from_lifetime():

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nvphonon import closedform, estimate, phonon, synth, verify
@@ -288,6 +288,37 @@ def test_window_fit_iteration_cap():
     assert not capped.converged and capped.iterations == 1
     full = estimate.fit_exponential_window(trace, window)
     assert full.converged and 1 <= full.iterations <= 200
+
+
+@settings(max_examples=60, deadline=None)
+@given(tail=st.floats(30.0, 1e3), decays=st.floats(0.3, 8.0),
+       scale=st.floats(0.05, 20.0), seed=st.integers(0, 2**32 - 1),
+       weights=st.sampled_from(["uniform", "poisson"]))
+def test_window_fit_is_invariant_under_count_rescaling(tail, decays, scale, seed,
+                                                       weights):
+    # counts c y: the rate stays. Uniform weights scale chi^2 by c^2 and
+    # the rate column of the Jacobian by c, so sigma_rate stays; Poisson
+    # weights 1/max(y, 1) scale by 1/c where every bin is >= 1, so
+    # sigma_rate scales by 1/sqrt(c). The amplitude scales by c.
+    window = FitWindow(4.0, 115.0)
+    t = 0.25 * np.arange(480) + 0.125
+    rate = decays / window.length
+    counts = np.random.default_rng(seed).poisson(
+        tail * np.exp(rate * (window.stop - t))).astype(float)
+    fit, scaled = (estimate.fit_exponential_window(TimeTrace(t, c * counts),
+                                                   window, weights=weights)
+                   for c in (1.0, scale))
+    if weights == "poisson":
+        inside = (t >= window.start) & (t <= window.stop)
+        for result, c in ((fit, 1.0), (scaled, scale)):
+            model = result["amplitude"] * np.exp(-result["rate"] * t[inside])
+            assume(min(model.min(), (c * counts[inside]).min()) >= 1.0)
+    assert fit.converged and scaled.converged
+    assert scaled["rate"] == pytest.approx(fit["rate"], rel=1e-9)
+    assert scaled["amplitude"] == pytest.approx(scale * fit["amplitude"], rel=1e-9)
+    power = 0.0 if weights == "uniform" else -0.5
+    assert scaled.sigma_of("rate") == pytest.approx(
+        scale**power * fit.sigma_of("rate"), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +681,44 @@ def test_effective_rates_refuse_unfittable_windows(kwargs, message):
             estimate.effective_isc_rates(GAMMA_RAD, gamma_mix=0.0, **kwargs)
 
 
+@pytest.mark.parametrize("factor", [0.1, 0.5, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("gamma_a1", [0.01, 0.1, 0.3])
+def test_effective_rates_warm_start_matches_cold_solve(factor, gamma_a1):
+    # started from windowed rates `factor` times the cold solve's (1.0:
+    # the cold output itself), every curve reaches the same rate
+    gr = GAMMA_RAD.value
+    cold = np.stack(estimate.effective_isc_rates(gr, gamma_a1, FORWARD_MIXES))
+    start = factor * (cold + gr) - gr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = np.stack(estimate.effective_isc_rates(gr, gamma_a1, FORWARD_MIXES,
+                                                     start=tuple(start)))
+        pair = estimate.effective_isc_rates(
+            gr, gamma_a1, FORWARD_MIXES[-1], start=tuple(start[:, -1]))
+    np.testing.assert_allclose(warm, cold, rtol=1e-12, atol=1e-12 * gr)
+    np.testing.assert_allclose([rate.value for rate in pair], cold[:, -1],
+                               rtol=1e-12, atol=1e-12 * gr)
+
+
+@pytest.mark.parametrize("start", [
+    (np.zeros(3), np.zeros(3)),           # one rate short per branch
+    np.zeros(len(FORWARD_MIXES)),         # one branch only
+    ("fast", "slow"),
+])
+def test_effective_rates_refuse_malformed_start(start):
+    with pytest.raises(ValidationError, match="start must be"):
+        estimate.effective_isc_rates(GAMMA_RAD, GAMMA_ISC, FORWARD_MIXES,
+                                     start=start)
+
+
+def test_effective_rates_refuse_non_finite_start():
+    start = np.zeros((2, len(FORWARD_MIXES)))
+    start[1, 2] = np.nan
+    with pytest.raises(ValidationError, match="non-finite starting rate"):
+        estimate.effective_isc_rates(GAMMA_RAD, GAMMA_ISC, FORWARD_MIXES,
+                                     start=start)
+
+
 # ---------------------------------------------------------------------------
 # direct crossing rate from windowed branch rates
 
@@ -743,6 +812,42 @@ def test_gamma_a1_fit_forward_model_calls(monkeypatch):
         assert abs(fit["gamma_a1"] * TO_MHZ - 16.0) <= 0.6
         per_fit.append(len(calls))
     assert np.mean(per_fit) <= 7
+    # a step that raises chi^2 only by the forward model's rounding ends
+    # the fit instead of being retried at growing damping (7 calls)
+    assert max(per_fit) <= 5
+
+
+def test_gamma_a1_fit_warm_starts_forward_solves(monkeypatch):
+    # each forward solve starts from the windowed rates of the previous
+    # trial Gamma_A1: fewer Newton steps than the 4 a log-linear start takes
+    steps = []
+    windowed = estimate._windowed_rates
+
+    def counted(*args, **kwargs):
+        rates, taken, converged = windowed(*args, **kwargs)
+        steps.append(taken)
+        return rates, taken, converged
+
+    for seed in range(10):
+        points = _criterion5_points(seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(estimate, "_windowed_rates", counted)
+            fit = estimate.fit_gamma_a1(points, phonon.MIXING_FIT_DEFAULT,
+                                        CRITERION_GAMMA_RAD)
+        assert fit.converged
+    assert np.mean(steps) <= 3
+
+
+@pytest.mark.parametrize("factor", [0.1, 10.0])
+def test_gamma_a1_fit_converges_from_distant_init(factor):
+    points = _criterion5_points(0)
+    reference = estimate.fit_gamma_a1(points, phonon.MIXING_FIT_DEFAULT,
+                                      CRITERION_GAMMA_RAD)
+    fit = estimate.fit_gamma_a1(points, phonon.MIXING_FIT_DEFAULT,
+                                CRITERION_GAMMA_RAD,
+                                init=factor * CRITERION_GAMMA_ISC)
+    assert fit.converged
+    assert fit["gamma_a1"] == pytest.approx(reference["gamma_a1"], rel=1e-6)
 
 
 def test_gamma_a1_fit_weighted_mean_limit():

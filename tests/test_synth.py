@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,21 @@ def test_generate_is_deterministic():
     np.testing.assert_array_equal(first.values, second.values)
     third = synth.generate(_spec(seed=8))
     assert np.any(third.values != first.values)
+
+
+def test_generate_a12_counts_are_pinned():
+    # recorded before fluorescence_a12 evaluated its two exponentials as
+    # arrays of curves: seeded histograms keep their bits
+    digest = hashlib.sha256()
+    for branch in ("A1", "A2"):
+        for gamma_mix in (0.0, 1e-7, 0.02, 0.3):
+            spec = _spec(model="a12", params=dict(
+                gamma_rad=GAMMA_RAD.value, gamma_mix=gamma_mix,
+                gamma_isc=GAMMA_ISC.value, branch=branch),
+                total_counts=1e6, background_rate=0.5, pulse_edge=0.4, seed=17)
+            digest.update(synth.generate(spec).values.astype("<f8").tobytes())
+    assert digest.hexdigest() == (
+        "2fd1c03dd7bb4e474458805510530a88a44fe8bfbfff2509ccc4dafd2cc8d5d2")
 
 
 def test_generate_counts_are_nonnegative_integers():
