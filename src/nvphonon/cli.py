@@ -7,8 +7,13 @@ flagged converged=false).
 
 Config files are plain ``key = value`` lines with ``#`` comments.
 Every key must appear in the registry below; unknown keys are rejected
-with their line number. Rates are given in linear MHz (the 2pi factor
-is applied internally), times in ns, energies in meV.
+with their line number. Rates are given in linear MHz and converted to
+rad/ns by `core` (so are the MHz columns of reports and tables), times
+in ns, energies in meV. A key left unset is not passed on, so the
+library function or dataclass it configures applies its own default;
+the CLI's own defaults are the noiseless time grid (``grid.*``), the
+a12 branch (A1), the lindblad y-branch rates (those of x) and
+``trace.normalization`` (1).
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ import warnings
 
 import numpy as np
 
-from . import closedform, dynamics, estimate, phonon, synth, verify
-from .core import (AngularRate, EnergyMeV, TimeTrace, ValidationError,
-                   rate_from_linear_mhz)
+from . import dynamics, estimate, phonon, synth, verify
+from .core import (AngularRate, TimeTrace, ValidationError,
+                   rate_from_linear_mhz, to_linear_mhz)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -106,7 +111,11 @@ def _conv_rate_mhz(text):
 
 def _conv_signed_rate_mhz(text):
     # detunings and fit-form offsets may be negative
-    return _conv_float(text) * 2.0e-3 * math.pi
+    return rate_from_linear_mhz(_conv_float(text), fitted=True)
+
+
+def _conv_rate_ghz(text):
+    return rate_from_linear_mhz(1e3 * _conv_pos_float(text))
 
 
 def _conv_str(text):
@@ -156,8 +165,7 @@ CONFIG_KEYS = {
                     "residual weighting"),
     "phonon.eta_mhz_per_mev3": (_conv_rate_mhz, "spectral density scale"),
     "phonon.cutoff_mev": (_conv_pos_float, "spectral density cutoff"),
-    "phonon.delta_mev": (_conv_nonneg_float, "crossing gap"),
-    "phonon.lambda_par_ghz": (_conv_pos_float, "axial spin-orbit splitting"),
+    "phonon.lambda_par_ghz": (_conv_rate_ghz, "axial spin-orbit splitting"),
     "phonon.lambda_perp_ratio": (_conv_pos_float, "transverse/axial ratio"),
     "t5.a_mhz_per_k5": (_conv_signed_rate_mhz, "fit-form T^5 coefficient"),
     "t5.t0_k": (_conv_float, "fit-form temperature offset"),
@@ -223,6 +231,12 @@ def _require(cfg, key, context):
     if key not in cfg:
         raise ConfigError(f"missing config key {key!r} (required for {context})")
     return cfg[key]
+
+
+def _options(cfg, **keys):
+    """Keyword arguments from config keys, given as argument="key" pairs:
+    only the keys that are set, so the callee's defaults fill the rest."""
+    return {arg: cfg[key] for arg, key in keys.items() if key in cfg}
 
 
 # ---------------------------------------------------------------------------
@@ -481,73 +495,65 @@ def _read_points_file(path, expected_header):
 # ---------------------------------------------------------------------------
 # simulate
 
-_RATE_PARAM_KEYS = {
-    # model param -> config key holding it, per model
+# model -> {synth model parameter: the config key that sets it}
+_MODEL_KEYS = {
     "exponential": {"rate": "model.rate_mhz"},
     "depolarization": {"gamma_rad": "rates.gamma_rad_mhz",
-                       "gamma_mix": "rates.gamma_mix_mhz"},
-    "a12": {"gamma_rad": "rates.gamma_rad_mhz",
-            "gamma_mix": "rates.gamma_mix_mhz",
-            "gamma_isc": "rates.gamma_isc_mhz"},
+                       "gamma_mix": "rates.gamma_mix_mhz",
+                       "channel": "model.channel", "amplitude": "model.amplitude",
+                       "epsilon": "model.epsilon", "t0": "model.t0_ns"},
+    "a12": {"gamma_rad": "rates.gamma_rad_mhz", "gamma_mix": "rates.gamma_mix_mhz",
+            "gamma_isc": "rates.gamma_isc_mhz", "branch": "model.branch"},
+    "rabi": {"omega": "rates.rabi_mhz", "tau_rabi": "model.tau_rabi_ns",
+             "amplitude": "model.amplitude", "phi": "model.phi",
+             "t0": "model.t0_ns", "gamma_isc_x": "rates.gamma_isc_x_mhz"},
+    "lindblad": {"gamma_rad_x": "rates.gamma_rad_mhz",
+                 "gamma_rad_y": "rates.gamma_rad_y_mhz",
+                 "gamma_mix_xy": "rates.gamma_mix_mhz",
+                 "gamma_mix_yx": "rates.gamma_mix_yx_mhz",
+                 "gamma_t2": "rates.gamma_t2_mhz",
+                 "gamma_isc_x": "rates.gamma_isc_x_mhz",
+                 "rabi": "rates.rabi_mhz", "detuning": "rates.detuning_mhz",
+                 "observable": "model.observable"},
+}
+# the keys a model cannot do without, checked in this order
+_MODEL_REQUIRED_KEYS = {
+    "exponential": ("model.rate_mhz",),
+    "depolarization": ("rates.gamma_rad_mhz", "rates.gamma_mix_mhz"),
+    "a12": ("rates.gamma_rad_mhz", "rates.gamma_mix_mhz", "rates.gamma_isc_mhz"),
+    "rabi": ("rates.rabi_mhz", "model.tau_rabi_ns"),
+    "lindblad": ("rates.gamma_rad_mhz",),
 }
 
 
 def _model_params(cfg, name):
     """Translate config keys into a synth model parameter dict."""
-    params = {}
-    if name == "constant":
-        return params
-    if name in _RATE_PARAM_KEYS:
-        for param, key in _RATE_PARAM_KEYS[name].items():
-            params[param] = _require(cfg, key, f"model {name}").value
-    if name == "depolarization":
-        params["channel"] = cfg.get("model.channel", "bright")
-        params["amplitude"] = cfg.get("model.amplitude", 1.0)
-        params["epsilon"] = cfg.get("model.epsilon", 0.0)
-        params["t0"] = cfg.get("model.t0_ns", 0.0)
-    elif name == "a12":
-        params["branch"] = cfg.get("model.branch", "A1")
-    elif name == "rabi":
-        params["omega"] = _require(cfg, "rates.rabi_mhz", "model rabi").value
-        params["tau_rabi"] = _require(cfg, "model.tau_rabi_ns", "model rabi")
-        params["amplitude"] = cfg.get("model.amplitude", 1.0)
-        params["phi"] = cfg.get("model.phi", 0.0)
-        params["t0"] = cfg.get("model.t0_ns", 0.0)
-        params["gamma_isc_x"] = cfg.get("rates.gamma_isc_x_mhz",
-                                        AngularRate(0.0)).value
+    for key in _MODEL_REQUIRED_KEYS.get(name, ()):
+        _require(cfg, key, f"model {name}")
+    params = _options(cfg, **_MODEL_KEYS.get(name, {}))
+    if name == "a12":
+        params.setdefault("branch", "A1")
     elif name == "lindblad":
-        grx = _require(cfg, "rates.gamma_rad_mhz", "model lindblad")
-        params["gamma_rad_x"] = grx.value
-        params["gamma_rad_y"] = cfg.get("rates.gamma_rad_y_mhz", grx).value
-        mix = cfg.get("rates.gamma_mix_mhz", AngularRate(0.0))
-        params["gamma_mix_xy"] = mix.value
-        params["gamma_mix_yx"] = cfg.get("rates.gamma_mix_yx_mhz", mix).value
-        params["gamma_t2"] = cfg.get("rates.gamma_t2_mhz", AngularRate(0.0)).value
-        params["gamma_isc_x"] = cfg.get("rates.gamma_isc_x_mhz",
-                                        AngularRate(0.0)).value
-        params["rabi"] = cfg.get("rates.rabi_mhz", AngularRate(0.0)).value
-        params["detuning"] = cfg.get("rates.detuning_mhz", 0.0)
-        params["observable"] = cfg.get("model.observable", "fluorescence")
+        # the y branch mirrors x unless set
+        params.setdefault("gamma_rad_y", params["gamma_rad_x"])
+        if "gamma_mix_xy" in params:
+            params.setdefault("gamma_mix_yx", params["gamma_mix_xy"])
     return params
 
 
 def _simulate_columns(cfg, name):
     """Column label -> model params, honoring branch/channel 'both'."""
     base = _model_params(cfg, name)
-    if name == "a12" and cfg.get("model.branch", "A1") == "both":
+    if name == "a12" and base["branch"] == "both":
         return {"intensity_a1": dict(base, branch="A1"),
                 "intensity_a2": dict(base, branch="A2")}
-    if name == "depolarization" and cfg.get("model.channel", "bright") == "both":
+    if name == "depolarization" and base.get("channel") == "both":
         return {"intensity_bright": dict(base, channel="bright"),
                 "intensity_dark": dict(base, channel="dark")}
     return {"intensity": base}
 
 
 def cmd_simulate(args):
-    if args.config is None:
-        raise ConfigError("simulate requires --config")
-    if args.out is None:
-        raise ConfigError("simulate requires --out")
     cfg = parse_config(args.config)
     name = _require(cfg, "model.name", "simulate")
     columns = _simulate_columns(cfg, name)
@@ -555,17 +561,14 @@ def cmd_simulate(args):
         if len(columns) > 1:
             raise ConfigError(
                 "photon-count output supports a single branch/channel")
-        seed = args.seed if args.seed is not None else cfg.get("synth.seed", 0)
         spec = synth.ExperimentSpec(
-            model=name,
-            params=next(iter(columns.values())),
-            bin_width=cfg.get("synth.bin_ns", 0.25),
-            span=cfg.get("synth.span_ns", 120.0),
-            total_counts=cfg["synth.total_counts"],
-            background_rate=cfg.get("synth.background_per_bin", 0.0),
-            pulse_edge=cfg.get("synth.pulse_edge_ns", 2.0),
-            seed=seed,
-        )
+            model=name, params=next(iter(columns.values())),
+            **_options(cfg, bin_width="synth.bin_ns", span="synth.span_ns",
+                       total_counts="synth.total_counts",
+                       background_rate="synth.background_per_bin",
+                       pulse_edge="synth.pulse_edge_ns", seed="synth.seed"))
+        if args.seed is not None:
+            spec = dataclasses.replace(spec, seed=args.seed)
         _check_sample_count(synth.sample_count(spec), "synthetic histogram")
         terms = synth.convolution_terms(spec)
         if not terms <= MAX_CONVOLUTION_TERMS:
@@ -575,8 +578,8 @@ def cmd_simulate(args):
         trace = synth.generate(spec)
         write_trace_csv(args.out, trace.times, {"counts": trace.values},
                         counts=True)
-        print(f"simulate: wrote {len(trace)} count bins ({name}, seed {seed}) "
-              f"to {args.out}")
+        print(f"simulate: wrote {len(trace)} count bins ({name}, seed "
+              f"{spec.seed}) to {args.out}")
         return EXIT_OK
     start = cfg.get("grid.start_ns", 0.0)
     span = cfg.get("grid.span_ns", 120.0)
@@ -595,7 +598,17 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # fit
 
-def _print_fit_report(procedure, result, unit_map):
+def _report_rows(result, units):
+    """(name, value, sigma, ci95 lo, ci95 hi, unit) per fitted parameter,
+    rates (a unit starting with MHz) converted from rad/ns."""
+    intervals = result.ci95
+    for name, value, sigma in zip(result.names, result.values, result.sigma):
+        unit = units.get(name, "")
+        convert = to_linear_mhz if unit.startswith("MHz") else float
+        yield (name, *map(convert, (value, sigma, *intervals[name])), unit)
+
+
+def _print_fit_report(procedure, result, units):
     """Text report: one parameter per line, rates shown in MHz."""
     print(f"fit: procedure {procedure}")
     print(f"  converged: {'yes' if result.converged else 'NO'} "
@@ -603,14 +616,10 @@ def _print_fit_report(procedure, result, unit_map):
     dof = max(result.dof, 1)
     print(f"  chi2/dof: {result.chi2:.6g} / {result.dof} "
           f"= {result.chi2 / dof:.4g}")
-    intervals = result.ci95
-    for name, value, sigma in zip(result.names, result.values, result.sigma):
-        lo, hi = intervals[name]
-        scale, unit = unit_map.get(name, (1.0, ""))
+    for name, value, sigma, lo, hi, unit in _report_rows(result, units):
         suffix = f" {unit}" if unit else ""
-        print(f"  {name} = {value * scale:.8g}{suffix}  "
-              f"(sigma {sigma * scale:.3g}, 95% CI "
-              f"[{lo * scale:.8g}, {hi * scale:.8g}])")
+        print(f"  {name} = {value:.8g}{suffix}  "
+              f"(sigma {sigma:.3g}, 95% CI [{lo:.8g}, {hi:.8g}])")
     for key, value in result.derived.items():
         if isinstance(value, AngularRate):
             print(f"  {key} = {value.linear_mhz:.8g} MHz")
@@ -618,68 +627,50 @@ def _print_fit_report(procedure, result, unit_map):
             print(f"  {key} = {value}")
 
 
-def _write_fit_csv(path, result, unit_map):
+def _write_fit_csv(path, result, units):
     with _csv_output(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["parameter", "value", "sigma", "ci95_lo", "ci95_hi",
                          "unit", "converged"])
         flag = "true" if result.converged else "false"
-        intervals = result.ci95
-        for name, value, sigma in zip(result.names, result.values, result.sigma):
-            lo, hi = intervals[name]
-            scale, unit = unit_map.get(name, (1.0, ""))
-            writer.writerow([name, _fmt(value * scale), _fmt(sigma * scale),
-                             _fmt(lo * scale), _fmt(hi * scale),
-                             unit or "1", flag])
+        for name, *numbers, unit in _report_rows(result, units):
+            writer.writerow([name, *map(_fmt, numbers), unit or "1", flag])
 
 
-_TO_MHZ = 1e3 / (2.0 * math.pi)
+def _t5_form(cfg, context):
+    """The empirical T^5 mixing law from the t5.* keys, all required."""
+    return phonon.MixingFitForm(a=_require(cfg, "t5.a_mhz_per_k5", context),
+                                t0_k=_require(cfg, "t5.t0_k", context),
+                                c=_require(cfg, "t5.c_mhz", context))
 
 
-def _fit_rabi(args, cfg, inputs):
-    if len(inputs) != 1:
-        raise ConfigError("procedure rabi takes exactly one trace")
-    trace = _load_cfg_trace(cfg, inputs[0])
-    gamma_rad = cfg.get("rates.gamma_rad_mhz")
-    result = estimate.fit_rabi_trace(trace, gamma_rad=gamma_rad,
-                                     weights=cfg.get("fit.weights", "uniform"),
-                                     max_iter=cfg.get("fit.max_iter", 200))
-    units = {"omega": (_TO_MHZ, "MHz"), "gamma_isc_x": (_TO_MHZ, "MHz"),
-             "tau_rabi": (1.0, "ns"), "t0": (1.0, "ns"), "phi": (1.0, "rad")}
-    return result, units
+def _fit_rabi(cfg, inputs):
+    return estimate.fit_rabi_trace(
+        _load_cfg_trace(cfg, inputs[0]),
+        **_options(cfg, gamma_rad="rates.gamma_rad_mhz", weights="fit.weights",
+                   max_iter="fit.max_iter"))
 
 
-def _fit_exp_window(args, cfg, inputs):
-    if len(inputs) != 1:
-        raise ConfigError("procedure exp-window takes exactly one trace")
-    trace = _load_cfg_trace(cfg, inputs[0])
-    window = estimate.FitWindow(cfg.get("window.start_ns", 4.0),
-                                cfg.get("window.length_ns", 115.0))
+def _fit_exp_window(cfg, inputs):
+    window = estimate.FitWindow(**_options(cfg, start="window.start_ns",
+                                           length="window.length_ns"))
     result = estimate.fit_exponential_window(
-        trace, window, weights=cfg.get("fit.weights", "uniform"),
-        max_iter=cfg.get("fit.max_iter", 200))
+        _load_cfg_trace(cfg, inputs[0]), window,
+        **_options(cfg, weights="fit.weights", max_iter="fit.max_iter"))
     if "rates.gamma_rad_mhz" in cfg:
         gr = cfg["rates.gamma_rad_mhz"]
         result = result.with_derived(
             gamma_isc=AngularRate(result["rate"] - gr.value, fitted=True))
-    units = {"rate": (_TO_MHZ, "MHz"), "amplitude": (1.0, "")}
-    return result, units
+    return result
 
 
-def _fit_t5(args, cfg, inputs):
-    if len(inputs) != 1:
-        raise ConfigError("procedure t5 takes exactly one points CSV")
+def _fit_t5(cfg, inputs):
     points = _read_points_file(
         inputs[0], ("temperature_k", "gamma_add_mhz", "sigma_mhz"))
-    result = estimate.fit_t5(points, max_iter=cfg.get("fit.max_iter", 200))
-    units = {"a": (_TO_MHZ, "MHz/K^5"), "t0": (1.0, "K"), "c": (_TO_MHZ, "MHz")}
-    return result, units
+    return estimate.fit_t5(points, **_options(cfg, max_iter="fit.max_iter"))
 
 
-def _fit_depol(args, cfg, inputs):
-    if len(inputs) != 4:
-        raise ConfigError(
-            "procedure depol takes four traces: cold-a cold-b warm-a warm-b")
+def _fit_depol(cfg, inputs):
     t_cold = _require(cfg, "depol.temp_cold_k", "depol")
     t_warm = _require(cfg, "depol.temp_warm_k", "depol")
     if not t_cold < t_warm:
@@ -695,64 +686,55 @@ def _fit_depol(args, cfg, inputs):
                 uncertainty=(None if trace.uncertainty is None
                              else trace.uncertainty / norm))
         traces.append(trace)
-    result = estimate.fit_depolarization(
+    return estimate.fit_depolarization(
         traces,
         gamma_mix_cold=_require(cfg, "depol.gamma_mix_cold_mhz", "depol"),
         gamma_mix_warm=_require(cfg, "depol.gamma_mix_warm_mhz", "depol"),
         gamma_rad=_require(cfg, "rates.gamma_rad_mhz", "depol"),
-        weights=cfg.get("fit.weights", "uniform"),
-        max_iter=cfg.get("fit.max_iter", 200))
-    units = {"amplitude": (1.0, ""), "t0": (1.0, "ns"), "epsilon": (1.0, "")}
-    return result, units
+        **_options(cfg, weights="fit.weights", max_iter="fit.max_iter"))
 
 
-def _fit_gamma_a1(args, cfg, inputs):
-    if len(inputs) != 1:
-        raise ConfigError("procedure gamma-a1 takes exactly one points CSV")
+def _fit_gamma_a1(cfg, inputs):
     points = _read_points_file(
         inputs[0], ("temperature_k", "gamma_eff_mhz", "sigma_mhz", "branch"))
-    mix_model = phonon.MixingFitForm(
-        a=_require(cfg, "t5.a_mhz_per_k5", "gamma-a1"),
-        t0_k=_require(cfg, "t5.t0_k", "gamma-a1"),
-        c=_require(cfg, "t5.c_mhz", "gamma-a1"))
-    result = estimate.fit_gamma_a1(
-        points, mix_model,
+    return estimate.fit_gamma_a1(
+        points, _t5_form(cfg, "gamma-a1"),
         gamma_rad=_require(cfg, "rates.gamma_rad_mhz", "gamma-a1"),
-        window_start=cfg.get("window.start_ns", 4.0),
-        window_length=cfg.get("window.length_ns", 115.0),
-        max_iter=cfg.get("fit.max_iter", 100))
-    units = {"gamma_a1": (_TO_MHZ, "MHz")}
-    return result, units
+        **_options(cfg, window_start="window.start_ns",
+                   window_length="window.length_ns", max_iter="fit.max_iter"))
 
 
+# procedure -> (runner, number of inputs, what the inputs are, parameter units)
 _FIT_PROCEDURES = {
-    "rabi": _fit_rabi,
-    "exp-window": _fit_exp_window,
-    "t5": _fit_t5,
-    "depol": _fit_depol,
-    "gamma-a1": _fit_gamma_a1,
+    "rabi": (_fit_rabi, 1, "exactly one trace",
+             {"omega": "MHz", "gamma_isc_x": "MHz", "tau_rabi": "ns",
+              "t0": "ns", "phi": "rad"}),
+    "exp-window": (_fit_exp_window, 1, "exactly one trace", {"rate": "MHz"}),
+    "t5": (_fit_t5, 1, "exactly one points CSV",
+           {"a": "MHz/K^5", "t0": "K", "c": "MHz"}),
+    "depol": (_fit_depol, 4, "four traces: cold-a cold-b warm-a warm-b",
+              {"t0": "ns"}),
+    "gamma-a1": (_fit_gamma_a1, 1, "exactly one points CSV",
+                 {"gamma_a1": "MHz"}),
 }
 
 
-def _load_cfg_trace(cfg, path, temperature=None, channel=None):
-    return load_trace(path,
-                      background_path=cfg.get("trace.background"),
-                      reject_before=cfg.get("trace.reject_before_ns"),
-                      column=cfg.get("trace.column"),
-                      temperature=temperature, channel=channel)
+def _load_cfg_trace(cfg, path, **labels):
+    return load_trace(path, **labels,
+                      **_options(cfg, background_path="trace.background",
+                                 reject_before="trace.reject_before_ns",
+                                 column="trace.column"))
 
 
 def cmd_fit(args):
-    if args.procedure is None:
-        raise ConfigError("fit requires --procedure "
-                          f"({', '.join(sorted(_FIT_PROCEDURES))})")
     if args.procedure not in _FIT_PROCEDURES:
         raise ConfigError(f"unknown procedure {args.procedure!r} "
                           f"(choose from {', '.join(sorted(_FIT_PROCEDURES))})")
-    if not args.inputs:
-        raise ConfigError("fit requires at least one input file")
+    runner, n_inputs, described, units = _FIT_PROCEDURES[args.procedure]
+    if len(args.inputs) != n_inputs:
+        raise ConfigError(f"procedure {args.procedure} takes {described}")
     cfg = parse_config(args.config) if args.config else {}
-    result, units = _FIT_PROCEDURES[args.procedure](args, cfg, args.inputs)
+    result = runner(cfg, args.inputs)
     _print_fit_report(args.procedure, result, units)
     if args.out:
         _write_fit_csv(args.out, result, units)
@@ -799,8 +781,6 @@ def cmd_sweep(args):
         lo = _require(cfg, "sweep.lo", "sweep")
         hi = _require(cfg, "sweep.hi", "sweep")
         step = _require(cfg, "sweep.step", "sweep")
-    if args.out is None:
-        raise ConfigError("sweep requires --out")
     grid = _sweep_grid(lo, hi, step)
     if axis == "T":
         return _sweep_temperature(cfg, grid, args.out)
@@ -812,26 +792,21 @@ def _sweep_temperature(cfg, grid, out):
     gamma_rad = _require(cfg, "rates.gamma_rad_mhz", "sweep over T")
     gamma_a1 = _require(cfg, "rates.gamma_a1_mhz", "sweep over T")
     if "t5.a_mhz_per_k5" in cfg:
-        form = phonon.MixingFitForm(a=_require(cfg, "t5.a_mhz_per_k5", "sweep"),
-                                    t0_k=_require(cfg, "t5.t0_k", "sweep"),
-                                    c=_require(cfg, "t5.c_mhz", "sweep"))
-        mixing = form.clamped
+        mixing = _t5_form(cfg, "sweep").clamped
     else:
         eta = cfg.get("phonon.eta_mhz_per_mev3", phonon.ETA_DEFAULT)
         mixing = lambda temp: phonon.mixing_rate_t5(eta, temp)
-    window_start = cfg.get("window.start_ns", 4.0)
-    window_length = cfg.get("window.length_ns", 115.0)
     if np.any(grid <= 0.0):
         raise ConfigError("temperature sweep requires T > 0")
     mixes = [mixing(float(temp)).value for temp in grid]
     # one forward-model call covers the whole grid
     eff_a1, eff_a2 = phonon.effective_isc_rates(
         gamma_rad, gamma_a1, mixes,
-        window_start=window_start, window_length=window_length)
-    columns = (("gamma_mix_mhz", mixes), ("gamma_eff_a1_mhz", eff_a1),
-               ("gamma_eff_a2_mhz", eff_a2))
-    rows = {name: [AngularRate(rate, fitted=True).linear_mhz for rate in rates]
-            for name, rates in columns}
+        **_options(cfg, window_start="window.start_ns",
+                   window_length="window.length_ns"))
+    rows = {name: to_linear_mhz(np.asarray(rates)) for name, rates in (
+        ("gamma_mix_mhz", mixes), ("gamma_eff_a1_mhz", eff_a1),
+        ("gamma_eff_a2_mhz", eff_a2))}
     _write_table(out, "temperature_k", grid, rows)
     print(f"sweep: wrote {len(grid)} temperature points to {out}")
     return EXIT_OK
@@ -843,27 +818,24 @@ def _sweep_delta(cfg, grid, out):
         table = phonon.OverlapTable.from_csv(cfg["files.overlap_table"])
     else:
         table = phonon.OverlapTable.synthetic_default()
-    so = phonon.SpinOrbit(
-        lambda_par=rate_from_linear_mhz(
-            1e3 * cfg.get("phonon.lambda_par_ghz", 5.33)),
-        perp_ratio=cfg.get("phonon.lambda_perp_ratio", 1.2))
-    cutoff = cfg.get("phonon.cutoff_mev")
+    so = phonon.SpinOrbit(**_options(cfg, lambda_par="phonon.lambda_par_ghz",
+                                     perp_ratio="phonon.lambda_perp_ratio"))
     coupling = phonon.PhononCoupling(
         eta=cfg.get("phonon.eta_mhz_per_mev3", phonon.ETA_DEFAULT),
-        cutoff=None if cutoff is None else EnergyMeV(cutoff))
-    rows = {"f_per_mev": [], "gamma_a1_mhz": [], "gamma_e12_mhz": [],
-            "ratio": []}
+        **_options(cfg, cutoff="phonon.cutoff_mev"))
+    f_values, gamma_a1, ratios = [], [], []
     for delta in grid:
         f_value = table.interpolate(float(delta))
-        ga1 = phonon.isc_rate_a1(so, table, float(delta))
+        gamma_a1.append(phonon.isc_rate_a1(so, table, float(delta)).value)
         if f_value > 0.0:
             ratio = phonon.crossing_ratio(coupling, table, float(delta))
         else:
             ratio = 0.0
-        rows["f_per_mev"].append(f_value)
-        rows["gamma_a1_mhz"].append(ga1.linear_mhz)
-        rows["gamma_e12_mhz"].append(ga1.linear_mhz * ratio)
-        rows["ratio"].append(ratio)
+        f_values.append(f_value)
+        ratios.append(ratio)
+    gamma_a1_mhz = to_linear_mhz(np.array(gamma_a1))
+    rows = {"f_per_mev": f_values, "gamma_a1_mhz": gamma_a1_mhz,
+            "gamma_e12_mhz": gamma_a1_mhz * np.array(ratios), "ratio": ratios}
     _write_table(out, "delta_mev", grid, rows)
     print(f"sweep: wrote {len(grid)} gap points to {out}")
     return EXIT_OK

@@ -259,23 +259,6 @@ def fluorescence_a12(gamma_rad, gamma_mix, gamma_isc, branch, t):
                                   rate_value(gamma_isc), branch == "A1"), t)
 
 
-def fluorescence_a12_isc_slope(gamma_rad, gamma_mix, gamma_isc, branch, t):
-    """Derivative of fluorescence_a12 with respect to Gamma_isc.
-
-    Each exponential w exp(-k t) contributes (dw - t w dk) exp(-k t). The
-    slow and fast weights are (1 + c)/2 and (1 - c)/2, so dw = +/- c'/2
-    with c' = dc/dGamma_isc = -2 Gamma_mix (2 Gamma_mix + Gamma_isc)/Gamma'^3
-    for "A1" and 2 Gamma_mix (2 Gamma_mix - Gamma_isc)/Gamma'^3 for "A2";
-    the rates m -/+ Gamma'/2 give dk = 1/2 -/+ Gamma_isc/(2 Gamma').
-    Without mixing the "A1" curve is exp(-(Gamma_rad + Gamma_isc) t) and
-    the "A2" curve does not depend on Gamma_isc.
-    """
-    _check_branch(branch)
-    return _a12_curves(_a12_modes(rate_value(gamma_rad), rate_value(gamma_mix),
-                                  rate_value(gamma_isc), branch == "A1"), t,
-                       slopes=True)[1]
-
-
 def isc_rate_from_lifetime(tau, gamma_rad):
     """Crossing rate from a fitted fluorescence lifetime: 1/tau - Gamma_rad."""
     tau = float(tau)

@@ -3,7 +3,10 @@
 Unit conventions used throughout the package:
 
 * rates and angular frequencies: rad/ns, displayed as "2 pi x f MHz"
-  (a rate quoted as f MHz corresponds to 2*pi*f*1e-3 rad/ns)
+  (a rate quoted as f MHz corresponds to 2*pi*f*1e-3 rad/ns); the factor
+  lives here alone: `rate_from_linear_mhz` turns a quoted value into an
+  AngularRate, and `to_linear_mhz` turns rad/ns, a float or an array,
+  back into MHz
 * time: ns
 * energy: meV
 * temperature: K
@@ -82,7 +85,7 @@ class AngularRate:
     @property
     def linear_mhz(self):
         """The rate expressed as f in '2 pi x f MHz'."""
-        return self.value / _MHZ_TO_RAD_NS
+        return to_linear_mhz(self.value)
 
     def __float__(self):
         return self.value
@@ -91,6 +94,11 @@ class AngularRate:
 def rate_from_linear_mhz(mhz, fitted=False):
     """Build an AngularRate from a frequency quoted in MHz (as 2 pi x f)."""
     return AngularRate.from_linear_mhz(mhz, fitted=fitted)
+
+
+def to_linear_mhz(rate):
+    """A rate in rad/ns, a float or an array, as f in '2 pi x f MHz'."""
+    return rate / _MHZ_TO_RAD_NS
 
 
 def rate_value(rate):

@@ -64,10 +64,11 @@ _BRANCHES_A1_A2 = np.array([True, False])
 
 @dataclass(frozen=True)
 class FitWindow:
-    """A fit window [start, start + length] in ns."""
+    """A fit window [start, start + length] in ns; by default the window of
+    the lifetime analysis, from 4 ns after the pulse for 115 ns."""
 
-    start: float
-    length: float
+    start: float = 4.0
+    length: float = 115.0
 
     def __post_init__(self):
         if not (np.isfinite(self.start) and np.isfinite(self.length)):
@@ -78,6 +79,9 @@ class FitWindow:
     @property
     def stop(self):
         return self.start + self.length
+
+
+DEFAULT_WINDOW = FitWindow()
 
 
 @dataclass(frozen=True)
@@ -741,7 +745,8 @@ def _forward_times(window_start, window_length, dt):
 
 
 def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix,
-                        window_start=4.0, window_length=115.0, dt=0.25,
+                        window_start=DEFAULT_WINDOW.start,
+                        window_length=DEFAULT_WINDOW.length, dt=0.25,
                         start=None):
     """Windowed single-exponential rates of the two-branch fluorescence.
 
@@ -806,8 +811,10 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix,
     return a1, a2
 
 
-def fit_gamma_a1(points, mix_model, gamma_rad, window_start=4.0,
-                 window_length=115.0, dt=0.25, init=None, max_iter=100):
+def fit_gamma_a1(points, mix_model, gamma_rad,
+                 window_start=DEFAULT_WINDOW.start,
+                 window_length=DEFAULT_WINDOW.length, dt=0.25, init=None,
+                 max_iter=100):
     """Chi-square fit of the direct crossing rate to windowed branch rates.
 
     points: iterable of (temperature_K, gamma_eff, sigma, branch) where

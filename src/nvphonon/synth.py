@@ -10,6 +10,7 @@ from the spec, so identical specs produce bit-identical traces.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,11 @@ from .core import TimeTrace, ValidationError, rate_value
 
 class ModelError(ValidationError):
     """Unknown forward model name or inconsistent model parameters."""
+
+
+# The largest Poisson mean numpy draws from; a larger one is refused.
+_POISSON_MEAN_MAX = (np.iinfo(np.int64).max
+                     - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
 
 def _get(params, key, default=None, required=False):
@@ -173,7 +179,8 @@ class ExperimentSpec:
     pulse_edge is the FWHM (ns) of the Gaussian the ideal intensity is
     convolved with to mimic finite excitation pulse edges; 0 disables it.
     total_counts is the expected total over the whole span (background
-    excluded); background_rate is the expected background per bin.
+    excluded); background_rate is the expected background per bin. seed
+    seeds numpy's generator, so it is a non-negative integer.
     """
 
     model: str
@@ -186,14 +193,18 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bin_width <= 0 or self.span <= 0:
-            raise ValidationError("bin_width and span must be > 0")
+        if not (0 < self.bin_width < math.inf and 0 < self.span < math.inf):
+            raise ValidationError("bin_width and span must be finite and > 0")
         if self.span < self.bin_width:
             raise ValidationError("span must cover at least one bin")
-        if self.total_counts < 0 or self.background_rate < 0:
-            raise ValidationError("counts must be >= 0")
-        if self.pulse_edge < 0:
-            raise ValidationError("pulse_edge must be >= 0")
+        if not (0 <= self.total_counts < math.inf
+                and 0 <= self.background_rate < math.inf):
+            raise ValidationError("counts must be finite and >= 0")
+        if not 0 <= self.pulse_edge < math.inf:
+            raise ValidationError("pulse_edge must be finite and >= 0")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValidationError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _bin_centers(spec):
@@ -249,6 +260,10 @@ def _expected_signal(spec):
         raise ModelError("model intensity vanishes over the whole span")
     if total > 0:
         values = values / total * spec.total_counts
+    if not values.max() + spec.background_rate <= _POISSON_MEAN_MAX:
+        raise ValidationError(
+            f"a bin would expect {values.max() + spec.background_rate:.3g} "
+            f"counts (limit {_POISSON_MEAN_MAX:.3g})")
     return centers, values
 
 

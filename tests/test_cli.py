@@ -1,4 +1,7 @@
+import ast
 import csv
+import functools
+import inspect
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from nvphonon.cli import (
     parse_config,
     write_trace_csv,
 )
-from nvphonon.core import TimeTrace, rate_from_linear_mhz
+from nvphonon.core import TimeTrace, rate_from_linear_mhz, to_linear_mhz
 
 GAMMA_RAD = rate_from_linear_mhz(13.2)
 GAMMA_MIX_WARM = rate_from_linear_mhz(18.5)
@@ -76,6 +79,58 @@ def test_parse_config_validates_values(tmp_path):
     negative = _write(tmp_path / "neg.cfg", "model.rate_mhz = -2\n")
     with pytest.raises(ConfigError):
         parse_config(negative)
+
+
+def _cli_syntax():
+    return ast.parse(inspect.getsource(cli))
+
+
+def test_every_config_key_is_read_by_a_command():
+    tree = _cli_syntax()
+    registry = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.Assign)
+                    and [target.id for target in node.targets] == ["CONFIG_KEYS"])
+    inside = {id(node) for node in ast.walk(registry)}
+    named = {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and id(node) not in inside}
+    assert sorted(set(cli.CONFIG_KEYS) - named) == []
+
+
+def test_forwarded_config_keys_reach_a_parameter_of_their_callee():
+    # every `callee(..., **_options(cfg, arg="key"))`: a misspelt key or
+    # argument would silently leave the callee's default in place
+    forwards = []
+    calls = [node for node in ast.walk(_cli_syntax()) if isinstance(node, ast.Call)]
+    for node in calls:
+        for keyword in node.keywords:
+            value = keyword.value
+            if (keyword.arg is None and isinstance(value, ast.Call)
+                    and getattr(value.func, "id", None) == "_options"):
+                name, *attrs = ast.unparse(node.func).split(".")
+                callee = functools.reduce(getattr, attrs, getattr(cli, name))
+                forwards.append((callee, {k.arg: k.value.value for k in value.keywords
+                                          if k.arg is not None}))
+    assert len(forwards) >= 10
+    for callee, keys in forwards:
+        parameters = inspect.signature(callee).parameters
+        for arg, key in keys.items():
+            assert key in cli.CONFIG_KEYS, key
+            assert arg in parameters, (callee, arg)
+
+
+@pytest.mark.parametrize("name", sorted(cli._MODEL_KEYS))
+def test_model_keys_reach_parameters_the_model_accepts(name):
+    keys = cli._MODEL_KEYS[name]
+    # lindblad takes a crossing loss only with a dark third level
+    text = {"model.branch": "A2", "model.channel": "dark",
+            "model.observable": "x", "rates.gamma_isc_x_mhz": "0"}
+    cfg = {key: cli.CONFIG_KEYS[key][0](text.get(key, "0.25"))
+           for key in keys.values()}
+    params = cli._model_params(cfg, name)
+    assert set(params) == set(keys)
+    # synth refuses a parameter its model does not take
+    assert np.all(np.isfinite(synth.model_intensity(name, params)(
+        np.linspace(0.0, 5.0, 6))))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +308,18 @@ def test_simulate_missing_key_is_input_error(tmp_path):
         == EXIT_INPUT
 
 
+@pytest.mark.parametrize("name, key", [
+    ("exponential", "model.rate_mhz"), ("depolarization", "rates.gamma_rad_mhz"),
+    ("a12", "rates.gamma_rad_mhz"), ("rabi", "rates.rabi_mhz"),
+    ("lindblad", "rates.gamma_rad_mhz")])
+def test_simulate_missing_model_key_names_it(tmp_path, capsys, name, key):
+    cfg = _write(tmp_path / "sim.cfg", f"model.name = {name}\nsynth.total_counts = 1e4\n")
+    assert cli.main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "x.csv")]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: missing config key {key!r} (required for model {name})\n")
+
+
 def _assert_one_line_input_error(cfg, out, capsys):
     code = cli.main(["simulate", "--config", cfg, "--out", str(out)])
     err = capsys.readouterr().err
@@ -319,6 +386,35 @@ synth.pulse_edge_ns = 3000
     _assert_sweep_input_error(["simulate", "--config", cfg, "--out", str(out)],
                               capsys, "a 3000 ns pulse edge would cost 1.68e+09 "
                               "convolution terms (limit 1e+09)")
+    assert not out.exists()
+
+
+def test_simulate_negative_seed_is_input_error(tmp_path, capsys):
+    cfg = _write(tmp_path / "sim.cfg", """
+model.name = exponential
+model.rate_mhz = 29.2
+synth.total_counts = 1e4
+""")
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out),
+                     "--seed", "-1"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
+def test_simulate_huge_background_is_input_error(tmp_path, capsys):
+    cfg = _write(tmp_path / "sim.cfg", """
+model.name = exponential
+model.rate_mhz = 29.2
+synth.total_counts = 1e4
+synth.background_per_bin = 1e300
+""")
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: a bin would expect 1e+300 counts")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -534,6 +630,38 @@ def test_fit_non_finite_point_cites_line(tmp_path, capsys):
     assert f"{path}:3" in err and "sigma_mhz" in err
 
 
+@pytest.mark.parametrize("procedure, count, message", [
+    ("rabi", 2, "exactly one trace"), ("exp-window", 2, "exactly one trace"),
+    ("t5", 2, "exactly one points CSV"), ("gamma-a1", 3, "exactly one points CSV"),
+    ("depol", 3, "four traces: cold-a cold-b warm-a warm-b"),
+    ("depol", 5, "four traces: cold-a cold-b warm-a warm-b")])
+def test_fit_wrong_input_count_is_input_error(tmp_path, capsys, procedure,
+                                              count, message):
+    inputs = [_write(tmp_path / f"in{k}.csv", "time_ns,counts\n0.5,1\n")
+              for k in range(count)]
+    assert cli.main(["fit", "--procedure", procedure] + inputs) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: procedure {procedure} takes {message}\n")
+
+
+def test_fit_report_rates_are_linear_mhz_of_the_fit(tmp_path):
+    trace_path, _ = _count_trace_file(tmp_path)
+    out = tmp_path / "params.csv"
+    assert cli.main(["fit", "--procedure", "exp-window", "--out", str(out),
+                     str(trace_path)]) == EXIT_OK
+    result = estimate.fit_exponential_window(load_trace(str(trace_path)),
+                                             estimate.FitWindow())
+    with open(out, newline="") as handle:
+        rows = {r[0]: r for r in csv.reader(handle)}
+    for name in result.names:
+        lo, hi = result.ci95[name]
+        numbers = [result[name], result.sigma_of(name), lo, hi]
+        if rows[name][5] == "MHz":
+            numbers = [to_linear_mhz(x) for x in numbers]
+        assert [float(x) for x in rows[name][1:5]] == numbers
+    assert rows["rate"][5] == "MHz" and rows["amplitude"][5] == "1"
+
+
 def test_fit_unknown_procedure_is_input_error(tmp_path):
     path = _write(tmp_path / "x.csv", "time_ns,counts\n0.5,1\n")
     assert cli.main(["fit", "--procedure", "wavelet", str(path)]) \
@@ -596,16 +724,14 @@ t5.c_mhz = 0.08
     assert rows[0] == ["temperature_k", "gamma_mix_mhz",
                        "gamma_eff_a1_mhz", "gamma_eff_a2_mhz"]
     assert len(rows) == 9
-    form = phonon.MixingFitForm(a=rate_from_linear_mhz(2e-5), t0_k=4.4,
-                                c=rate_from_linear_mhz(0.08))
-    for row in rows[1:]:
-        temp, mix, a1, a2 = (float(x) for x in row)
-        gm = form.clamped(temp)
-        eff_a1, eff_a2 = phonon.effective_isc_rates(
-            GAMMA_RAD, rate_from_linear_mhz(16.0), gm)
-        np.testing.assert_allclose(
-            [mix, a1, a2], [gm.linear_mhz, eff_a1.linear_mhz, eff_a2.linear_mhz],
-            rtol=1e-12)
+    # the config holds the numbers of the library's mixing law, and the
+    # table is one library forward-model call over the grid, bit for bit
+    table = np.array([[float(x) for x in row] for row in rows[1:]])
+    mixes = [phonon.MIXING_FIT_DEFAULT.clamped(temp).value for temp in table[:, 0]]
+    eff_a1, eff_a2 = phonon.effective_isc_rates(
+        GAMMA_RAD, rate_from_linear_mhz(16.0), mixes)
+    np.testing.assert_array_equal(
+        table[:, 1:], to_linear_mhz(np.array([mixes, eff_a1, eff_a2])).T)
 
 
 def test_sweep_delta_ratio_ignores_spin_orbit(tmp_path):

@@ -236,6 +236,30 @@ def test_spec_validation():
         _spec(total_counts=-5.0)
     with pytest.raises(ValidationError):
         _spec(background_rate=-0.1)
+    for name in ("bin_width", "span", "total_counts", "background_rate",
+                 "pulse_edge"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="must be finite"):
+                _spec(**{name: value})
+    # numpy's generator takes non-negative integer seeds only
+    for seed in (-1, 1.5, "7"):
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            _spec(seed=seed)
+    assert _spec(seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("generator", [synth.generate, synth.generate_background_pair])
+def test_generate_refuses_bin_means_beyond_the_poisson_limit(generator):
+    # numpy draws Poisson means up to int64 max - 10 sqrt(int64 max) ~ 9.2e18
+    limit = synth._POISSON_MEAN_MAX
+    assert np.random.default_rng(0).poisson(limit) > 0
+    with pytest.raises(ValueError, match="lam value too large"):
+        np.random.default_rng(0).poisson(np.nextafter(limit, np.inf))
+    generator(_spec(total_counts=0.0, background_rate=limit))
+    for spec in (_spec(total_counts=0.0, background_rate=np.nextafter(limit, np.inf)),
+                 _spec(total_counts=1e300), _spec(background_rate=1e300)):
+        with pytest.raises(ValidationError, match="a bin would expect"):
+            generator(spec)
 
 
 def test_generate_matches_windowed_pipeline():
