@@ -29,24 +29,15 @@ import warnings
 import numpy as np
 
 from . import dynamics, estimate, phonon, synth, verify
-from .core import (AngularRate, TimeTrace, ValidationError,
+from .core import (CONSTANTS, AngularRate, TimeTrace, ValidationError,
                    rate_from_linear_mhz, to_linear_mhz)
+from .synth import MAX_SAMPLES
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_MODEL = 3
 EXIT_NO_CONVERGENCE = 4
-
-# Most samples a time grid, sweep grid or synthetic histogram may hold (80 MB
-# per float64 column); larger requests are input errors, refused unallocated.
-MAX_SAMPLES = 10_000_000
-# Most multiply-adds the pulse-edge convolution of a synthetic histogram may
-# cost. np.convolve's work grows as samples x kernel taps, so a wide edge over
-# fine bins is slow well inside MAX_SAMPLES (a 3000 ns edge on 0.25 ns bins,
-# 1.7e9 terms, took 1.3 s on a 2-CPU host); 1e9 still admits 1 ps bins
-# under a 2 ns edge (8.6e8).
-MAX_CONVOLUTION_TERMS = 1_000_000_000
 
 
 class ConfigError(ValidationError):
@@ -569,12 +560,6 @@ def cmd_simulate(args):
                        pulse_edge="synth.pulse_edge_ns", seed="synth.seed"))
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
-        _check_sample_count(synth.sample_count(spec), "synthetic histogram")
-        terms = synth.convolution_terms(spec)
-        if not terms <= MAX_CONVOLUTION_TERMS:
-            raise ConfigError(
-                f"a {spec.pulse_edge:g} ns pulse edge would cost {terms:.3g} "
-                f"convolution terms (limit {MAX_CONVOLUTION_TERMS:.3g})")
         trace = synth.generate(spec)
         write_trace_csv(args.out, trace.times, {"counts": trace.values},
                         counts=True)
@@ -823,19 +808,16 @@ def _sweep_delta(cfg, grid, out):
     coupling = phonon.PhononCoupling(
         eta=cfg.get("phonon.eta_mhz_per_mev3", phonon.ETA_DEFAULT),
         **_options(cfg, cutoff="phonon.cutoff_mev"))
-    f_values, gamma_a1, ratios = [], [], []
-    for delta in grid:
-        f_value = table.interpolate(float(delta))
-        gamma_a1.append(phonon.isc_rate_a1(so, table, float(delta)).value)
-        if f_value > 0.0:
-            ratio = phonon.crossing_ratio(coupling, table, float(delta))
-        else:
-            ratio = 0.0
-        f_values.append(f_value)
-        ratios.append(ratio)
-    gamma_a1_mhz = to_linear_mhz(np.array(gamma_a1))
+    f_values = table.interpolate(grid)
+    # isc_rate_a1's formula over the whole grid, in its order of operations
+    gamma_a1_mhz = to_linear_mhz(4.0 * math.pi * CONSTANTS.hbar
+                                 * so.lambda_perp.value**2 * f_values)
+    # the ratio is undefined where F vanishes; those rows report 0
+    ratios = np.zeros_like(grid)
+    supported = f_values > 0.0
+    ratios[supported] = phonon.crossing_ratio(coupling, table, grid[supported])
     rows = {"f_per_mev": f_values, "gamma_a1_mhz": gamma_a1_mhz,
-            "gamma_e12_mhz": gamma_a1_mhz * np.array(ratios), "ratio": ratios}
+            "gamma_e12_mhz": gamma_a1_mhz * ratios, "ratio": ratios}
     _write_table(out, "delta_mev", grid, rows)
     print(f"sweep: wrote {len(grid)} gap points to {out}")
     return EXIT_OK

@@ -16,7 +16,8 @@ one-phonon-assisted processes,
 
 where eta w^3 is the phonon spectral density and Omega an acoustic
 cutoff. Their ratio is independent of lambda_perp, which is what makes a
-measured ratio a constraint on Delta.
+measured ratio a constraint on Delta. F is a piecewise-linear table, so
+the integral is evaluated exactly, for every gap of a scan in one pass.
 """
 
 from __future__ import annotations
@@ -264,56 +265,81 @@ def isc_rate_a1(spin_orbit, overlap, delta):
     return AngularRate(4.0 * math.pi * core.CONSTANTS.hbar * lam**2 * f_at_delta)
 
 
-def _simpson_uniform(fn, lower, upper, step):
-    """Composite Simpson rule on a uniform grid with step <= `step`."""
-    span = upper - lower
-    n = max(2, 2 * int(math.ceil(span / (2.0 * step) - 1e-12)))
-    x = np.linspace(lower, upper, n + 1)
-    y = fn(x)
-    h = span / n
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return h / 3.0 * float(np.dot(weights, y))
+def _crossing_integral(overlap, delta, span):
+    """integral_{delta-span}^{delta} (delta - u) F(u) du, elementwise and
+    exact for the piecewise-linear F.
+
+    With C0(x) = integral_{-inf}^x F and H(x) = integral_{-inf}^x C0, both
+    cumulative over the knots and exact on each segment, the integral is
+    H(delta) - H(a) - span C0(a) at a = delta - span. That difference keeps
+    the rounding of the running sums, which would swamp a short span's
+    small integral in F's upper tail. The identity holds as well for C0
+    and H less any linear function, so gaps above the median of F read
+    tables summed down from the top end instead (C0 - C0(+inf) and its
+    integral from +inf).
+    """
+    e, f = overlap.energies, overlap.values
+    h = np.diff(e)
+    slope = np.diff(f) / h
+    area = 0.5 * h * (f[:-1] + f[1:])
+    bend = h**2 * (2.0 * f[:-1] + f[1:]) / 6.0     # integral of C0 - C0(e_k)
+    c0 = np.concatenate([[0.0], np.cumsum(area)])
+    hc = np.concatenate([[0.0], np.cumsum(h * c0[:-1] + bend)])
+    c0_up = np.concatenate([-np.cumsum(area[::-1])[::-1], [0.0]])
+    hc_up = np.concatenate([-np.cumsum((h * c0_up[:-1] + bend)[::-1])[::-1], [0.0]])
+    x = np.stack([delta, delta - span])
+    # F vanishes off the support: clip into it, then carry C0 on linearly
+    inside = np.clip(x, e[0], e[-1])
+    k = np.clip(np.searchsorted(e, inside, side="right") - 1, 0, len(h) - 1)
+    tau = inside - e[k]
+
+    def integral(c0, hc):
+        c0_x = c0[k] + tau * (f[k] + 0.5 * slope[k] * tau)
+        h_x = (hc[k] + tau * c0[k] + tau**2 * (0.5 * f[k] + slope[k] * tau / 6.0)
+               + (x - inside) * c0_x)
+        return h_x[0] - h_x[1] - span * c0_x[1]
+
+    return np.where(c0[k[0]] <= 0.5 * c0[-1], integral(c0, hc), integral(c0_up, hc_up))
 
 
-def _phonon_weighted_overlap(overlap, delta, upper, step):
-    """integral_0^upper w * F(delta - w) dw by composite Simpson."""
-    return _simpson_uniform(lambda w: w * overlap.interpolate(delta - w),
-                            0.0, upper, step)
+def crossing_ratio(coupling, overlap, delta, unbounded=False):
+    """Predicted Gamma_e12 / Gamma_a1 at gap delta, or at each gap of an
+    array of gaps (a float for a scalar gap).
 
-
-def crossing_ratio(coupling, overlap, delta, step=0.1, unbounded=False):
-    """Predicted Gamma_e12 / Gamma_a1 at gap delta.
-
-    (2/pi) hbar eta integral_0^min(delta, cutoff) w F(delta-w)/F(delta) dw;
+    (2/pi) hbar eta integral_0^min(delta, cutoff) w F(delta-w)/F(delta) dw,
+    integrated exactly for the piecewise-linear overlap table;
     independent of the spin-orbit coupling by construction. With
     unbounded=True the cutoff is ignored (the Omega -> infinity upper
-    bound used for exclusion arguments).
+    bound used for exclusion arguments). A zero gap gives 0; a gap where
+    F vanishes raises OverlapSupportError.
     """
-    d = energy_value(delta)
-    if d <= 0.0:
-        return 0.0
-    f_at_delta = float(overlap.interpolate(d))
-    if f_at_delta <= 0.0:
+    d = np.asarray(energy_value(delta) if np.ndim(delta) == 0 else delta, dtype=float)
+    bad = ~np.isfinite(d) | (d < 0.0)
+    if bad.any():
+        energy_value(d[bad][0])  # raises core's message for the first bad gap
+    positive = d > 0.0
+    f_at_delta = overlap.interpolate(d)
+    vanishing = positive & (f_at_delta <= 0.0)
+    if vanishing.any():
         raise OverlapSupportError(
-            f"overlap function vanishes at delta = {d} meV; the branch "
-            "ratio is undefined there"
+            f"overlap function vanishes at delta = {float(d[vanishing][0])} "
+            "meV; the branch ratio is undefined there"
         )
     if unbounded or coupling.cutoff is None:
-        upper = d
+        span = d
     else:
-        upper = min(d, coupling.cutoff.value)
-    if upper <= 0.0:
-        return 0.0
-    integral = _phonon_weighted_overlap(overlap, d, upper, step)
-    return (2.0 / math.pi) * core.CONSTANTS.hbar * coupling.eta.value * integral / f_at_delta
+        span = np.minimum(d, coupling.cutoff.value)
+    integral = _crossing_integral(overlap, d, span)
+    # a zero gap has a zero span and so an exactly zero integral
+    ratio = ((2.0 / math.pi) * core.CONSTANTS.hbar * coupling.eta.value * integral
+             / np.where(positive, f_at_delta, 1.0))
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def isc_rate_e12(coupling, gamma_a1, overlap, delta, step=0.1):
+def isc_rate_e12(coupling, gamma_a1, overlap, delta):
     """One-phonon-assisted crossing rate of the non-coupled branch."""
     ga1 = rate_value(gamma_a1)
-    return AngularRate(ga1 * crossing_ratio(coupling, overlap, delta, step=step))
+    return AngularRate(ga1 * crossing_ratio(coupling, overlap, delta))
 
 
 @dataclass(frozen=True)
@@ -328,8 +354,7 @@ class RatioScanResult:
     boundary_contiguous: bool | None = None
 
 
-def ratio_scan(coupling, overlap, deltas, measured_ratio=None, measured_sigma=0.0,
-               step=0.1):
+def ratio_scan(coupling, overlap, deltas, measured_ratio=None, measured_sigma=0.0):
     """Scan the predicted branch ratio over candidate gaps.
 
     If a measured ratio (with one-sigma uncertainty) is given, gaps whose
@@ -340,9 +365,8 @@ def ratio_scan(coupling, overlap, deltas, measured_ratio=None, measured_sigma=0.
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or len(deltas) == 0:
         raise ValidationError("deltas must be a nonempty 1-d array")
-    ratios = np.array([crossing_ratio(coupling, overlap, d, step=step) for d in deltas])
-    upper = np.array([crossing_ratio(coupling, overlap, d, step=step, unbounded=True)
-                      for d in deltas])
+    ratios = crossing_ratio(coupling, overlap, deltas)
+    upper = crossing_ratio(coupling, overlap, deltas, unbounded=True)
     if measured_ratio is None:
         return RatioScanResult(deltas, ratios, upper)
     lower_bound = float(measured_ratio) - float(measured_sigma)

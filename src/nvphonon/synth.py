@@ -23,6 +23,16 @@ class ModelError(ValidationError):
     """Unknown forward model name or inconsistent model parameters."""
 
 
+# Most samples a time grid, sweep grid or synthetic histogram may hold (80 MB
+# per float64 column); larger requests are refused unallocated.
+MAX_SAMPLES = 10_000_000
+# Most multiply-adds the pulse-edge convolution of a synthetic histogram may
+# cost. np.convolve's work grows as samples x kernel taps, so a wide edge over
+# fine bins is slow well inside MAX_SAMPLES (a 3000 ns edge on 0.25 ns bins,
+# 1.7e9 terms, took 1.3 s on a 2-CPU host); 1e9 still admits 1 ps bins
+# under a 2 ns edge (8.6e8).
+MAX_CONVOLUTION_TERMS = 1_000_000_000
+
 # The largest Poisson mean numpy draws from; a larger one is refused.
 _POISSON_MEAN_MAX = (np.iinfo(np.int64).max
                      - 10.0 * np.sqrt(np.iinfo(np.int64).max))
@@ -180,7 +190,9 @@ class ExperimentSpec:
     convolved with to mimic finite excitation pulse edges; 0 disables it.
     total_counts is the expected total over the whole span (background
     excluded); background_rate is the expected background per bin. seed
-    seeds numpy's generator, so it is a non-negative integer.
+    seeds numpy's generator, so it is a non-negative integer. A spec whose
+    histogram would exceed MAX_SAMPLES samples or MAX_CONVOLUTION_TERMS
+    convolution terms is refused.
     """
 
     model: str
@@ -205,6 +217,15 @@ class ExperimentSpec:
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValidationError(
                 f"seed must be a non-negative integer, got {self.seed!r}")
+        count = sample_count(self)
+        if not count <= MAX_SAMPLES:  # count is a float and may be inf
+            raise ValidationError(f"synthetic histogram would hold {count:.3g} "
+                                  f"samples (limit {MAX_SAMPLES})")
+        terms = convolution_terms(self)
+        if not terms <= MAX_CONVOLUTION_TERMS:
+            raise ValidationError(
+                f"a {self.pulse_edge:g} ns pulse edge would cost {terms:.3g} "
+                f"convolution terms (limit {MAX_CONVOLUTION_TERMS:.3g})")
 
 
 def _bin_centers(spec):

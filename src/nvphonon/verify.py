@@ -3,7 +3,8 @@
 Each check is deterministic (fixed seeds), runs in at most a few
 seconds, and cross-validates one piece of the package against an
 independent formulation: closed forms against the integrators, unit
-conversions against frozen constants, quadrature against refinement.
+conversions against frozen constants, the closed-form crossing integral
+against Gauss-Legendre quadrature.
 """
 
 from __future__ import annotations
@@ -178,26 +179,44 @@ def check_t5_fitform():
     return ok, f"5 K: {cold:.4f} MHz, 20 K: {warm:.3f} MHz, doubling x{ratio:.1f}"
 
 
+def _crossing_ratio_oracle(coupling, table, delta, upper):
+    """(2/pi) hbar eta integral_0^upper w F(delta - w) dw / F(delta) by
+    2-point Gauss-Legendre between the table's knots, exact for the
+    quadratic integrand, summed with math.fsum."""
+    cuts = delta - table.energies
+    edges = np.unique(np.concatenate(
+        [[0.0, upper], cuts[(cuts > 0.0) & (cuts < upper)]]))
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * np.diff(edges)
+    terms = []
+    for w in (mid - half / math.sqrt(3.0), mid + half / math.sqrt(3.0)):
+        terms.extend(half * w * table.interpolate(delta - w))
+    return ((2.0 / math.pi) * core.CONSTANTS.hbar * coupling.eta.value
+            * math.fsum(terms) / float(table.interpolate(delta)))
+
+
 def check_isc_quadrature():
     table = phonon.OverlapTable.synthetic_default()
     coupling = phonon.PhononCoupling(eta=rate_from_linear_mhz(44.0),
                                      cutoff=core.EnergyMeV(93.0))
     so = phonon.SpinOrbit()
     delta = 430.0
-    coarse = phonon.crossing_ratio(coupling, table, delta, step=0.1)
-    fine = phonon.crossing_ratio(coupling, table, delta, step=0.05)
-    stable = abs(fine - coarse) / fine
+    ratio = phonon.crossing_ratio(coupling, table, delta)
+    unbounded = phonon.crossing_ratio(coupling, table, delta, unbounded=True)
+    oracle = max(
+        _rel_err(ratio, _crossing_ratio_oracle(coupling, table, delta, 93.0)),
+        _rel_err(unbounded, _crossing_ratio_oracle(coupling, table, delta, delta)))
     lower_cut = phonon.PhononCoupling(eta=coupling.eta, cutoff=core.EnergyMeV(74.0))
     monotone = (phonon.crossing_ratio(lower_cut, table, delta)
-                <= coarse + 1e-15)
+                <= ratio + 1e-15)
     ga1 = phonon.isc_rate_a1(so, table, delta)
     ge = phonon.isc_rate_e12(coupling, ga1, table, delta)
     so2 = phonon.SpinOrbit(lambda_par=so.lambda_par, perp_ratio=2.0 * so.perp_ratio)
     ga1_2 = phonon.isc_rate_a1(so2, table, delta)
     ge_2 = phonon.isc_rate_e12(coupling, ga1_2, table, delta)
     invariance = abs(ge.value / ga1.value - ge_2.value / ga1_2.value) / (ge.value / ga1.value)
-    ok = stable <= 1e-6 and monotone and invariance <= 1e-12
-    return ok, (f"refinement {stable:.1e}, cutoff monotone {monotone}, "
+    ok = oracle <= 1e-12 and monotone and invariance <= 1e-12
+    return ok, (f"oracle rel err {oracle:.1e}, cutoff monotone {monotone}, "
                 f"ratio invariance {invariance:.1e}")
 
 

@@ -19,7 +19,7 @@ from nvphonon.cli import (
     parse_config,
     write_trace_csv,
 )
-from nvphonon.core import TimeTrace, rate_from_linear_mhz, to_linear_mhz
+from nvphonon.core import EnergyMeV, TimeTrace, rate_from_linear_mhz, to_linear_mhz
 
 GAMMA_RAD = rate_from_linear_mhz(13.2)
 GAMMA_MIX_WARM = rate_from_linear_mhz(18.5)
@@ -785,6 +785,27 @@ window.length_ns = 0.3
         ["sweep", "--config", cfg, "--sweep", "T:5:26:3",
          "--out", str(tmp_path / "x.csv")], capsys,
         "window must contain at least 3 samples")
+
+
+def test_sweep_delta_off_the_overlap_support_writes_zero_rows(tmp_path):
+    table = _write(tmp_path / "table.csv", "energy_mev,f_per_mev\n10,0.2\n100,0.1\n")
+    cfg = _write(tmp_path / "sweep.cfg", f"files.overlap_table = {table}\n"
+                 "phonon.cutoff_mev = 30\n")
+    out = tmp_path / "delta.csv"
+    assert cli.main(["sweep", "--sweep", "delta:0:150:25", "--config", cfg,
+                     "--out", str(out)]) == EXIT_OK
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    delta, f_value, gamma_a1, gamma_e12, ratio = rows.T
+    off = (delta < 10.0) | (delta > 100.0)
+    assert delta[off].tolist() == [0.0, 125.0, 150.0]
+    assert not (f_value[off].any() or gamma_a1[off].any()
+                or gamma_e12[off].any() or ratio[off].any())
+    overlap = phonon.OverlapTable.from_csv(table)
+    coupling = phonon.PhononCoupling(eta=phonon.ETA_DEFAULT,
+                                     cutoff=EnergyMeV(30.0))
+    for d, a1, r in zip(delta[~off], gamma_a1[~off], ratio[~off]):
+        assert a1 == phonon.isc_rate_a1(phonon.SpinOrbit(), overlap, d).linear_mhz
+        assert r == phonon.crossing_ratio(coupling, overlap, d)
 
 
 def test_sweep_missing_overlap_table_is_input_error(tmp_path, capsys):

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from nvphonon import phonon
 from nvphonon.core import (
@@ -227,12 +232,77 @@ def test_crossing_ratio_monotone_in_cutoff():
     assert values[2] <= unbounded
 
 
-def test_crossing_ratio_quadrature_converged():
+def _quad_ratio(coupling, table, delta, upper):
+    """The branch ratio by adaptive quadrature, with the table's knots as
+    breakpoints so each piece of the integrand is a quadratic."""
+    knots = [delta - e for e in table.energies if 0.0 < delta - e < upper]
+    integral, _ = quad(lambda w: w * table.interpolate(delta - w), 0.0, upper,
+                       points=knots or None, limit=2 * len(knots) + 100,
+                       epsabs=0.0, epsrel=1e-13)
+    return ((2.0 / math.pi) * phonon.core.CONSTANTS.hbar * coupling.eta.value
+            * integral / float(table.interpolate(delta)))
+
+
+def test_crossing_ratio_matches_quad_oracle():
     coupling = PhononCoupling(eta=ETA_DEFAULT, cutoff=EnergyMeV(93.0))
     table = OverlapTable.synthetic_default()
-    coarse = phonon.crossing_ratio(coupling, table, 60.0, step=0.1)
-    fine = phonon.crossing_ratio(coupling, table, 60.0, step=0.05)
-    assert abs(fine - coarse) / coarse < 1e-6
+    ratio = phonon.crossing_ratio(coupling, table, 60.0)
+    expected = _quad_ratio(coupling, table, 60.0, 60.0)
+    assert abs(ratio - expected) / expected <= 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [10.0, 30.0])
+def test_crossing_ratio_keeps_digits_in_the_tail(cutoff):
+    # short spans where F is ~1e-4 of its peak: sums run up from the low
+    # end lose ~1e-9 here to cancellation
+    coupling = PhononCoupling(eta=ETA_DEFAULT, cutoff=EnergyMeV(cutoff))
+    table = OverlapTable.synthetic_default()
+    deltas = np.arange(560.0, 601.0, 4.0)
+    ratios = phonon.crossing_ratio(coupling, table, deltas)
+    expected = [_quad_ratio(coupling, table, d, cutoff) for d in deltas]
+    np.testing.assert_allclose(ratios, expected, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def _overlap_tables(draw):
+    """2-40 unevenly spaced knots with values in [0.05, 1], except that
+    either end may be zero and so may one other knot: F never vanishes
+    over a whole segment with mass on both sides, where cumulative sums
+    lose a short span's tiny integral to rounding."""
+    n = draw(st.integers(2, 40))
+    spacings = draw(st.lists(st.floats(0.5, 20.0), min_size=n - 1, max_size=n - 1))
+    energies = draw(st.floats(0.0, 50.0)) + np.concatenate([[0.0], np.cumsum(spacings)])
+    end_value = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    values = np.array([draw(end_value)]
+                      + draw(st.lists(st.floats(0.05, 1.0), min_size=n - 2,
+                                      max_size=n - 2))
+                      + [draw(end_value)])
+    zero = draw(st.none() | st.integers(0, n - 1))
+    if zero is not None:
+        values[zero] = 0.0
+    return OverlapTable(energies, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=_overlap_tables(),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       cutoff=st.one_of(st.none(), st.floats(5.0, 1000.0)))
+def test_crossing_ratio_array_matches_quad_and_scalar_calls(table, fractions, cutoff):
+    e = table.energies
+    deltas = e[0] + np.array(fractions) * (e[-1] - e[0])
+    # clear of underflow, and off the slivers at a zero knot, where the
+    # oracle's delta - w rounds away the integrand
+    f = table.interpolate(deltas)
+    deltas = deltas[(deltas >= 1e-6) & (f > 0.0) & (f >= 1e-3 * table.values.max())]
+    assume(len(deltas) > 0)
+    coupling = PhononCoupling(eta=ETA_DEFAULT,
+                              cutoff=None if cutoff is None else EnergyMeV(cutoff))
+    ratios = phonon.crossing_ratio(coupling, table, deltas)
+    for delta, ratio in zip(deltas, ratios):
+        upper = delta if cutoff is None else min(delta, cutoff)
+        expected = _quad_ratio(coupling, table, delta, upper)
+        assert abs(ratio - expected) <= 1e-9 * expected
+        assert phonon.crossing_ratio(coupling, table, float(delta)) == ratio
 
 
 def test_isc_rate_e12_linear_in_gamma_a1_and_eta():
@@ -278,6 +348,16 @@ def test_ratio_scan_lambda_independent():
     r_big = phonon.isc_rate_e12(coupling, ga1_big, table,
                                 100.0).value / ga1_big.value
     assert r == pytest.approx(r_big, rel=1e-15)
+
+
+def test_ratio_scan_refuses_bad_gaps():
+    coupling = PhononCoupling(eta=ETA_DEFAULT, cutoff=EnergyMeV(93.0))
+    table = OverlapTable(np.array([0.0, 100.0]), np.array([0.1, 0.1]))
+    for bad, message in ((np.nan, "finite"), (-5.0, ">= 0 meV")):
+        with pytest.raises(ValidationError, match=message):
+            phonon.ratio_scan(coupling, table, [10.0, bad, 50.0])
+    with pytest.raises(OverlapSupportError, match="delta = 150.0 meV"):
+        phonon.ratio_scan(coupling, table, [10.0, 150.0, 200.0])
 
 
 # ---------------------------------------------------------------------------

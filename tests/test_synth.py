@@ -249,6 +249,22 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("generator", [synth.generate, synth.generate_background_pair])
+@pytest.mark.parametrize("fields, message", [
+    # span / bin_width overflows to inf samples
+    (dict(model="constant", params={}, span=1e308, bin_width=1e-10),
+     "synthetic histogram would hold inf samples (limit 10000000)"),
+    # 41 248 samples, inside the limit, but 40 769 kernel taps each
+    (dict(pulse_edge=3000.0),
+     "a 3000 ns pulse edge would cost 1.68e+09 convolution terms (limit 1e+09)"),
+], ids=["samples", "convolution"])
+def test_oversized_spec_is_refused_unbuilt(generator, fields, message):
+    with pytest.raises(ValidationError) as refused:
+        generator(_spec(**fields))
+    assert type(refused.value) is ValidationError
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("generator", [synth.generate, synth.generate_background_pair])
 def test_generate_refuses_bin_means_beyond_the_poisson_limit(generator):
     # numpy draws Poisson means up to int64 max - 10 sqrt(int64 max) ~ 9.2e18
     limit = synth._POISSON_MEAN_MAX

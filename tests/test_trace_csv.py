@@ -207,7 +207,10 @@ t5.c_mhz = 0.08
 phonon.eta_mhz_per_mev3 = 44.0
 phonon.cutoff_mev = 93.0
 """, ["sweep", "--sweep", "delta:380:480:5"],
-        "062547ec364f004ef73ec6433934b9b89ba055a01bb3b70ea99f30372cec702c"),
+        # the crossing integral is now exact for the piecewise-linear table,
+        # where composite Simpson was off by up to 3e-7: only the
+        # gamma_e12_mhz and ratio columns moved
+        "dce57f8eb97ab27256186bff63d80f5cbc6b0db47cf3c38409d8f385f2a218f9"),
 }
 
 
