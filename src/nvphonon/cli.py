@@ -52,10 +52,15 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _check_sample_count(count, what):
+def _grid(start, span, step, what):
+    """start + k step for k = 0 .. floor(span / step), refused unallocated
+    when it would hold more than MAX_SAMPLES samples."""
+    count = span / step + 1.0
     if not count <= MAX_SAMPLES:  # count is a float and may be inf
         raise ConfigError(f"{what} would hold {count:.3g} samples "
                           f"(limit {MAX_SAMPLES})")
+    n = int(math.floor(span / step + 1e-9))
+    return start + step * np.arange(n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +571,8 @@ def cmd_simulate(args):
         print(f"simulate: wrote {len(trace)} count bins ({name}, seed "
               f"{spec.seed}) to {args.out}")
         return EXIT_OK
-    start = cfg.get("grid.start_ns", 0.0)
-    span = cfg.get("grid.span_ns", 120.0)
-    step = cfg.get("grid.step_ns", 0.25)
-    _check_sample_count(span / step + 1.0, "time grid")
-    n = int(math.floor(span / step + 1e-9))
-    times = start + step * np.arange(n + 1)
+    times = _grid(cfg.get("grid.start_ns", 0.0), cfg.get("grid.span_ns", 120.0),
+                  cfg.get("grid.step_ns", 0.25), "time grid")
     series = {label: synth.model_intensity(name, params)(times)
               for label, params in columns.items()}
     write_trace_csv(args.out, times, series)
@@ -636,11 +637,16 @@ def _fit_rabi(cfg, inputs):
                    max_iter="fit.max_iter"))
 
 
+def _window(cfg):
+    """The lifetime fit window from the window.* keys, the library's
+    default where unset."""
+    return estimate.FitWindow(**_options(cfg, start="window.start_ns",
+                                         length="window.length_ns"))
+
+
 def _fit_exp_window(cfg, inputs):
-    window = estimate.FitWindow(**_options(cfg, start="window.start_ns",
-                                           length="window.length_ns"))
     result = estimate.fit_exponential_window(
-        _load_cfg_trace(cfg, inputs[0]), window,
+        _load_cfg_trace(cfg, inputs[0]), _window(cfg),
         **_options(cfg, weights="fit.weights", max_iter="fit.max_iter"))
     if "rates.gamma_rad_mhz" in cfg:
         gr = cfg["rates.gamma_rad_mhz"]
@@ -685,8 +691,7 @@ def _fit_gamma_a1(cfg, inputs):
     return estimate.fit_gamma_a1(
         points, _t5_form(cfg, "gamma-a1"),
         gamma_rad=_require(cfg, "rates.gamma_rad_mhz", "gamma-a1"),
-        **_options(cfg, window_start="window.start_ns",
-                   window_length="window.length_ns", max_iter="fit.max_iter"))
+        window=_window(cfg), **_options(cfg, max_iter="fit.max_iter"))
 
 
 # procedure -> (runner, number of inputs, what the inputs are, parameter units)
@@ -752,9 +757,7 @@ def _sweep_grid(lo, hi, step):
         raise ConfigError("sweep step must be > 0")
     if hi < lo:
         raise ConfigError("sweep upper bound below lower bound")
-    _check_sample_count((hi - lo) / step + 1.0, "sweep grid")
-    n = int(math.floor((hi - lo) / step + 1e-9))
-    return lo + step * np.arange(n + 1)
+    return _grid(lo, hi - lo, step, "sweep grid")
 
 
 def cmd_sweep(args):
@@ -785,10 +788,8 @@ def _sweep_temperature(cfg, grid, out):
         raise ConfigError("temperature sweep requires T > 0")
     mixes = [mixing(float(temp)).value for temp in grid]
     # one forward-model call covers the whole grid
-    eff_a1, eff_a2 = phonon.effective_isc_rates(
-        gamma_rad, gamma_a1, mixes,
-        **_options(cfg, window_start="window.start_ns",
-                   window_length="window.length_ns"))
+    eff_a1, eff_a2 = phonon.effective_isc_rates(gamma_rad, gamma_a1, mixes,
+                                                _window(cfg))
     rows = {name: to_linear_mhz(np.asarray(rates)) for name, rates in (
         ("gamma_mix_mhz", mixes), ("gamma_eff_a1_mhz", eff_a1),
         ("gamma_eff_a2_mhz", eff_a2))}

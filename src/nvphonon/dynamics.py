@@ -43,12 +43,6 @@ _LABELS_DEFAULT = ("g", "x", "y")
 _LABELS_SINK = ("g", "x", "dark")
 
 
-def _as_rate(value, fitted=False):
-    if isinstance(value, AngularRate):
-        return value
-    return AngularRate(float(value), fitted=fitted)
-
-
 @dataclass(frozen=True)
 class ThreeLevelModel:
     """Drive and dissipation rates of the g/x/y system (all in rad/ns).
@@ -71,7 +65,8 @@ class ThreeLevelModel:
     def __post_init__(self):
         for name in ("gamma_rad_x", "gamma_rad_y", "gamma_mix_xy",
                      "gamma_mix_yx", "gamma_t2", "gamma_isc_x", "rabi"):
-            object.__setattr__(self, name, _as_rate(getattr(self, name)))
+            rate = AngularRate(rate_value(getattr(self, name)))
+            object.__setattr__(self, name, rate)
         object.__setattr__(self, "detuning", float(self.detuning))
         if not np.isfinite(self.detuning):
             raise ValidationError("detuning must be finite")

@@ -13,7 +13,9 @@ Windowed single-exponential fits, of measured traces
 (`fit_exponential_window`) and of the noiseless forward model
 (`effective_isc_rates`) alike, run through one variable-projection
 solve, `_windowed_rates`: the amplitude is eliminated and Newton steps
-act on the rate alone, for any number of curves at once. The forward
+act on the rate alone, for any number of curves at once. Both sides,
+and `fit_gamma_a1` between them, take the fit window as one `FitWindow`
+(`window=`), so data and model are fitted over the same window. The forward
 model builds all its curves in one array evaluation of the two-branch
 closed form, and its solve can start from the rates of an earlier call
 (`start=`), which `fit_gamma_a1` passes from one trial Gamma_a1 to the
@@ -57,6 +59,7 @@ _NEWTON_MAX_ITER = 30
 # a model evaluated by iterative solves (fit_gamma_a1's forward model)
 # puts ~1e-13 relative rounding noise on chi^2
 _CHI2_RTOL = 1e-12
+_FORWARD_DT = 0.25                 # ns between forward-model samples
 _FORWARD_BLOCK_SAMPLES = 1 << 20   # curve samples per solve (8 MB a copy)
 # the `crosses` flags of `_a12_modes` for the branches "A1" and "A2"
 _BRANCHES_A1_A2 = np.array([True, False])
@@ -324,7 +327,8 @@ def nlls(model, data, init, weights="uniform", max_iter=200):
 
 
 def fit_exponential_window(trace, window, weights="uniform", max_iter=200):
-    """Fit A exp(-rate t) to the samples inside `window`.
+    """Fit A exp(-rate t) to the samples inside `window`, a FitWindow (the
+    lifetime analysis uses DEFAULT_WINDOW, as the forward model does).
 
     The least-squares fit under a weighting scheme (module docstring),
     solved by `_windowed_rates` from log-linear regression on the
@@ -729,29 +733,26 @@ def _windowed_rate_slopes(y, dy, t, k):
     return d_mean_ye / (var_ye - 2.0 * var_ee)
 
 
-def _forward_times(window_start, window_length, dt):
-    """Sample times of the forward model: every dt across the window."""
-    window = FitWindow(start=window_start, length=window_length)
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError("dt must be finite and > 0")
-    n_samples = window.length / dt + 1.0
+def _forward_times(window):
+    """Sample times of the forward model: every _FORWARD_DT across the window."""
+    n_samples = window.length / _FORWARD_DT + 1.0
     # a solve block holds at least the two curves of one mixing rate
     if not n_samples <= _FORWARD_BLOCK_SAMPLES // 2:
         raise ValidationError(
             f"forward-model window would hold {n_samples:.3g} samples "
             f"(limit {_FORWARD_BLOCK_SAMPLES // 2})")
-    times = window.start + dt * np.arange(int(round(window.length / dt)) + 1)
+    times = window.start + _FORWARD_DT * np.arange(
+        int(round(window.length / _FORWARD_DT)) + 1)
     return times[times <= window.stop]
 
 
-def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix,
-                        window_start=DEFAULT_WINDOW.start,
-                        window_length=DEFAULT_WINDOW.length, dt=0.25,
+def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix, window=DEFAULT_WINDOW,
                         start=None):
     """Windowed single-exponential rates of the two-branch fluorescence.
 
     Samples the noiseless two-branch decay for each initial branch every
-    dt over the same window used on measured traces, fits A exp(-Gamma t)
+    _FORWARD_DT (0.25 ns) across `window`, the FitWindow that
+    `fit_exponential_window` applies to measured traces, fits A exp(-Gamma t)
     to every curve in one projected Newton solve (`_windowed_rates`), and
     subtracts the radiative rate. This is the forward model mapping
     (Gamma_a1, Gamma_mix(T)) to the crossing rates a windowed lifetime
@@ -775,7 +776,7 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix,
                      else [rate_value(g) for g in gamma_mix])
     if not mixes.size:
         raise ValidationError("gamma_mix sequence is empty")
-    times = _forward_times(window_start, window_length, dt)
+    times = _forward_times(window)
     if start is not None:
         shape = (2,) if scalar else (2, len(mixes))
         try:
@@ -811,9 +812,7 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix,
     return a1, a2
 
 
-def fit_gamma_a1(points, mix_model, gamma_rad,
-                 window_start=DEFAULT_WINDOW.start,
-                 window_length=DEFAULT_WINDOW.length, dt=0.25, init=None,
+def fit_gamma_a1(points, mix_model, gamma_rad, window=DEFAULT_WINDOW, init=None,
                  max_iter=100):
     """Chi-square fit of the direct crossing rate to windowed branch rates.
 
@@ -822,7 +821,8 @@ def fit_gamma_a1(points, mix_model, gamma_rad,
     rate for that branch ("A1" or "A2") and sigma its uncertainty
     (rad/ns). mix_model maps temperature to the mixing rate (e.g. the
     clamped empirical T^5 law). The forward model, effective_isc_rates,
-    re-runs the same windowed analysis on noiseless two-branch decays,
+    re-runs the same windowed analysis, over `window` (the FitWindow the
+    points' rates were fitted in), on noiseless two-branch decays,
     once per trial Gamma_a1, each solve started from the rates of the
     previous trial; the fit's Jacobian is the implicit derivative of
     those windowed rates, which needs no further call.
@@ -841,15 +841,13 @@ def fit_gamma_a1(points, mix_model, gamma_rad,
     mix_fn = getattr(mix_model, "clamped", mix_model)
     mixes = [rate_value(mix_fn(T)) for T in unique_temps.tolist()]
     point_mixes = np.array(mixes)[temp_index]
-    times = _forward_times(window_start, window_length, dt)
+    times = _forward_times(window)
     previous = None
 
     def predict(theta):
         # one forward-model call covers every temperature and branch
         nonlocal previous
-        previous = effective_isc_rates(gr, float(theta[0]), mixes,
-                                       window_start=window_start,
-                                       window_length=window_length, dt=dt,
+        previous = effective_isc_rates(gr, float(theta[0]), mixes, window,
                                        start=previous)
         return np.stack(previous)[branch_index, temp_index]
 

@@ -130,8 +130,7 @@ class PhononCoupling:
     cutoff: EnergyMeV | None = None
 
     def __post_init__(self):
-        eta = self.eta if isinstance(self.eta, AngularRate) else AngularRate(float(self.eta))
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta", AngularRate(rate_value(self.eta)))
         if self.cutoff is not None:
             object.__setattr__(self, "cutoff", EnergyMeV(energy_value(self.cutoff)))
 
@@ -154,10 +153,7 @@ class SpinOrbit:
     perp_ratio_sigma: float = 0.2
 
     def __post_init__(self):
-        lam = self.lambda_par
-        if not isinstance(lam, AngularRate):
-            lam = AngularRate(float(lam))
-        object.__setattr__(self, "lambda_par", lam)
+        object.__setattr__(self, "lambda_par", AngularRate(rate_value(self.lambda_par)))
         if not (self.perp_ratio > 0 and np.isfinite(self.perp_ratio)):
             raise ValidationError("perp_ratio must be finite and > 0")
 
@@ -191,10 +187,21 @@ class OverlapTable:
             raise ValidationError("overlap energies must be strictly increasing")
         if np.any(f < 0):
             raise ValidationError("overlap values must be >= 0")
-        e = e.copy(); e.setflags(write=False)
-        f = f.copy(); f.setflags(write=False)
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "values", f)
+        # the slopes and the cumulative tables `_crossing_integral` reads:
+        # C0 = integral of F and H = integral of C0, each exact per segment,
+        # summed up from the first knot and (the *_up twins) down from the last
+        h = np.diff(e)
+        area = 0.5 * h * (f[:-1] + f[1:])
+        bend = h**2 * (2.0 * f[:-1] + f[1:]) / 6.0     # integral of C0 - C0(e_k)
+        c0 = np.concatenate([[0.0], np.cumsum(area)])
+        hc = np.concatenate([[0.0], np.cumsum(h * c0[:-1] + bend)])
+        c0_up = np.concatenate([-np.cumsum(area[::-1])[::-1], [0.0]])
+        hc_up = np.concatenate([-np.cumsum((h * c0_up[:-1] + bend)[::-1])[::-1], [0.0]])
+        for name, table in (("energies", e.copy()), ("values", f.copy()),
+                            ("_slope", np.diff(f) / h), ("_c0", c0), ("_hc", hc),
+                            ("_c0_up", c0_up), ("_hc_up", hc_up)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     def interpolate(self, energy):
         """F(E), vectorized; zero outside the tabulated range."""
@@ -276,21 +283,13 @@ def _crossing_integral(overlap, delta, span):
     small integral in F's upper tail. The identity holds as well for C0
     and H less any linear function, so gaps above the median of F read
     tables summed down from the top end instead (C0 - C0(+inf) and its
-    integral from +inf).
+    integral from +inf). The table builds all four once.
     """
-    e, f = overlap.energies, overlap.values
-    h = np.diff(e)
-    slope = np.diff(f) / h
-    area = 0.5 * h * (f[:-1] + f[1:])
-    bend = h**2 * (2.0 * f[:-1] + f[1:]) / 6.0     # integral of C0 - C0(e_k)
-    c0 = np.concatenate([[0.0], np.cumsum(area)])
-    hc = np.concatenate([[0.0], np.cumsum(h * c0[:-1] + bend)])
-    c0_up = np.concatenate([-np.cumsum(area[::-1])[::-1], [0.0]])
-    hc_up = np.concatenate([-np.cumsum((h * c0_up[:-1] + bend)[::-1])[::-1], [0.0]])
+    e, f, slope = overlap.energies, overlap.values, overlap._slope
     x = np.stack([delta, delta - span])
     # F vanishes off the support: clip into it, then carry C0 on linearly
     inside = np.clip(x, e[0], e[-1])
-    k = np.clip(np.searchsorted(e, inside, side="right") - 1, 0, len(h) - 1)
+    k = np.clip(np.searchsorted(e, inside, side="right") - 1, 0, len(e) - 2)
     tau = inside - e[k]
 
     def integral(c0, hc):
@@ -299,7 +298,9 @@ def _crossing_integral(overlap, delta, span):
                + (x - inside) * c0_x)
         return h_x[0] - h_x[1] - span * c0_x[1]
 
-    return np.where(c0[k[0]] <= 0.5 * c0[-1], integral(c0, hc), integral(c0_up, hc_up))
+    c0 = overlap._c0
+    return np.where(c0[k[0]] <= 0.5 * c0[-1], integral(c0, overlap._hc),
+                    integral(overlap._c0_up, overlap._hc_up))
 
 
 def crossing_ratio(coupling, overlap, delta, unbounded=False):

@@ -5,10 +5,16 @@ the (optionally pulse-edge-smoothed) model intensity, normalized so the
 whole trace is expected to hold `total_counts` counts, plus a flat
 background. The random stream is numpy's default PCG64 generator seeded
 from the spec, so identical specs produce bit-identical traces.
+
+Each model is built by a `_build_<model>` function whose keyword
+arguments are the model's parameters: their names and defaults are
+declared there once, and a parameter without a default is required.
+`model_intensity` refuses unknown or missing names from those signatures.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -38,41 +44,24 @@ _POISSON_MEAN_MAX = (np.iinfo(np.int64).max
                      - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
 
-def _get(params, key, default=None, required=False):
-    if key in params:
-        return params[key]
-    if required:
-        raise ModelError(f"model parameter {key!r} is required")
-    return default
-
-
-def _rate(params, key, default=None, required=False):
-    value = _get(params, key, default=default, required=required)
-    return rate_value(value)
-
-
-def _build_constant(params):
-    _reject_unknown(params, set())
+def _build_constant():
     return lambda t: np.ones_like(np.asarray(t, dtype=float))
 
 
-def _build_exponential(params):
-    _reject_unknown(params, {"rate"})
-    rate = _rate(params, "rate", required=True)
+def _build_exponential(*, rate):
+    rate = rate_value(rate)
     return lambda t: np.exp(-rate * np.asarray(t, dtype=float))
 
 
-def _build_depolarization(params):
-    _reject_unknown(params, {"gamma_rad", "gamma_mix", "channel", "amplitude",
-                             "epsilon", "t0"})
-    gr = _rate(params, "gamma_rad", required=True)
-    gm = _rate(params, "gamma_mix", required=True)
-    channel = _get(params, "channel", default="bright")
+def _build_depolarization(*, gamma_rad, gamma_mix, channel="bright",
+                          amplitude=1.0, epsilon=0.0, t0=0.0):
+    gr = rate_value(gamma_rad)
+    gm = rate_value(gamma_mix)
     if channel not in ("bright", "dark"):
         raise ModelError("depolarization channel must be 'bright' or 'dark'")
-    amplitude = float(_get(params, "amplitude", default=1.0))
-    epsilon = float(_get(params, "epsilon", default=0.0))
-    t0 = float(_get(params, "t0", default=0.0))
+    amplitude = float(amplitude)
+    epsilon = float(epsilon)
+    t0 = float(t0)
 
     def intensity(t):
         t = np.asarray(t, dtype=float)
@@ -86,46 +75,36 @@ def _build_depolarization(params):
     return intensity
 
 
-def _build_a12(params):
-    _reject_unknown(params, {"gamma_rad", "gamma_mix", "gamma_isc", "branch"})
-    gr = _rate(params, "gamma_rad", required=True)
-    gm = _rate(params, "gamma_mix", required=True)
-    gi = _rate(params, "gamma_isc", required=True)
-    branch = _get(params, "branch", required=True)
+def _build_a12(*, gamma_rad, gamma_mix, gamma_isc, branch):
+    gr = rate_value(gamma_rad)
+    gm = rate_value(gamma_mix)
+    gi = rate_value(gamma_isc)
     if branch not in ("A1", "A2"):
         raise ModelError("a12 branch must be 'A1' or 'A2'")
     return lambda t: closedform.fluorescence_a12(gr, gm, gi, branch,
                                                  np.asarray(t, dtype=float))
 
 
-def _build_rabi(params):
-    _reject_unknown(params, {"amplitude", "omega", "phi", "t0", "tau_rabi",
-                             "gamma_isc_x"})
-    amplitude = float(_get(params, "amplitude", default=1.0))
-    omega = _rate(params, "omega", required=True)
-    phi = float(_get(params, "phi", default=0.0))
-    t0 = float(_get(params, "t0", default=0.0))
-    tau_rabi = float(_get(params, "tau_rabi", required=True))
-    gi = _rate(params, "gamma_isc_x", default=0.0)
+def _build_rabi(*, amplitude=1.0, omega, phi=0.0, t0=0.0, tau_rabi,
+                gamma_isc_x=0.0):
+    amplitude = float(amplitude)
+    omega = rate_value(omega)
+    phi = float(phi)
+    t0 = float(t0)
+    tau_rabi = float(tau_rabi)
+    gi = rate_value(gamma_isc_x)
     return lambda t: closedform.rabi_fit_model(
         np.asarray(t, dtype=float), amplitude, omega, phi, t0, tau_rabi, gi)
 
 
-def _build_lindblad(params):
-    _reject_unknown(params, {"gamma_rad_x", "gamma_rad_y", "gamma_mix_xy",
-                             "gamma_mix_yx", "gamma_t2", "gamma_isc_x",
-                             "rabi", "detuning", "observable"})
+def _build_lindblad(*, gamma_rad_x=0.0, gamma_rad_y=0.0, gamma_mix_xy=0.0,
+                    gamma_mix_yx=0.0, gamma_t2=0.0, gamma_isc_x=0.0, rabi=0.0,
+                    detuning=0.0, observable="fluorescence"):
     model = dynamics.ThreeLevelModel(
-        gamma_rad_x=_rate(params, "gamma_rad_x", default=0.0),
-        gamma_rad_y=_rate(params, "gamma_rad_y", default=0.0),
-        gamma_mix_xy=_rate(params, "gamma_mix_xy", default=0.0),
-        gamma_mix_yx=_rate(params, "gamma_mix_yx", default=0.0),
-        gamma_t2=_rate(params, "gamma_t2", default=0.0),
-        gamma_isc_x=_rate(params, "gamma_isc_x", default=0.0),
-        rabi=_rate(params, "rabi", default=0.0),
-        detuning=float(_get(params, "detuning", default=0.0)),
-    )
-    observable = _get(params, "observable", default="fluorescence")
+        gamma_rad_x=gamma_rad_x, gamma_rad_y=gamma_rad_y,
+        gamma_mix_xy=gamma_mix_xy, gamma_mix_yx=gamma_mix_yx,
+        gamma_t2=gamma_t2, gamma_isc_x=gamma_isc_x, rabi=rabi,
+        detuning=detuning)
     if observable not in ("fluorescence", "x", "y", "g"):
         raise ModelError("lindblad observable must be fluorescence, x, y or g")
     rho0 = dynamics.DensityMatrix3.pure("g" if model.rabi.value > 0 else "x")
@@ -156,20 +135,29 @@ _MODEL_BUILDERS = {
 
 MODEL_NAMES = tuple(sorted(_MODEL_BUILDERS))
 
-
-def _reject_unknown(params, allowed):
-    unknown = set(params) - allowed
-    if unknown:
-        raise ModelError(f"unknown model parameters {sorted(unknown)}")
+# model -> its parameters, read once from the builder's keyword arguments
+_MODEL_PARAMETERS = {name: inspect.signature(build).parameters
+                     for name, build in _MODEL_BUILDERS.items()}
 
 
 def model_intensity(name, params):
-    """Build the named noiseless intensity model I(t); I(t < 0) = 0."""
+    """Build the named noiseless intensity model I(t); I(t < 0) = 0.
+
+    params holds the model's parameters by name: the keyword arguments
+    of its builder, those without a default being required.
+    """
     if name not in _MODEL_BUILDERS:
         raise ModelError(
             f"unknown model {name!r}; known models: {sorted(_MODEL_BUILDERS)}"
         )
-    base = _MODEL_BUILDERS[name](dict(params))
+    parameters = _MODEL_PARAMETERS[name]
+    unknown = set(params) - set(parameters)
+    if unknown:
+        raise ModelError(f"unknown model parameters {sorted(unknown)}")
+    for key, parameter in parameters.items():
+        if parameter.default is parameter.empty and key not in params:
+            raise ModelError(f"model parameter {key!r} is required")
+    base = _MODEL_BUILDERS[name](**params)
 
     def intensity(t):
         t = np.asarray(t, dtype=float)

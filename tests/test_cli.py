@@ -5,6 +5,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvphonon import cli, closedform, estimate, phonon, synth, verify
 from nvphonon.cli import (
@@ -81,6 +83,73 @@ def test_parse_config_validates_values(tmp_path):
         parse_config(negative)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+# config values by converter, as text the converter accepts
+_CONFIG_TEXTS = {
+    cli._conv_float: _FINITE.map(repr),
+    cli._conv_signed_rate_mhz: _FINITE.map(repr),
+    cli._conv_nonneg_float: st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    cli._conv_rate_mhz: st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    cli._conv_pos_float: _POSITIVE.map(repr),
+    cli._conv_rate_ghz: _POSITIVE.map(repr),
+    cli._conv_pos_int: st.integers(1, 10**12).map(str),
+    cli._conv_nonneg_int: st.integers(0, 10**12).map(str),
+    # no comment mark, no line break, no whitespace at either end
+    cli._conv_str: st.text(st.characters(codec="utf-8", exclude_characters="#\n\r"),
+                           max_size=10).map(str.strip),
+}
+_SPACES = st.sampled_from(["", " ", "  ", "\t", " \t "])
+_COMMENT = st.text(st.characters(codec="utf-8", exclude_characters="\n\r"), max_size=10)
+# nothing, a blank line or a comment line
+_FILLER = st.one_of(st.just([]), _SPACES.map(lambda pad: [pad]),
+                    _COMMENT.map(lambda text: [" # " + text]))
+
+
+def _config_text(converter):
+    if converter in _CONFIG_TEXTS:
+        return _CONFIG_TEXTS[converter]
+    # a _conv_choice converter: one of the options it closes over
+    return st.sampled_from(inspect.getclosurevars(converter).nonlocals["options"])
+
+
+@st.composite
+def _configs(draw):
+    """Config file lines setting a random subset of the keys, in random
+    order and spacing among blank and comment lines; the dict the
+    converters make of them; and the index of one key's line."""
+    keys = draw(st.lists(st.sampled_from(sorted(cli.CONFIG_KEYS)), min_size=1,
+                         max_size=len(cli.CONFIG_KEYS), unique=True))
+    lines, expected = [], {}
+    for key in keys:
+        converter = cli.CONFIG_KEYS[key][0]
+        text = draw(_config_text(converter))
+        lines += draw(_FILLER)
+        lines.append(f"{draw(_SPACES)}{key}{draw(_SPACES)}={draw(_SPACES)}{text}"
+                     f"{draw(_SPACES)}")
+        expected[key] = converter(text)
+    lines += draw(_FILLER)
+    chosen = draw(st.sampled_from([i for i, line in enumerate(lines)
+                                   if "=" in line.split("#")[0]]))
+    return lines, expected, chosen
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_configs(), data=st.data())
+def test_parse_config_round_trip(tmp_path_factory, config, data):
+    lines, expected, chosen = config
+    path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert parse_config(str(path)) == expected
+    # the same key set again on any later line is refused, naming that line
+    at = data.draw(st.integers(chosen + 1, len(lines)))
+    key = lines[chosen].split("=")[0].strip()
+    lines.insert(at, lines[chosen])
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f":{at + 1}: duplicate key '{key}'"):
+        parse_config(str(path))
+
+
 def _cli_syntax():
     return ast.parse(inspect.getsource(cli))
 
@@ -131,6 +200,19 @@ def test_model_keys_reach_parameters_the_model_accepts(name):
     # synth refuses a parameter its model does not take
     assert np.all(np.isfinite(synth.model_intensity(name, params)(
         np.linspace(0.0, 5.0, 6))))
+
+
+@pytest.mark.parametrize("name", synth.MODEL_NAMES)
+def test_required_model_parameters_come_from_required_keys(name):
+    # with only its required keys set, the CLI still hands the builder every
+    # parameter it requires: otherwise a missing key would exit 3 ("model
+    # error") where the CLI promises exit 2 naming the key
+    cfg = {key: cli.CONFIG_KEYS[key][0]("0.25")
+           for key in cli._MODEL_REQUIRED_KEYS.get(name, ())}
+    params = cli._model_params(cfg, name)
+    required = [key for key, parameter in synth._MODEL_PARAMETERS[name].items()
+                if parameter.default is parameter.empty]
+    assert sorted(set(required) - set(params)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from nvphonon import dynamics, phonon
 from nvphonon.core import (
     CONSTANTS,
     TWO_PI,
@@ -140,3 +141,14 @@ def test_trace_metadata_carried():
     trace = _simple_trace(temperature=5.0, channel="bright")
     assert trace.temperature == 5.0
     assert trace.channel == "bright"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dynamics.ThreeLevelModel(gamma_rad_x=AngularRate(-0.1, fitted=True)),
+    lambda: phonon.PhononCoupling(eta=AngularRate(-1.0, fitted=True)),
+    lambda: phonon.SpinOrbit(lambda_par=AngularRate(-5.0, fitted=True)),
+], ids=["three_level_rate", "phonon_eta", "spin_orbit_lambda"])
+def test_physical_rates_refuse_signed_fit_outputs(build):
+    # a fitted rate may be negative, but a model's physical rates may not
+    with pytest.raises(ValidationError, match="physical rate must be >= 0"):
+        build()

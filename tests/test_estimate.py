@@ -666,12 +666,12 @@ def test_windowed_rate_of_pure_exponential(amplitude, decays, delay, dt, n):
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(gamma_a1=GAMMA_ISC, window_length=0.3),
+    (dict(gamma_a1=GAMMA_ISC, window=FitWindow(4.0, 0.3)),
      "window must contain at least 3 samples"),
     # gamma_a1 = 6283 rad/ns without mixing underflows the whole A1 curve
     (dict(gamma_a1=6283.0), "need >= 2 positive samples to initialize the rate"),
     # refused before any sample is built
-    (dict(gamma_a1=GAMMA_ISC, window_length=1e18),
+    (dict(gamma_a1=GAMMA_ISC, window=FitWindow(4.0, 1e18)),
      r"forward-model window would hold 4e\+18 samples"),
 ])
 def test_effective_rates_refuse_unfittable_windows(kwargs, message):

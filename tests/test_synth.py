@@ -40,6 +40,23 @@ def test_unknown_parameter_rejected():
         synth.model_intensity("exponential", dict(rate=0.1, typo=1.0))
 
 
+@pytest.mark.parametrize("name, params, message", [
+    # unknown names are refused before missing ones
+    ("a12", dict(zeta=1.0, alpha=2.0), r"unknown model parameters \['alpha', 'zeta'\]"),
+    ("constant", dict(rate=0.1), r"unknown model parameters \['rate'\]"),
+    # the first missing parameter in the builder's order
+    ("a12", {}, "model parameter 'gamma_rad' is required"),
+    ("a12", dict(gamma_rad=0.1, gamma_mix=0.1, gamma_isc=0.1),
+     "model parameter 'branch' is required"),
+    ("rabi", dict(tau_rabi=9.0), "model parameter 'omega' is required"),
+    ("rabi", dict(omega=0.5, amplitude=2.0), "model parameter 'tau_rabi' is required"),
+    ("depolarization", dict(gamma_mix=0.1), "model parameter 'gamma_rad' is required"),
+])
+def test_model_parameter_errors(name, params, message):
+    with pytest.raises(ModelError, match=message):
+        synth.model_intensity(name, params)
+
+
 def test_intensity_zero_before_time_origin():
     intensity = synth.model_intensity("exponential", dict(rate=0.1))
     values = intensity(np.array([-5.0, -0.1, 0.0, 1.0]))
