@@ -290,6 +290,44 @@ def test_window_fit_iteration_cap():
     assert full.converged and 1 <= full.iterations <= 200
 
 
+# float.hex of (amplitude, rate, sigma_amplitude, sigma_rate, chi2) and the
+# Newton steps of one seeded window fit with background, per weighting
+WINDOW_FIT_BITS = {
+    "uniform": ("0x1.1e3132c15985fp+13", "0x1.73c64596e6e47p-3",
+                "0x1.43ba1eaa7d536p+4", "0x1.3d86db564f4a4p-12",
+                "0x1.0ce3c2cb2699cp+16", 3),
+    "poisson": ("0x1.1ad1d4cb275d2p+13", "0x1.70be7e296a18ep-3",
+                "0x1.ce0543e43d3b6p+5", "0x1.2f37bbbd3ba8bp-11",
+                "0x1.790cb3b191a3dp+8", 3),
+    "provided": ("0x1.1d93eeeb1d25ep+13", "0x1.7338f653d92d0p-3",
+                 "0x1.d2e204671731dp+5", "0x1.30a4c9dfffc9ep-11",
+                 "0x1.405a1b6debcd1p+8", 6),
+    "array": ("0x1.1d5a786ddc653p+13", "0x1.72eacffb3db4dp-3",
+              "0x1.8b115c66ddf72p+0", "0x1.7781d9d020c52p-16",
+              "0x1.57e1a9d997125p+16", 3),
+}
+
+
+@pytest.mark.parametrize("weights", list(WINDOW_FIT_BITS))
+def test_window_fit_bits_are_pinned(weights):
+    spec = synth.ExperimentSpec(model="exponential", params=dict(rate=0.18),
+                                bin_width=0.25, span=120.0, total_counts=2e5,
+                                background_rate=0.5, pulse_edge=0.0, seed=3)
+    counts = synth.generate(spec)
+    trace = TimeTrace(counts.times, counts.values,
+                      uncertainty=np.sqrt(np.maximum(counts.values, 1.0)))
+    window = FitWindow(4.0, 115.0)
+    scheme = weights
+    if weights == "array":
+        scheme = np.random.default_rng(3).uniform(
+            0.5, 2.0, len(trace.window(window.start, window.length)))
+    fit = estimate.fit_exponential_window(trace, window, weights=scheme)
+    assert fit.converged
+    assert (fit["amplitude"].hex(), fit["rate"].hex(),
+            fit.sigma_of("amplitude").hex(), fit.sigma_of("rate").hex(),
+            fit.chi2.hex(), fit.iterations) == WINDOW_FIT_BITS[weights]
+
+
 @settings(max_examples=60, deadline=None)
 @given(tail=st.floats(30.0, 1e3), decays=st.floats(0.3, 8.0),
        scale=st.floats(0.05, 20.0), seed=st.integers(0, 2**32 - 1),
