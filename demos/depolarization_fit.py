@@ -12,12 +12,12 @@ Run: python3 demos/depolarization_fit.py
 import numpy as np
 
 from nvphonon import closedform
-from nvphonon.core import TWO_PI, TimeTrace
+from nvphonon.core import TimeTrace, rate_from_linear_mhz
 from nvphonon.estimate import fit_depolarization
 
-GAMMA_RAD = TWO_PI * 13.2e-3
-GM_COLD = TWO_PI * 0.08e-3
-GM_WARM = TWO_PI * 18.5e-3
+GAMMA_RAD = rate_from_linear_mhz(13.2)
+GM_COLD = rate_from_linear_mhz(0.08)
+GM_WARM = rate_from_linear_mhz(18.5)
 
 TRUE_AMPLITUDE = 0.90
 TRUE_T0 = -3.6

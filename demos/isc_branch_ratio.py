@@ -19,7 +19,6 @@ Run: python3 demos/isc_branch_ratio.py
 import numpy as np
 
 from nvphonon import phonon
-from nvphonon.core import TWO_PI
 
 MEASURED_RATIO = 0.5
 MEASURED_SIGMA = 0.1
@@ -31,7 +30,7 @@ def main():
     spin_orbit = phonon.SpinOrbit()
 
     print("synthetic vibrational overlap, acoustic cutoff 93 meV")
-    lam_mhz = spin_orbit.lambda_perp.value * 1e3 / TWO_PI
+    lam_mhz = spin_orbit.lambda_perp.linear_mhz
     print(f"transverse spin-orbit coupling {lam_mhz / 1e3:.2f} GHz (2pi)\n")
 
     deltas = np.arange(20.0, 461.0, 20.0)
@@ -44,7 +43,7 @@ def main():
         ga1 = phonon.isc_rate_a1(spin_orbit, overlap, delta)
         flag = "yes" if scan.excluded[i] else ""
         print(f"{delta:10.0f} {overlap.interpolate(delta):11.4e} "
-              f"{ga1.value * 1e3 / TWO_PI:15.2f} {scan.ratios[i]:8.3f} "
+              f"{ga1.linear_mhz:15.2f} {scan.ratios[i]:8.3f} "
               f"{scan.ratios_unbounded[i]:10.3f} {flag:>9}")
 
     print(f"\nmeasured branch ratio {MEASURED_RATIO} +/- {MEASURED_SIGMA}:")

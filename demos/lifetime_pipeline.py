@@ -9,27 +9,24 @@ same windowed analysis as the forward model.
 Run: python3 demos/lifetime_pipeline.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from nvphonon import phonon, synth
-from nvphonon.core import TWO_PI
-from nvphonon.estimate import FitWindow, fit_exponential_window, fit_gamma_a1
+from nvphonon.core import rate_from_linear_mhz, to_linear_mhz
+from nvphonon.estimate import fit_gamma_a1_traces
 
-GAMMA_RAD = TWO_PI * 13.2e-3
-GAMMA_ISC = TWO_PI * 16.0e-3
-TO_MHZ = 1e3 / TWO_PI
+GAMMA_RAD = rate_from_linear_mhz(13.2)
+GAMMA_ISC = rate_from_linear_mhz(16.0)
 SEED = 0
 
 
 def main():
     temperatures = np.linspace(5.0, 26.0, 8)
-    window = FitWindow(start=4.0, length=115.0)
-    print("windowed branch rates minus the radiative rate (MHz):\n")
-    print(f"{'T (K)':>6} {'mix (MHz)':>10} {'branch A1':>12} {'branch A2':>12}")
-    points = []
+    traces = []
     for k, temp in enumerate(temperatures):
         gm = phonon.MIXING_FIT_DEFAULT.clamped(temp)
-        row = []
         for j, branch in enumerate(("A1", "A2")):
             spec = synth.ExperimentSpec(
                 model="a12",
@@ -38,16 +35,22 @@ def main():
                 bin_width=0.25, span=120.0, total_counts=1_000_000.0,
                 background_rate=0.0, pulse_edge=0.0,
                 seed=SEED * 100 + 2 * k + j)
-            fit = fit_exponential_window(synth.generate(spec), window)
-            excess = fit["rate"] - GAMMA_RAD
-            points.append((temp, excess, fit.sigma_of("rate"), branch))
-            row.append(excess * TO_MHZ)
-        print(f"{temp:6.1f} {gm.value * TO_MHZ:10.3f} "
-              f"{row[0]:12.3f} {row[1]:12.3f}")
+            # the lifetime analysis reads each trace's temperature and branch
+            traces.append(dataclasses.replace(
+                synth.generate(spec), temperature=temp, channel=branch))
 
-    result = fit_gamma_a1(points, phonon.MIXING_FIT_DEFAULT, GAMMA_RAD)
-    ga1_mhz = result["gamma_a1"] * TO_MHZ
-    sigma_mhz = result.sigma_of("gamma_a1") * TO_MHZ
+    result = fit_gamma_a1_traces(traces, phonon.MIXING_FIT_DEFAULT, GAMMA_RAD)
+    excess = {(temp, branch): to_linear_mhz(rate)
+              for temp, rate, _, branch in result.derived["points"]}
+    print("windowed branch rates minus the radiative rate (MHz):\n")
+    print(f"{'T (K)':>6} {'mix (MHz)':>10} {'branch A1':>12} {'branch A2':>12}")
+    for temp in temperatures:
+        mix = phonon.MIXING_FIT_DEFAULT.clamped(temp).linear_mhz
+        print(f"{temp:6.1f} {mix:10.3f} "
+              f"{excess[temp, 'A1']:12.3f} {excess[temp, 'A2']:12.3f}")
+
+    ga1_mhz = to_linear_mhz(result["gamma_a1"])
+    sigma_mhz = to_linear_mhz(result.sigma_of("gamma_a1"))
     print("\nthe branch rates converge as mixing overtakes the crossing:")
     print("both branches then lose population at the averaged rate")
     print(f"\nglobal fit: Gamma_A1/2pi = {ga1_mhz:.2f} +/- "

@@ -12,12 +12,11 @@ Run: python3 demos/rabi_decoherence.py
 import numpy as np
 
 from nvphonon import dynamics, phonon
-from nvphonon.core import TWO_PI, TimeTrace, rate_from_linear_mhz
+from nvphonon.core import TimeTrace, rate_from_linear_mhz, to_linear_mhz
 from nvphonon.estimate import fit_rabi_trace, fit_t5
 
 GAMMA_RAD = rate_from_linear_mhz(13.2)
 OMEGA = rate_from_linear_mhz(80.0)
-TO_MHZ = 1e3 / TWO_PI
 
 
 def simulate_trace(gamma_mix):
@@ -42,24 +41,24 @@ def main():
     points = []
     # nominal per-point uncertainty for the law fit; the traces are
     # noiseless so only the relative weighting matters
-    sigma = TWO_PI * 0.2e-3
+    sigma = rate_from_linear_mhz(0.2)
     for temp in temperatures:
         gm = phonon.MIXING_FIT_DEFAULT.clamped(temp)
         fit = fit_rabi_trace(simulate_trace(gm), gamma_rad=GAMMA_RAD)
         gamma_add = fit.derived["gamma_add"]
-        print(f"{temp:6.1f} {gm.value * TO_MHZ:13.3f} "
-              f"{fit['tau_rabi']:13.2f} {gamma_add.value * TO_MHZ:14.3f}")
+        print(f"{temp:6.1f} {gm.linear_mhz:13.3f} "
+              f"{fit['tau_rabi']:13.2f} {gamma_add.linear_mhz:14.3f}")
         points.append((temp, gamma_add, sigma))
     law = fit_t5(points)
-    a_mhz = law["a"] * TO_MHZ
-    c_mhz = law["c"] * TO_MHZ
+    a_mhz = to_linear_mhz(law["a"])
+    c_mhz = to_linear_mhz(law["c"])
     print("\nfitted a (T - T0)^5 + c law:")
     print(f"  a  = {a_mhz:.3e} MHz/K^5   (injected 2.0e-05)")
     print(f"  T0 = {law['t0']:.2f} K          (injected 4.40)")
     print(f"  c  = {c_mhz:.4f} MHz       (injected 0.0800)")
     eta = phonon.eta_from_coefficient(law["a"])
     print(f"\nimplied orbital-phonon coupling eta = "
-          f"{eta.value * TO_MHZ:.1f} MHz/meV^3 (2pi units; injected 44.0)")
+          f"{eta.linear_mhz:.1f} MHz/meV^3 (2pi units; injected 44.0)")
     print("\nthe single-envelope fit form absorbs part of the slowly decaying")
     print("background, so the per-point rates run high where mixing is fast;")
     print("the law fit averages that out and lands within a few percent")

@@ -198,7 +198,9 @@ class TimeTrace:
     temperature : float, optional
         Sample temperature in K.
     channel : str, optional
-        Polarization channel label (e.g. "x" or "y").
+        Polarization channel label (e.g. "x" or "y"); a lifetime trace
+        carries its initial branch here, "A1" or "A2"
+        (`estimate.fit_gamma_a1_traces` reads it).
     background_subtracted : bool
         Whether a background trace has already been subtracted.
     clamped_bins : int

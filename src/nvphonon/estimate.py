@@ -13,7 +13,10 @@ Windowed single-exponential fits, of measured traces
 (`fit_exponential_window`) and of the noiseless forward model
 (`effective_isc_rates`) alike, run through one variable-projection
 solve, `_windowed_rates`: the amplitude is eliminated and Newton steps
-act on the rate alone, for any number of curves at once. Both sides,
+act on the rate alone, for any number of curves at once. The data side's
+results (projected amplitude, Jacobian, covariance) come from
+`_fit_windows`, for one trace or for the many that `fit_gamma_a1_traces`,
+the lifetime analysis from traces to Gamma_a1, fits in one solve. Both sides,
 and `fit_gamma_a1` between them, take the fit window as one `FitWindow`
 (`window=`), so data and model are fitted over the same window. The forward
 model builds all its curves in one array evaluation of the two-branch
@@ -55,6 +58,7 @@ _NEWTON_RTOL = 1e-9
 # not resolve above that are still up to 1e-8 of the rate
 _PROFILE_RTOL = 1e-12
 _NEWTON_MAX_ITER = 30
+_WINDOW_FIT_MAX_ITER = 200         # Newton steps of a data-side window fit
 # a Gauss-Newton step raising chi^2 by less than this share ends the fit:
 # a model evaluated by iterative solves (fit_gamma_a1's forward model)
 # puts ~1e-13 relative rounding noise on chi^2
@@ -326,7 +330,38 @@ def nlls(model, data, init, weights="uniform", max_iter=200):
                           max_iter=max_iter, uncertainty=data.uncertainty)
 
 
-def fit_exponential_window(trace, window, weights="uniform", max_iter=200):
+def _fit_windows(t, y, w, scheme, max_iter):
+    """FitResults of A exp(-rate t) fitted to each row of y (windows x
+    samples) on the common sample times t, one per row, from the initial
+    weights w (shaped like y) of a weighting scheme ("array" for explicit
+    weights); see `fit_exponential_window`. Every row runs through one
+    `_windowed_rates` solve per pass, whose Newton steps and convergence
+    each result reports."""
+    rates = None
+    for refit in range(_passes(scheme)):
+        if refit:  # reweight counts by the previous fit's expectation
+            w = 1.0 / np.maximum(model, 1.0)
+        rates, iterations, converged = _windowed_rates(y, t, w, max_iter,
+                                                       start=rates)
+        decay = np.exp(-rates[:, None] * (t - t[0]))
+        w_decay = w * decay
+        model = decay * (np.vecdot(w_decay, y)
+                         / np.vecdot(w_decay, decay))[:, None]
+    with np.errstate(over="ignore"):
+        amplitudes = model[:, 0] * np.exp(rates * t[0])
+    residual = y - model
+    chi2 = np.vecdot(w * residual, residual)
+    results = []
+    for i, rate in enumerate(rates.tolist()):
+        jac = np.array([decay[i] * math.exp(-rate * t[0]), -t * model[i]]).T
+        results.append(_fit_result(
+            ("amplitude", "rate"), np.array([float(amplitudes[i]), rate]), jac,
+            w[i], float(chi2[i]), scheme, converged, iterations))
+    return results
+
+
+def fit_exponential_window(trace, window, weights="uniform",
+                           max_iter=_WINDOW_FIT_MAX_ITER):
     """Fit A exp(-rate t) to the samples inside `window`, a FitWindow (the
     lifetime analysis uses DEFAULT_WINDOW, as the forward model does).
 
@@ -341,27 +376,10 @@ def fit_exponential_window(trace, window, weights="uniform", max_iter=200):
     is directly comparable across windows.
     """
     sub = trace.window(window.start, window.length)
-    t = sub.times
     y = np.asarray(sub.values, dtype=float)
     w = _resolve_weights(weights, y, sub.uncertainty)
     scheme = weights if isinstance(weights, str) else "array"
-    rates = None
-    for refit in range(_passes(scheme)):
-        if refit:  # reweight counts by the previous fit's expectation
-            w = 1.0 / np.maximum(model, 1.0)
-        rates, iterations, converged = _windowed_rates(
-            y[None, :], t, w, max_iter, start=rates)
-        rate = float(rates[0])
-        decay = np.exp(-rate * (t - t[0]))
-        w_decay = w * decay
-        model = decay * ((w_decay @ y) / (w_decay @ decay))
-    with np.errstate(over="ignore"):
-        amplitude = float(model[0] * np.exp(rate * t[0]))
-    residual = y - model
-    jac = np.array([decay * math.exp(-rate * t[0]), -t * model]).T
-    return _fit_result(("amplitude", "rate"), np.array([amplitude, rate]), jac,
-                       w, float(w * residual @ residual), scheme, converged,
-                       iterations)
+    return _fit_windows(sub.times, y[None, :], w[None, :], scheme, max_iter)[0]
 
 
 def _fft_frequency_estimate(times, values):
@@ -864,6 +882,37 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window=DEFAULT_WINDOW, init=None,
     ga1_0 = float(init) if init is not None else max(float(default_init), 1e-3)
     return _least_squares(predict, rates, weights, [ga1_0], ("gamma_a1",),
                           max_iter=max_iter, jacobian=jacobian)
+
+
+def fit_gamma_a1_traces(traces, mix_model, gamma_rad):
+    """The lifetime analysis from count traces to the direct crossing rate.
+
+    Each TimeTrace carries its temperature (K) in `temperature` and its
+    initial branch ("A1" or "A2") in `channel`. Every trace is fitted with
+    a single exponential over DEFAULT_WINDOW under uniform weights, as
+    `fit_exponential_window` fits one, all in one batched solve; the
+    windows must therefore fall on one bin grid. The windowed rates minus
+    gamma_rad, with their sigmas, then go to `fit_gamma_a1`, whose result
+    is returned with those (temperature, gamma_eff, sigma, branch) points
+    in derived["points"] (rad/ns).
+    """
+    traces = list(traces)
+    if not traces:
+        raise ValidationError("no traces to fit")
+    for trace in traces:
+        if trace.temperature is None or trace.channel is None:
+            raise ValidationError("each trace needs temperature and channel metadata")
+    subs = [trace.window(DEFAULT_WINDOW.start, DEFAULT_WINDOW.length)
+            for trace in traces]
+    t = subs[0].times
+    if not all(np.array_equal(sub.times, t) for sub in subs):
+        raise ValidationError("the traces' windows fall on different bin grids")
+    y = np.array([sub.values for sub in subs], dtype=float)
+    fits = _fit_windows(t, y, np.ones_like(y), "uniform", _WINDOW_FIT_MAX_ITER)
+    gr = rate_value(gamma_rad)
+    points = [(trace.temperature, fit["rate"] - gr, fit.sigma_of("rate"),
+               trace.channel) for trace, fit in zip(traces, fits)]
+    return fit_gamma_a1(points, mix_model, gamma_rad).with_derived(points=points)
 
 
 def ensemble_spread(values):

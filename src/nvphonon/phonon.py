@@ -53,6 +53,19 @@ ETA_DEFAULT = AngularRate.from_linear_mhz(44.0)          # per meV^3
 GAMMA_RAD_DEFAULT = AngularRate.from_linear_mhz(13.2)
 
 
+def _law_value(evaluate, where, *inputs):
+    """evaluate() of a mixing law in Python floats, whose ** raises on
+    overflow and whose * overflows to inf; either is refused, naming the
+    inputs by the format string `where`."""
+    try:
+        value = evaluate()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError("mixing law overflows at " + where.format(*inputs))
+    return value
+
+
 def mixing_rate_t5(eta, temperature):
     """Two-phonon orbital mixing rate (64/pi) hbar alpha eta^2 (kB T)^5.
 
@@ -62,14 +75,18 @@ def mixing_rate_t5(eta, temperature):
     eta_v = rate_value(eta)
     t_v = temperature_value(temperature)
     c = core.CONSTANTS
-    return AngularRate((64.0 / math.pi) * c.hbar * c.alpha * eta_v**2 * (c.kb * t_v) ** 5)
+    return AngularRate(_law_value(
+        lambda: (64.0 / math.pi) * c.hbar * c.alpha * eta_v**2 * (c.kb * t_v) ** 5,
+        "T = {:g} K, eta = {:g} rad/ns", t_v, eta_v))
 
 
 def coefficient_from_eta(eta):
     """Map eta to the T^5 prefactor A = (64/pi) hbar alpha eta^2 kB^5."""
     eta_v = rate_value(eta)
     c = core.CONSTANTS
-    return AngularRate((64.0 / math.pi) * c.hbar * c.alpha * eta_v**2 * c.kb**5)
+    return AngularRate(_law_value(
+        lambda: (64.0 / math.pi) * c.hbar * c.alpha * eta_v**2 * c.kb**5,
+        "eta = {:g} rad/ns", eta_v))
 
 
 def eta_from_coefficient(coefficient):
@@ -91,7 +108,8 @@ def mixing_rate_fitform(a, t0, c, temperature):
     a_v = float(a) if not isinstance(a, AngularRate) else a.value
     c_v = float(c) if not isinstance(c, AngularRate) else c.value
     t_v = temperature_value(temperature)
-    return AngularRate(a_v * (t_v - float(t0)) ** 5 + c_v, fitted=True)
+    return AngularRate(_law_value(lambda: a_v * (t_v - float(t0)) ** 5 + c_v,
+                                  "T = {:g} K", t_v), fitted=True)
 
 
 def mixing_rate_fitform_clamped(a, t0, c, temperature):

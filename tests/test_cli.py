@@ -869,6 +869,25 @@ window.length_ns = 0.3
         "window must contain at least 3 samples")
 
 
+T5_KEYS = "t5.a_mhz_per_k5 = 2e-5\nt5.t0_k = 4.4\nt5.c_mhz = 0.08\n"
+
+
+@pytest.mark.parametrize("extra, sweep, message", [
+    ("", "T:1e70:1e70:1", "mixing law overflows at T = 1e+70 K, eta = "),
+    (T5_KEYS, "T:1e70:1e70:1", "mixing law overflows at T = 1e+70 K"),
+    ("phonon.eta_mhz_per_mev3 = 1e300\n", "T:5:26:3",
+     "mixing law overflows at T = 5 K, eta = 6.28319e+297 rad/ns"),
+], ids=["eta-law-T", "fit-form-T", "eta"])
+def test_sweep_temperature_mixing_overflow_is_input_error(tmp_path, capsys,
+                                                          extra, sweep, message):
+    cfg = _write(tmp_path / "sweep.cfg",
+                 "rates.gamma_rad_mhz = 13.2\nrates.gamma_a1_mhz = 16\n" + extra)
+    out = tmp_path / "x.csv"
+    _assert_sweep_input_error(["sweep", "--config", cfg, "--sweep", sweep,
+                               "--out", str(out)], capsys, message)
+    assert not out.exists()
+
+
 def test_sweep_delta_off_the_overlap_support_writes_zero_rows(tmp_path):
     table = _write(tmp_path / "table.csv", "energy_mev,f_per_mev\n10,0.2\n100,0.1\n")
     cfg = _write(tmp_path / "sweep.cfg", f"files.overlap_table = {table}\n"

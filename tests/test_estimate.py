@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -786,8 +787,10 @@ CRITERION_GAMMA_ISC = TWO_PI * 16.0e-3
 CRITERION_TEMPERATURES = np.linspace(5.0, 26.0, 8)
 
 
-def _criterion5_points(seed):
-    points = []
+def _criterion5_traces(seed):
+    """The 16 count traces of one criterion-5 seed, each labelled with its
+    temperature and branch, A1 then A2 at each temperature."""
+    traces = []
     for k, temp in enumerate(CRITERION_TEMPERATURES):
         gm = phonon.MIXING_FIT_DEFAULT.clamped(temp)
         for j, branch in enumerate(("A1", "A2")):
@@ -798,11 +801,65 @@ def _criterion5_points(seed):
                                          branch=branch),
                 bin_width=0.25, span=120.0, total_counts=1e6,
                 background_rate=0.0, pulse_edge=0.0, seed=seed * 100 + 2 * k + j)
-            fit = estimate.fit_exponential_window(synth.generate(spec),
-                                                  FitWindow(4.0, 115.0))
-            points.append((temp, fit["rate"] - CRITERION_GAMMA_RAD,
-                           fit.sigma_of("rate"), branch))
-    return points
+            traces.append(dataclasses.replace(synth.generate(spec),
+                                              temperature=temp, channel=branch))
+    return traces
+
+
+def _criterion5_points(seed):
+    return estimate.fit_gamma_a1_traces(
+        _criterion5_traces(seed), phonon.MIXING_FIT_DEFAULT,
+        CRITERION_GAMMA_RAD).derived["points"]
+
+
+def test_gamma_a1_traces_match_the_window_fit_chain():
+    # the entry point against the chain it replaces: one window fit per
+    # trace, then fit_gamma_a1. The batched solve sums in another order, so
+    # windowed rates and sigmas agree to rounding (9.7e-15 and 1.4e-14
+    # relative at most on these seeds), and Gamma_A1 within fit_gamma_a1's
+    # own stopping tolerance (4.6e-8 MHz at most)
+    for seed in range(100):
+        traces = _criterion5_traces(seed)
+        chain = []
+        for trace in traces:
+            fit = estimate.fit_exponential_window(trace, estimate.DEFAULT_WINDOW)
+            chain.append((trace.temperature, fit["rate"] - CRITERION_GAMMA_RAD,
+                          fit.sigma_of("rate"), trace.channel))
+        expected = estimate.fit_gamma_a1(chain, phonon.MIXING_FIT_DEFAULT,
+                                         CRITERION_GAMMA_RAD)
+        result = estimate.fit_gamma_a1_traces(traces, phonon.MIXING_FIT_DEFAULT,
+                                              CRITERION_GAMMA_RAD)
+        points = result.derived["points"]
+        assert [(p[0], p[3]) for p in points] == [(p[0], p[3]) for p in chain]
+        # relative to the windowed rate, of which gamma_eff is the excess
+        np.testing.assert_allclose(
+            np.array([p[1] for p in points]) + CRITERION_GAMMA_RAD,
+            np.array([p[1] for p in chain]) + CRITERION_GAMMA_RAD, rtol=1e-12)
+        np.testing.assert_allclose([p[2] for p in points],
+                                   [p[2] for p in chain], rtol=1e-12)
+        assert result.converged
+        assert abs(result["gamma_a1"] - expected["gamma_a1"]) * TO_MHZ <= 1e-7
+
+
+def _labelled_traces(**changes):
+    """Two window-fittable traces at 5 and 20 K, the second with changes."""
+    t = np.arange(0.0, 120.0, 0.25) + 0.125
+    first = TimeTrace(t, 1e4 * np.exp(-0.2 * t), temperature=5.0, channel="A1")
+    second = TimeTrace(t, 1e4 * np.exp(-0.1 * t), temperature=20.0,
+                       channel="A2")
+    return [first, dataclasses.replace(second, **changes)]
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(temperature=None), "each trace needs temperature and channel metadata"),
+    (dict(channel=None), "each trace needs temperature and channel metadata"),
+    (dict(times=np.arange(0.0, 120.0, 0.25) + 0.1), "different bin grids"),
+    (dict(channel="B1"), "branch must be 'A1' or 'A2', got 'B1'"),
+], ids=["no-temperature", "no-channel", "bin-grid", "branch"])
+def test_gamma_a1_traces_refusals(changes, message):
+    with pytest.raises(ValidationError, match=message):
+        estimate.fit_gamma_a1_traces(_labelled_traces(**changes),
+                                     phonon.MIXING_FIT_DEFAULT, GAMMA_RAD)
 
 
 @pytest.mark.parametrize("gamma_a1", [0.03, 0.1, 0.3])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ def test_coefficient_quadratic_in_eta():
     single = phonon.coefficient_from_eta(ETA_DEFAULT)
     double = phonon.coefficient_from_eta(AngularRate(2 * ETA_DEFAULT.value))
     assert double.value / single.value == pytest.approx(4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("law, message", [
+    (lambda: phonon.coefficient_from_eta(AngularRate(1e200)),
+     "mixing law overflows at eta = 1e+200 rad/ns"),
+    # (kB T)^5 stays finite, eta^2 (kB T)^5 does not: an inf, not a raise
+    (lambda: phonon.mixing_rate_t5(AngularRate(1e150), 1e30),
+     "mixing law overflows at T = 1e+30 K, eta = 1e+150 rad/ns"),
+    (lambda: MIXING_FIT_DEFAULT.clamped(1e70),
+     "mixing law overflows at T = 1e+70 K"),
+], ids=["coefficient", "t5-product", "fit-form"])
+def test_mixing_law_overflow_names_its_inputs(law, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        law()
 
 
 def test_eta_coefficient_round_trip():
