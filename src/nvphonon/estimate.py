@@ -554,6 +554,13 @@ def t5_confidence_band(result, temperatures):
     return mean, mean - half, mean + half
 
 
+def _require_labels(traces):
+    """Refuse traces without temperature or channel metadata."""
+    for trace in traces:
+        if trace.temperature is None or trace.channel is None:
+            raise ValidationError("each trace needs temperature and channel metadata")
+
+
 def _early_brightness(trace):
     n = max(3, len(trace) // 4)
     return float(np.mean(np.asarray(trace.values[:n], dtype=float)))
@@ -578,9 +585,7 @@ def fit_depolarization(traces, gamma_mix_cold, gamma_mix_warm, gamma_rad,
     traces = list(traces)
     if len(traces) != 4:
         raise ValidationError("depolarization fit takes exactly 4 traces")
-    for trace in traces:
-        if trace.temperature is None or trace.channel is None:
-            raise ValidationError("each trace needs temperature and channel metadata")
+    _require_labels(traces)
     temps = sorted({trace.temperature for trace in traces})
     if len(temps) != 2:
         raise ValidationError("expected exactly 2 distinct temperatures")
@@ -899,9 +904,7 @@ def fit_gamma_a1_traces(traces, mix_model, gamma_rad):
     traces = list(traces)
     if not traces:
         raise ValidationError("no traces to fit")
-    for trace in traces:
-        if trace.temperature is None or trace.channel is None:
-            raise ValidationError("each trace needs temperature and channel metadata")
+    _require_labels(traces)
     subs = [trace.window(DEFAULT_WINDOW.start, DEFAULT_WINDOW.length)
             for trace in traces]
     t = subs[0].times
