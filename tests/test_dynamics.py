@@ -189,6 +189,58 @@ def test_rate_evolution_against_expm():
                 expected[1], rel=1e-8, abs=1e-12)
 
 
+_GRIDS = {
+    "arange-0.05": np.arange(0.0, 40.0, 0.05),
+    "arange-0.01": np.arange(0.0, 40.0, 0.01),
+    "late-start": np.arange(3.7, 40.0, 0.05),
+    "off-grid-point": np.sort(np.append(np.arange(0.0, 100.1, 1.0),
+                                        1.0 / GAMMA_RAD.value)),
+    "geomspace": np.geomspace(0.01, 200.0, 50),
+    "one-sample": np.array([7.3]),
+    "two-samples": np.array([1.5, 41.5]),
+}
+
+_LINDBLAD_MODELS = {
+    "driven": _decay_model(gamma_mix_xy=GAMMA_MIX_WARM,
+                           gamma_mix_yx=0.5 * GAMMA_MIX_WARM.value,
+                           gamma_t2=rate_from_linear_mhz(10.0),
+                           rabi=rate_from_linear_mhz(300.0), detuning=0.2),
+    "sink": _decay_model(gamma_rad_y=0.0, gamma_isc_x=GAMMA_ISC,
+                         rabi=rate_from_linear_mhz(50.0)),
+}
+
+
+def _expm_states(matrix, y0, times):
+    """The oracle: exp(t_i M) y0 by one expm per sample."""
+    return np.stack([expm(t * matrix) @ y0 for t in times])
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+@pytest.mark.parametrize("name", sorted(_LINDBLAD_MODELS))
+def test_lindblad_populations_match_expm_per_sample(name, grid):
+    model, t = _LINDBLAD_MODELS[name], _GRIDS[grid]
+    rho0 = DensityMatrix3.pure("g")
+    result = evolve_lindblad(model, rho0, t)
+    states = _expm_states(dynamics._lindblad_superoperator(model),
+                          rho0.matrix.reshape(9), t).reshape(len(t), 3, 3)
+    for idx, label in enumerate(model.labels):
+        np.testing.assert_allclose(result.populations[label].values,
+                                   states[:, idx, idx].real,
+                                   rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+def test_rate_populations_match_expm_per_sample(grid):
+    model = build_a12_model(GAMMA_RAD, GAMMA_MIX_WARM, GAMMA_ISC)
+    t = _GRIDS[grid]
+    p0 = np.array([0.3, 0.7])
+    pops = evolve_rates(model, p0, t)
+    expected = _expm_states(model.matrix, p0, t)
+    for idx, label in enumerate(model.labels):
+        np.testing.assert_allclose(pops[label].values, expected[:, idx],
+                                   rtol=1e-10, atol=0.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(rates=st.tuples(*[st.floats(1e-3, 0.3)] * 3),
        branch=st.sampled_from(("A1", "A2")),

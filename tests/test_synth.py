@@ -157,6 +157,26 @@ def test_generate_a12_counts_are_pinned():
         "2fd1c03dd7bb4e474458805510530a88a44fe8bfbfff2509ccc4dafd2cc8d5d2")
 
 
+def test_generate_lindblad_counts_are_pinned():
+    # recorded while evolve_lindblad stepped sample to sample: seeded
+    # histograms keep their bits
+    driven = dict(gamma_rad_x=GAMMA_RAD.value, gamma_rad_y=GAMMA_RAD.value,
+                  gamma_t2=rate_from_linear_mhz(10.0).value,
+                  rabi=rate_from_linear_mhz(100.0).value)
+    mixing = dict(gamma_rad_x=GAMMA_RAD.value, gamma_rad_y=GAMMA_RAD.value,
+                  gamma_mix_xy=GAMMA_MIX_WARM.value,
+                  gamma_mix_yx=0.5 * GAMMA_MIX_WARM.value)
+    sink = dict(gamma_rad_x=GAMMA_RAD.value, gamma_isc_x=GAMMA_ISC.value)
+    digest = hashlib.sha256()
+    for params in (driven, mixing, sink):
+        for seed in range(20):
+            spec = _spec(model="lindblad", params=params, total_counts=1e6,
+                         pulse_edge=2.0, seed=seed)
+            digest.update(synth.generate(spec).values.astype("<f8").tobytes())
+    assert digest.hexdigest() == (
+        "649198b555cd9c8c109b22198499b32a2f635cbdd595b463cc8a1e37326b9a40")
+
+
 def test_generate_counts_are_nonnegative_integers():
     trace = synth.generate(_spec())
     assert trace.values.dtype == np.int64
