@@ -23,6 +23,7 @@ class EnvelopeParams:
     gamma_mix_xy: mixing out of the driven branch (x -> y).
     gamma_mix_yx: mixing back (y -> x).
     gamma_t2: pure orbital dephasing of the driven transition.
+    Each is an AngularRate or a float in rad/ns.
     """
 
     gamma_rad_x: AngularRate

@@ -145,6 +145,10 @@ def _validate_times(times):
     return times
 
 
+# largest |r| ||M||_1 that _propagate moves by a Taylor series
+_TAYLOR_REACH = 2.0**-10
+
+
 def _propagator(matrix, h, norm1):
     """exp(hM) by expm at a 1-norm below 1, then repeated squaring.
 
@@ -159,22 +163,79 @@ def _propagator(matrix, h, norm1):
     return prop
 
 
+def _lattice(start, step, count):
+    """The states step^k start for k < count, one row each, by blocked
+    doubling: rows [s, 2s) are step^s times rows [0, s), with step^s by
+    squaring, so ceil(log2(count)) block products fill the lattice."""
+    states = np.empty((count, len(start)), dtype=step.dtype)
+    states[0] = start
+    power = step
+    filled = 1
+    while filled < count:
+        block = min(filled, count - filled)
+        states[filled:filled + block] = states[:block] @ power.T
+        filled += block
+        if filled < count:
+            power = power @ power
+    return states
+
+
+def _taylor(matrix, rest, states, norm1):
+    """exp(r_i M) applied to row i of states by its Taylor series, summed
+    until the next term is below 2^-56 of the state for the largest
+    |r_i| ||M||_1 (a handful of terms at _TAYLOR_REACH, one or two for the
+    last-bit offsets of an arange grid)."""
+    reach = float(np.max(np.abs(rest))) * norm1
+    total = states.copy()
+    term = states
+    order, bound = 0, 1.0
+    while bound * reach / (order + 1) > 2.0**-56:
+        order += 1
+        bound *= reach / order
+        term = (term @ matrix.T) * (rest / order)[:, np.newaxis]
+        total += term
+    return total
+
+
 def _propagate(matrix, y0, times):
-    """States exp(t_i M) y0 at each sample time, stepping sample to sample."""
-    out = np.empty((len(times), len(y0)), dtype=matrix.dtype)
-    y = np.array(y0, dtype=matrix.dtype)
+    """States exp(t_i M) y0 at each sample time, read off a lattice.
+
+    The lattice starts at y(t_0) = exp(t_0 M) y0 and steps by delta, the
+    most common sample spacing, but at least span/(2n), so it never holds
+    more than 2n + 1 states. Sample i is lattice state k_i moved on by its
+    remainder r_i = t_i - t_0 - k_i delta, k_i = rint((t_i - t_0)/delta):
+    as is where r_i = 0, by a Taylor series where |r_i| ||M||_1 is at most
+    _TAYLOR_REACH, and otherwise by one propagator per distinct remainder.
+    Those samples step forward from the lattice state below them (k_i
+    rounded down, r_i >= 0), because stepping back through a dissipative
+    generator amplifies its decayed modes.
+    """
     norm1 = float(np.abs(matrix).sum(axis=0).max())
-    props = {}
-    t_prev = 0.0
-    for i, t in enumerate(times):
-        h = t - t_prev
-        if h > 0.0:
-            if h not in props:
-                props[h] = _propagator(matrix, h, norm1)
-            y = props[h] @ y
-        out[i] = y
-        t_prev = t
-    return out
+    start = np.array(y0, dtype=matrix.dtype)
+    if times[0] > 0.0:
+        start = _propagator(matrix, times[0], norm1) @ start
+    if len(times) == 1:
+        return start[np.newaxis]
+    elapsed = times - times[0]
+    spacings, counts = np.unique(np.diff(times), return_counts=True)
+    delta = max(spacings[np.argmax(counts)], elapsed[-1] / (2 * len(times)))
+    steps = np.rint(elapsed / delta)
+    rest = elapsed - steps * delta
+    far = np.abs(rest) * norm1 > _TAYLOR_REACH
+    steps[far] = np.floor(elapsed[far] / delta)
+    rest[far] = elapsed[far] - steps[far] * delta
+    steps = steps.astype(np.intp)
+    states = _lattice(start, _propagator(matrix, delta, norm1),
+                      int(steps.max()) + 1)[steps]
+    near = (rest != 0.0) & ~far
+    if np.any(near):
+        states[near] = _taylor(matrix, rest[near], states[near], norm1)
+    order = np.flatnonzero(far)
+    order = order[np.argsort(rest[order], kind="stable")]
+    remainders, first = np.unique(rest[order], return_index=True)
+    for r, group in zip(remainders, np.split(order, first[1:])):
+        states[group] = states[group] @ _propagator(matrix, r, norm1).T
+    return states
 
 
 def _lindblad_superoperator(model):

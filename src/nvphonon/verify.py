@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import closedform, core, dynamics, estimate, phonon, synth
-from .core import AngularRate, TimeTrace, rate_from_linear_mhz
+from .core import TimeTrace, rate_from_linear_mhz
 
 
 def _rel_err(result, reference, floor=1e-12):
@@ -51,22 +51,20 @@ def check_t5_coefficient():
 
 
 def check_envelope_identities():
-    rng = np.random.default_rng(12345)
+    # 200 rounds of uniform(0, 0.126, size=4) then uniform(1e-3, 0.126),
+    # drawn at once and scaled as Generator.uniform scales them
+    draws = np.random.default_rng(12345).random(1000).reshape(200, 5)
+    rates = 0.126 * draws[:, :4]
+    gr_ys = 1e-3 + (0.126 - 1e-3) * draws[:, 4]
     worst_sum = 0.0
     worst_g0 = 0.0
     worst_sym = 0.0
-    for _ in range(200):
-        gr_x, gt2, m_xy, m_yx = rng.uniform(0.0, 0.126, size=4)
-        gr_y = rng.uniform(1e-3, 0.126)
-        params = closedform.EnvelopeParams(
-            AngularRate(gr_x), AngularRate(gr_y), AngularRate(m_xy),
-            AngularRate(m_yx), AngularRate(gt2))
+    for (gr_x, gt2, m_xy, m_yx), gr_y in zip(rates.tolist(), gr_ys.tolist()):
+        params = closedform.EnvelopeParams(gr_x, gr_y, m_xy, m_yx, gt2)
         _, _, amp_a, amp_b = closedform.envelope_timescales(params)
         worst_sum = max(worst_sum, abs(amp_a + amp_b - 1.0))
         worst_g0 = max(worst_g0, abs(float(closedform.rabi_envelope(params, 0.0)) - 1.0))
-        sym = closedform.EnvelopeParams(
-            AngularRate(gr_x), AngularRate(max(gr_x, 1e-6)), AngularRate(m_xy),
-            AngularRate(m_xy), AngularRate(gt2))
+        sym = closedform.EnvelopeParams(gr_x, max(gr_x, 1e-6), m_xy, m_xy, gt2)
         _, _, amp_a_s, _ = closedform.envelope_timescales(sym)
         worst_sym = max(worst_sym, abs(amp_a_s) - 1.0 / 3.0)
     ok = worst_sum <= 1e-12 and worst_g0 <= 1e-12 and worst_sym <= 1e-12

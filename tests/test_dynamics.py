@@ -241,6 +241,56 @@ def test_rate_populations_match_expm_per_sample(grid):
                                    rtol=1e-10, atol=0.0)
 
 
+@pytest.mark.parametrize("times", [np.geomspace(1e-3, 1e6, 40),
+                                   np.array([0.0, 1e-9, 1e6])],
+                         ids=["geomspace", "far-apart"])
+def test_wide_grid_builds_no_span_sized_lattice(monkeypatch, times):
+    # span / smallest spacing is ~1e15 here: the propagation must stay
+    # O(n) in propagators and lattice states, and still exact
+    propagators, lattices = [], []
+    propagator, lattice = dynamics._propagator, dynamics._lattice
+
+    def counting_propagator(matrix, h, norm1):
+        propagators.append(h)
+        return propagator(matrix, h, norm1)
+
+    def counting_lattice(start, step, count):
+        lattices.append(count)
+        return lattice(start, step, count)
+
+    monkeypatch.setattr(dynamics, "_propagator", counting_propagator)
+    monkeypatch.setattr(dynamics, "_lattice", counting_lattice)
+    n = len(times)
+
+    exchange = RateMatrixModel(np.array([[-0.2, 0.1], [0.2, -0.1]]),
+                               ("up", "down"))
+    p0 = np.array([0.9, 0.1])
+    pops = evolve_rates(exchange, p0, times)
+    expected = _expm_states(exchange.matrix, p0, times)
+    for idx, label in enumerate(exchange.labels):
+        np.testing.assert_allclose(pops[label].values, expected[:, idx],
+                                   rtol=1e-10, atol=0.0)
+    assert len(propagators) <= n + 2 and sum(lattices) <= 2 * n + 1
+
+    propagators.clear()
+    lattices.clear()
+    model = _LINDBLAD_MODELS["driven"]
+    gen = dynamics._lindblad_superoperator(model)
+    rho0 = DensityMatrix3.pure("g")
+    result = evolve_lindblad(model, rho0, times)
+    states = _expm_states(gen, rho0.matrix.reshape(9),
+                          times).reshape(n, 3, 3)
+    # at t ||M||_1 ~ 5e6 any squaring scheme, expm included, keeps the
+    # stationary populations only to about t ||M||_1 u (~1e-9; both sit
+    # within 1e-10 of the null vector of M)
+    atol = np.finfo(float).eps * times[-1] * np.abs(gen).sum(axis=0).max()
+    for idx, label in enumerate(model.labels):
+        np.testing.assert_allclose(result.populations[label].values,
+                                   states[:, idx, idx].real,
+                                   rtol=0.0, atol=atol)
+    assert len(propagators) <= n + 2 and sum(lattices) <= 2 * n + 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(rates=st.tuples(*[st.floats(1e-3, 0.3)] * 3),
        branch=st.sampled_from(("A1", "A2")),
@@ -248,7 +298,8 @@ def test_rate_populations_match_expm_per_sample(grid):
        steps=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=30))
 def test_rate_evolution_matches_closed_form_on_irregular_grid(
         rates, branch, start, steps):
-    # nearly every spacing differs, so each sample builds its own propagator
+    # nearly every spacing differs, so most samples sit off the lattice
+    # and each takes the propagator of its own remainder
     t = start + np.concatenate([[0.0], np.cumsum(steps)])
     assume(np.all(np.diff(t) > 0.0))
     gr, gm, gi = rates
