@@ -13,15 +13,19 @@ drive on g-x. Dissipation enters through Lindblad jump operators:
   level is a non-radiative sink and mixing must be zero
 
 Both evolvers propagate exactly. The generator M is constant in time, so
-the state at the next sample is exp(h M) y for the sample spacing h. That
-propagator is built with scipy.linalg.expm once per distinct spacing
-within a call and is exact up to rounding. Cost therefore grows with the
-number of distinct spacings, not with the number of samples or the length
-of the interval: one 9x9 Lindblad propagator takes about 0.05 ms on one
-core of a Xeon host. A uniform grid needs a few (rounding makes arange
-spacings differ in the last bits); an irregular grid pays one per sample.
-The propagation never uses the closed forms, so it is an independent
-check on them.
+the state at time t is exp(t M) y0. The sample states are read off a
+lattice of the most common sample spacing delta, whose states
+exp(k delta M) y(t_0) come from O(log n) block products of propagator
+powers; a sample off the lattice is moved on from a lattice state by
+its remainder (see _propagate). Each propagator is built with scipy.linalg.expm and is
+exact up to rounding. A call makes one expm for the lattice step, one
+more when the grid starts after 0, and one per distinct remainder of an
+off-lattice sample; one 9x9 Lindblad propagator takes about 0.05 ms on
+one core of a Xeon host. A uniform grid, arange's last-bit spacing
+differences included, therefore costs one or two expm calls and
+O(log n) interpreted steps whatever its length; an irregular grid still
+pays about one expm per sample. The propagation never uses the closed
+forms, so it is an independent check on them.
 """
 
 from __future__ import annotations
