@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 invalid input or
 config (an output file that cannot be written included), 3 model
 construction error, 4 fit non-convergence (the report is still written,
-flagged converged=false).
+flagged converged=false), 5 internal error: any other exception, reported
+as one ``internal error: <Type>: <message>`` line instead of a traceback.
 
 Config files are plain ``key = value`` lines with ``#`` comments.
 Every key must appear in the registry below; unknown keys are rejected
@@ -38,6 +39,7 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_MODEL = 3
 EXIT_NO_CONVERGENCE = 4
+EXIT_INTERNAL = 5
 
 
 class ConfigError(ValidationError):
@@ -901,6 +903,10 @@ def main(argv=None):
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # a defect of this program, not of the input: still one line
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry():

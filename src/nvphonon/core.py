@@ -222,15 +222,21 @@ class TimeTrace:
             raise ValidationError("times and values must be 1-d arrays of equal length")
         if len(times) == 0:
             raise ValidationError("empty trace")
-        if not np.all(np.isfinite(times)):
-            raise ValidationError("trace times must be finite")
-        if not np.all(np.diff(times) > 0):
+        # strictly increasing times between finite endpoints are all finite
+        # (a comparison with nan is false), so isfinite runs only to choose
+        # the message of a refusal
+        with np.errstate(invalid="ignore"):  # inf - inf
+            increasing = np.all(np.diff(times) > 0)
+        if not (increasing and math.isfinite(times[0])
+                and math.isfinite(times[-1])):
+            if not np.all(np.isfinite(times)):
+                raise ValidationError("trace times must be finite")
             raise ValidationError("trace times must be strictly increasing")
-        if not np.all(np.isfinite(np.asarray(values, dtype=float))):
-            raise ValidationError("trace values must be finite")
-        if np.issubdtype(values.dtype, np.integer) and not self.background_subtracted:
-            if np.any(values < 0):
+        if np.issubdtype(values.dtype, np.integer):
+            if not self.background_subtracted and np.any(values < 0):
                 raise ValidationError("count traces must be >= 0 before subtraction")
+        elif not np.all(np.isfinite(np.asarray(values, dtype=float))):
+            raise ValidationError("trace values must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", _read_only(values))
         if self.uncertainty is not None:

@@ -20,14 +20,18 @@ the lifetime analysis from traces to Gamma_a1, fits in one solve. Both sides,
 and `fit_gamma_a1` between them, take the fit window as one `FitWindow`
 (`window=`), so data and model are fitted over the same window. The forward
 model builds all its curves in one array evaluation of the two-branch
-closed form, and its solve can start from the rates of an earlier call
-(`start=`), which `fit_gamma_a1` passes from one trial Gamma_a1 to the
-next. Every other fit runs through `_least_squares`: a damped
-Gauss-Newton iteration (Levenberg-style lambda adaptation) that accepts
-only steps lowering chi^2, and stops as converged at a step that raises
-chi^2 by rounding only. Its Jacobian is exact for `fit_gamma_a1` (the
-implicit derivative of the windowed rates), `fit_rabi_trace` (the closed form
-`rabi_fit_model_jacobian`) and `fit_t5`; `nlls`, for user models, and
+closed form (with their Gamma_a1 derivatives when `slopes=True` asks for
+the rates' slopes), and its solve can start from given rates (`start=`).
+`fit_gamma_a1` makes one forward call per trial Gamma_a1: its slopes are
+the fit's Jacobian and start the next trial from the first-order
+prediction of its rates. Every other fit runs through `_least_squares`: a
+damped Gauss-Newton iteration (Levenberg-style lambda adaptation) that
+accepts only steps lowering chi^2, and stops as converged at a step that
+raises chi^2 by rounding only. Its Jacobian is exact for `fit_gamma_a1`
+(the implicit derivative of the windowed rates), `fit_rabi_trace` (the
+closed form `rabi_fit_model_jacobian`) and `fit_t5`, which therefore also
+stop, before evaluating a step, once the Newton decrement shows it could
+lower chi^2 by rounding only; `nlls`, for user models, and
 `fit_depolarization`, whose model has a kink at the pulse, take forward
 differences.
 """
@@ -213,12 +217,20 @@ def _passes(scheme):
     return 3 if scheme == "poisson" else 1
 
 
-def _minimize(predict, jacobian, y, weights, theta, f, max_iter):
+def _minimize(predict, jacobian, y, weights, theta, f, max_iter, exact):
     """Damped Gauss-Newton descent of sum(w * (y - predict(theta))^2) from
     theta, with f = predict(theta) and jacobian(theta, f) its derivative;
     returns the same pair at the end, chi2, whether it converged, the
     iteration count and the Jacobian at the end (None if not taken
-    there)."""
+    there).
+
+    With an exact Jacobian (exact=True) the descent also stops, before
+    evaluating the step, where the Newton decrement g^T N^-1 g, the chi^2
+    drop the undamped Gauss-Newton step predicts (Boyd & Vandenberghe
+    2004, 9.5.1), is at most _CHI2_RTOL chi^2. A forward-difference
+    Jacobian is only good to ~1e-8, too coarse for the decrement to see
+    a step of that size.
+    """
     def chi2_of(residual):
         return float(np.sum(weights * residual * residual))
 
@@ -237,6 +249,9 @@ def _minimize(predict, jacobian, y, weights, theta, f, max_iter):
         diag = np.diag(normal).copy()
         diag_floor = max(float(np.max(diag)), 1e-300)
         diag = np.where(diag > 0, diag, diag_floor)
+        if exact and 0.0 <= _decrement(normal, grad, diag) <= _CHI2_RTOL * chi2:
+            converged = True
+            break
 
         accepted = False
         while lam <= 1e14:
@@ -277,12 +292,26 @@ def _minimize(predict, jacobian, y, weights, theta, f, max_iter):
     return theta, f, chi2, converged, iterations, jac
 
 
+def _decrement(normal, grad, diag):
+    """The Newton decrement g^T N^-1 g of a Gauss-Newton step, solved with
+    N scaled to a unit diagonal by diag (N's positive diagonal), so that
+    parameters whose scales differ by many decades do not ruin it."""
+    scale = np.sqrt(diag)
+    g = grad / scale
+    scaled = normal / np.outer(scale, scale)
+    try:
+        return float(g @ np.linalg.solve(scaled, g))
+    except np.linalg.LinAlgError:
+        return float(g @ np.linalg.lstsq(scaled, g, rcond=None)[0])
+
+
 def _least_squares(predict, y, weights, init, names, max_iter=200,
                    uncertainty=None, jacobian=None):
     """Fit predict(theta) to y under a weighting scheme (module docstring).
 
-    jacobian(theta, f), given f = predict(theta), returns the model's
-    derivative (points x parameters); forward differences by default.
+    jacobian(theta, f), given f = predict(theta), returns the model's exact
+    derivative (points x parameters), which also lets the descent stop on
+    the Newton decrement (`_minimize`); forward differences by default.
     """
     y = np.asarray(y, dtype=float)
     w = _resolve_weights(weights, y, uncertainty)
@@ -292,7 +321,8 @@ def _least_squares(predict, y, weights, init, names, max_iter=200,
         raise ValidationError(
             f"{n_points} points cannot constrain {n_params} parameters"
         )
-    if jacobian is None:
+    exact = jacobian is not None
+    if not exact:
         jacobian = lambda theta, f: _jacobian(predict, theta, f)
     scheme = weights if isinstance(weights, str) else "array"
     f = predict(theta)
@@ -300,7 +330,7 @@ def _least_squares(predict, y, weights, init, names, max_iter=200,
         if refit:  # reweight counts by the previous fit's expectation
             w = 1.0 / np.maximum(f, 1.0)
         theta, f, chi2, converged, iterations, jac = _minimize(
-            predict, jacobian, y, w, theta, f, max_iter)
+            predict, jacobian, y, w, theta, f, max_iter, exact)
     if jac is None:
         jac = jacobian(theta, f)
     return _fit_result(names, theta, jac, w, chi2, scheme, converged,
@@ -717,19 +747,22 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
             # Newton ascent k -= h'/h'' where h is concave, else a step
             # the size of the rate uphill; a zero h' is a stationary point
             # even where e^2 underflows beyond the first sample and h'' = 0
-            uphill = np.sign(slope) * (np.abs(k) + 1.0 / tau[-1])
-            step = np.where(slope == 0.0, 0.0,
-                            np.where(curvature < 0.0, -slope / curvature, uphill))
-            if not np.isfinite(step).all():
+            step = -slope / curvature
+            other = ~(curvature < 0.0) | (slope == 0.0)
+            if np.count_nonzero(other):
+                step[other] = np.where(
+                    slope[other] == 0.0, 0.0,
+                    np.sign(slope[other]) * (np.abs(k[other]) + 1.0 / tau[-1]))
+            if np.count_nonzero(np.isfinite(step)) < len(step):
                 raise ValidationError("windowed fit took a non-finite Newton step")
-            if (np.abs(step) <= tolerance).all():
+            if np.count_nonzero(np.abs(step) > tolerance) == 0:
                 return k + step, steps, True
             # halve the steps that would lower the objective
             while True:
                 trial = _profile(wy, w, k + step, tau, powers)
                 lower = (~(trial[0] >= objective * (1.0 - _PROFILE_RTOL))
                          & (np.abs(step) > tolerance))
-                if not lower.any():
+                if not np.count_nonzero(lower):
                     break
                 step = np.where(lower, 0.5 * step, step)
             k = k + step
@@ -770,7 +803,7 @@ def _forward_times(window):
 
 
 def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix, window=DEFAULT_WINDOW,
-                        start=None):
+                        start=None, slopes=False):
     """Windowed single-exponential rates of the two-branch fluorescence.
 
     Samples the noiseless two-branch decay for each initial branch every
@@ -786,9 +819,17 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix, window=DEFAULT_WINDOW,
     two float arrays (rad/ns) with one entry per mixing rate.
 
     start, the (a1, a2) pair an earlier call returned for the same mixing
-    rates, starts the Newton solve from those rates instead of the
-    log-linear regression of each curve; near the earlier Gamma_a1 that
-    saves steps, and the solve converges to the same rates either way.
+    rates (or a prediction of it), starts the Newton solve from those rates
+    instead of the log-linear regression of each curve; near the earlier
+    Gamma_a1 that saves steps, and the solve converges to the same rates
+    either way.
+
+    slopes=True also returns the derivatives of both rates with respect to
+    Gamma_a1, (a1, a2, d_a1, d_a2), the derivatives as floats for a single
+    mixing rate and as arrays otherwise: the implicit derivative of each
+    converged windowed rate (`_windowed_rate_slopes`), from the curves'
+    Gamma_a1 derivatives, which the same array pass builds with the
+    curves. The rates are the same bits either way.
     """
     gr = rate_value(gamma_rad)
     ga1 = rate_value(gamma_a1)
@@ -817,22 +858,31 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix, window=DEFAULT_WINDOW,
     def solve(i, j):
         # curves ordered (mixing rate, branch): A1 then A2 for each rate
         modes = _a12_modes(gr, mixes[i:j, None], ga1, _BRANCHES_A1_A2)
-        curves = _a12_curves(modes, times).reshape(-1, len(times))
+        curves, d_curves = (_a12_curves(modes, times, slopes=True) if slopes
+                            else (_a12_curves(modes, times), None))
+        curves = curves.reshape(-1, len(times))
         rates, _, converged = _windowed_rates(
             curves, times, start=None if start is None else start[2 * i:2 * j])
         if not converged:
             raise ValidationError(
                 f"windowed rate did not converge in {_NEWTON_MAX_ITER} Newton steps")
-        return rates
+        rows = [rates - gr]
+        if slopes:
+            rows.append(_windowed_rate_slopes(
+                curves, d_curves.reshape(curves.shape), times, rates))
+        return np.array(rows)
 
     # long mixing sequences are solved in blocks of bounded memory
     per_block = _FORWARD_BLOCK_SAMPLES // (2 * len(times))
-    rates = np.concatenate([solve(i, i + per_block)
-                            for i in range(0, len(mixes), per_block)]) - gr
-    a1, a2 = rates[0::2], rates[1::2]
+    rows = np.concatenate([solve(i, i + per_block)
+                           for i in range(0, len(mixes), per_block)], axis=1)
+    # rates, then slopes: A1 and A2 alternate along each row
+    out = [row[branch::2] for row in rows for branch in (0, 1)]
     if scalar:
-        return AngularRate(a1[0], fitted=True), AngularRate(a2[0], fitted=True)
-    return a1, a2
+        return (AngularRate(out[0][0], fitted=True),
+                AngularRate(out[1][0], fitted=True),
+                *(float(slope[0]) for slope in out[2:]))
+    return tuple(out)
 
 
 def fit_gamma_a1(points, mix_model, gamma_rad, window=DEFAULT_WINDOW, init=None,
@@ -845,10 +895,13 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window=DEFAULT_WINDOW, init=None,
     (rad/ns). mix_model maps temperature to the mixing rate (e.g. the
     clamped empirical T^5 law). The forward model, effective_isc_rates,
     re-runs the same windowed analysis, over `window` (the FitWindow the
-    points' rates were fitted in), on noiseless two-branch decays,
-    once per trial Gamma_a1, each solve started from the rates of the
-    previous trial; the fit's Jacobian is the implicit derivative of
-    those windowed rates, which needs no further call.
+    points' rates were fitted in), on noiseless two-branch decays, in
+    exactly one call per trial Gamma_a1. That call also returns the
+    rates' Gamma_a1 slopes (slopes=True), which give the fit's Jacobian
+    at the trial and start the next trial's solve from the first-order
+    prediction rates + slopes (Gamma_a1' - Gamma_a1). The exact Jacobian
+    lets the fit stop on the Newton decrement, without a last call that
+    would only confirm a step below chi^2's rounding.
     """
     temps, rates, weights, rest = _rate_points(points)
     branches = [branch for (branch,) in rest]
@@ -863,24 +916,25 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window=DEFAULT_WINDOW, init=None,
     # accept either a callable T -> rate or a fit-form bundle
     mix_fn = getattr(mix_model, "clamped", mix_model)
     mixes = [rate_value(mix_fn(T)) for T in unique_temps.tolist()]
-    point_mixes = np.array(mixes)[temp_index]
-    times = _forward_times(window)
-    previous = None
+    # the last forward call: its Gamma_a1, then (a1, a2) rates and slopes
+    last = None
 
     def predict(theta):
         # one forward-model call covers every temperature and branch
-        nonlocal previous
-        previous = effective_isc_rates(gr, float(theta[0]), mixes, window,
-                                       start=previous)
-        return np.stack(previous)[branch_index, temp_index]
+        nonlocal last
+        ga1 = float(theta[0])
+        start = None if last is None else last[1] + last[2] * (ga1 - last[0])
+        out = np.array(effective_isc_rates(gr, ga1, mixes, window, start=start,
+                                           slopes=True))
+        last = ga1, out[:2], out[2:]
+        return last[1][branch_index, temp_index]
 
     def jacobian(theta, f):
-        # implicit derivative of the windowed rates f + gr that
-        # predict(theta) returned: no forward-model call
-        curves, slopes = _a12_curves(
-            _a12_modes(gr, point_mixes, float(theta[0]), branch_index == 0),
-            times, slopes=True)
-        return _windowed_rate_slopes(curves, slopes, times, f + gr)[:, None]
+        # the slopes of the forward call at theta, which _minimize takes
+        # only where it has just evaluated predict
+        if last[0] != float(theta[0]):
+            predict(theta)
+        return last[2][branch_index, temp_index][:, None]
 
     a1_rates = [g for g, branch in zip(rates, branches) if branch == "A1"]
     default_init = max(a1_rates) if a1_rates else max(rates.max(), 1e-3)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nvphonon import cli, closedform, estimate, phonon, synth, verify
 from nvphonon.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_MODEL,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -511,6 +512,19 @@ rates.gamma_isc_mhz = 16.0
     out = tmp_path / "x.csv"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) \
         == EXIT_MODEL
+
+
+def test_unexpected_exception_is_one_line_internal_error(monkeypatch, capsys):
+    # an exception outside the documented error classes is a defect, but
+    # still ends with one stderr line and its own exit code, not a traceback
+    def broken(args):
+        raise RuntimeError("lost a step")
+
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    assert cli.main(["verify"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: lost a step\n"
 
 
 # ---------------------------------------------------------------------------

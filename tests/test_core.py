@@ -128,6 +128,49 @@ def test_trace_uncertainty_shape_checked():
         TimeTrace(times, np.ones(3), uncertainty=np.ones(2))
 
 
+TIMES = np.arange(4, dtype=float)
+NOT_FINITE = "trace times must be finite"
+NOT_INCREASING = "trace times must be strictly increasing"
+
+
+@pytest.mark.parametrize("times, values, kwargs, message", [
+    ([np.nan, 1.0, 2.0, 3.0], np.ones(4), {}, NOT_FINITE),
+    ([0.0, 1.0, np.nan, 3.0], np.ones(4), {}, NOT_FINITE),
+    ([0.0, 1.0, 2.0, np.nan], np.ones(4), {}, NOT_FINITE),
+    ([-np.inf, 1.0, 2.0, 3.0], np.ones(4), {}, NOT_FINITE),
+    ([0.0, 1.0, 2.0, np.inf], np.ones(4), {}, NOT_FINITE),
+    ([np.inf, 1.0, 2.0, 3.0], np.ones(4), {}, NOT_FINITE),
+    ([0.0, np.inf, np.inf, 3.0], np.ones(4), {}, NOT_FINITE),
+    ([0.0, 1.0, 1.0, 3.0], np.ones(4), {}, NOT_INCREASING),
+    ([0.0, 2.0, 1.0, 3.0], np.ones(4), {}, NOT_INCREASING),
+    (TIMES, [1.0, np.nan, 1.0, 1.0], {}, "trace values must be finite"),
+    (TIMES, [1.0, 1.0, np.inf, 1.0], {}, "trace values must be finite"),
+    (TIMES, np.array([4, -1, 2, 0]), {},
+     "count traces must be >= 0 before subtraction"),
+    (TIMES, np.ones(4), dict(uncertainty=np.ones(3)),
+     "uncertainty must match times in length"),
+    (TIMES, np.ones(4), dict(uncertainty=[1.0, np.nan, 1.0, 1.0]),
+     "uncertainty must be finite and >= 0"),
+    (TIMES, np.ones(4), dict(uncertainty=[1.0, 1.0, -0.5, 1.0]),
+     "uncertainty must be finite and >= 0"),
+], ids=["nan-time-first", "nan-time-middle", "nan-time-last",
+        "-inf-time-first", "inf-time-last", "inf-time-first", "inf-times-middle",
+        "repeated-time", "decreasing-time", "nan-value", "inf-value",
+        "negative-counts", "uncertainty-shape", "nan-uncertainty",
+        "negative-uncertainty"])
+def test_trace_refusals(times, values, kwargs, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        TimeTrace(np.asarray(times, dtype=float), values, **kwargs)
+
+
+@pytest.mark.parametrize("values", [np.array([4, -1, 2, 0]),
+                                    np.array([4.0, -1.0, 2.0, 0.0])],
+                         ids=["counts", "floats"])
+def test_trace_keeps_negative_subtracted_values(values):
+    trace = TimeTrace(TIMES, values, background_subtracted=True)
+    np.testing.assert_array_equal(trace.values, values)
+
+
 def test_trace_window():
     trace = _simple_trace()
     cut = trace.window(1.0, 2.0)
