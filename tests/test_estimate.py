@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -327,6 +328,37 @@ def test_window_fit_bits_are_pinned(weights):
     assert (fit["amplitude"].hex(), fit["rate"].hex(),
             fit.sigma_of("amplitude").hex(), fit.sigma_of("rate").hex(),
             fit.chi2.hex(), fit.iterations) == WINDOW_FIT_BITS[weights]
+
+
+def _hex_digest(rows):
+    """sha256 of rows of floats (by float.hex) and other scalars (by str)."""
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(" ".join(value.hex() if isinstance(value, float)
+                               else str(value) for value in row).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+# digests of (amplitude, rate, sigma_amplitude, sigma_rate, chi2, Newton
+# steps, converged) of the 160 window fits of criterion-5 seeds 0-9
+CRITERION5_WINDOW_FIT_DIGESTS = {
+    "uniform": "b0b84fbbf2f02edd0a66d497084f966932078e1445a727cbae9157a86b5b15d1",
+    "poisson": "00793e8ff9f4fd2743398bee61f89d4622959ffc73cbfd8494506efffe977745",
+}
+
+
+@pytest.mark.parametrize("weights", list(CRITERION5_WINDOW_FIT_DIGESTS))
+def test_criterion5_window_fit_bits_are_pinned(weights):
+    rows = []
+    for seed in range(10):
+        for trace in _criterion5_traces(seed):
+            fit = estimate.fit_exponential_window(trace, estimate.DEFAULT_WINDOW,
+                                                  weights=weights)
+            rows.append((fit["amplitude"], fit["rate"],
+                         fit.sigma_of("amplitude"), fit.sigma_of("rate"),
+                         fit.chi2, fit.iterations, fit.converged))
+    assert _hex_digest(rows) == CRITERION5_WINDOW_FIT_DIGESTS[weights]
 
 
 @settings(max_examples=60, deadline=None)
@@ -774,6 +806,34 @@ def test_effective_rates_scalar_slopes_are_floats():
     assert pair[0].fitted and pair[1].fitted
     np.testing.assert_allclose([pair[0].value, pair[1].value, pair[2], pair[3]],
                                [column[3] for column in whole], rtol=1e-12)
+
+
+# digests of the windowed rates (slopes=False) at the criterion-5
+# temperatures, from the sequence call and from one scalar call per mixing
+# rate, solved cold or started from the rates at 0.9 Gamma_A1
+FORWARD_RATE_DIGESTS = {
+    (0.03, "cold"): "e9e5b20dc2fc0cd82f933ca178638be6c796d7a7379f1bee76ea19fe1c85bc92",
+    (0.03, "warm"): "b72f9049689321264dbcf2f37b0741e004614486bd2dac6a1bd020c27a7d0989",
+    (0.1, "cold"): "5f0fe9774b2539a54e431088ffa5c0055905faa22c149cb721bc67903cd476f6",
+    (0.1, "warm"): "99833304779fb54fd39783fff718be73420db7f9ad737cd9c6c5e6e96a869c4a",
+    (0.3, "cold"): "e61c3a78664fe293705bfc11b0d8bf1acf1a02fcbc0931b5900337e48c0a1be7",
+    (0.3, "warm"): "1179c0dc05f225663ceaf070df1124aaa110a667240b52c204e3b617bcf8202a",
+}
+
+
+@pytest.mark.parametrize("gamma_a1, start", list(FORWARD_RATE_DIGESTS))
+def test_effective_rates_bits_are_pinned(gamma_a1, start):
+    gr = CRITERION_GAMMA_RAD
+    mixes = FORWARD_MIXES[1:]
+    warm = (np.stack(estimate.effective_isc_rates(gr, 0.9 * gamma_a1, mixes))
+            if start == "warm" else None)
+    rows = [tuple(branch.tolist()) for branch in
+            estimate.effective_isc_rates(gr, gamma_a1, mixes, start=warm)]
+    for i, mix in enumerate(mixes):
+        pair = estimate.effective_isc_rates(
+            gr, gamma_a1, mix, start=None if warm is None else warm[:, i])
+        rows.append(tuple(rate.value for rate in pair))
+    assert _hex_digest(rows) == FORWARD_RATE_DIGESTS[gamma_a1, start]
 
 
 @pytest.mark.parametrize("start", [
