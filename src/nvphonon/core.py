@@ -14,7 +14,6 @@ Unit conventions used throughout the package:
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -225,17 +224,15 @@ class TimeTrace:
         # strictly increasing times between finite endpoints are all finite
         # (a comparison with nan is false), so isfinite runs only to choose
         # the message of a refusal
-        with np.errstate(invalid="ignore"):  # inf - inf
-            increasing = np.all(np.diff(times) > 0)
-        if not (increasing and math.isfinite(times[0])
+        if not ((times[1:] > times[:-1]).all() and math.isfinite(times[0])
                 and math.isfinite(times[-1])):
-            if not np.all(np.isfinite(times)):
+            if not np.isfinite(times).all():
                 raise ValidationError("trace times must be finite")
             raise ValidationError("trace times must be strictly increasing")
-        if np.issubdtype(values.dtype, np.integer):
-            if not self.background_subtracted and np.any(values < 0):
+        if values.dtype.kind in "iu":  # integer counts
+            if not self.background_subtracted and values.min() < 0:
                 raise ValidationError("count traces must be >= 0 before subtraction")
-        elif not np.all(np.isfinite(np.asarray(values, dtype=float))):
+        elif not np.isfinite(np.asarray(values, dtype=float)).all():
             raise ValidationError("trace values must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", _read_only(values))
@@ -259,14 +256,15 @@ class TimeTrace:
         """
         if length <= 0:
             raise ValidationError("window length must be > 0")
-        # the selection is contiguous, as times are strictly increasing
-        selected = np.flatnonzero((self.times >= start)
-                                  & (self.times <= start + length))
-        if not len(selected):
+        # times are sorted, so the samples in the window are one slice
+        stop = start + length
+        first = int(np.searchsorted(self.times, start, side="left"))
+        end = int(np.searchsorted(self.times, stop, side="right"))
+        if not (first < end and stop >= start):  # a NaN bound selects none
             raise ValidationError("window selects no samples")
-        part = slice(selected[0], selected[-1] + 1)
-        sub = copy.copy(self)
-        for name in ("times", "values", "uncertainty"):
-            array = getattr(self, name)
-            object.__setattr__(sub, name, None if array is None else array[part])
+        sub = object.__new__(type(self))
+        vars(sub).update(vars(self), times=self.times[first:end],
+                         values=self.values[first:end],
+                         uncertainty=None if self.uncertainty is None
+                         else self.uncertainty[first:end])
         return sub

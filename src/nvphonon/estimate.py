@@ -62,6 +62,8 @@ _NEWTON_RTOL = 1e-9
 # not resolve above that are still up to 1e-8 of the rate
 _PROFILE_RTOL = 1e-12
 _NEWTON_MAX_ITER = 30
+# rows up to which _windowed_rates steps on Python floats (see there)
+_FLOAT_ROWS = 16
 _WINDOW_FIT_MAX_ITER = 200         # Newton steps of a data-side window fit
 # a Gauss-Newton step raising chi^2 by less than this share ends the fit:
 # a model evaluated by iterative solves (fit_gamma_a1's forward model)
@@ -184,9 +186,9 @@ def _covariance(jac, weights, chi2, dof, scale):
     normal = scaled.T @ scaled
     vals, vecs = np.linalg.eigh(normal)
     top = float(vals.max()) if len(vals) else 0.0
-    full_rank = vals > max(top, 0.0) * 1e-12
-    inv_vals = np.where(full_rank, 1.0 / np.where(full_rank, vals, 1.0),
-                        _HUGE_VARIANCE)
+    floor = max(top, 0.0) * 1e-12
+    inv_vals = np.array([1.0 / val if val > floor else _HUGE_VARIANCE
+                         for val in vals.tolist()])
     cov = (vecs * inv_vals) @ vecs.T / (norms[:, None] * norms)
     if scale and dof > 0:
         cov = cov * (chi2 / dof)
@@ -378,16 +380,16 @@ def _fit_windows(t, y, w, scheme, max_iter):
         model = decay * (np.vecdot(w_decay, y)
                          / np.vecdot(w_decay, decay))[:, None]
     with np.errstate(over="ignore"):
-        amplitudes = model[:, 0] * np.exp(rates * t[0])
+        amplitudes = (model[:, 0] * np.exp(rates * t[0])).tolist()
     residual = y - model
-    chi2 = np.vecdot(w * residual, residual)
-    results = []
-    for i, rate in enumerate(rates.tolist()):
-        jac = np.array([decay[i] * math.exp(-rate * t[0]), -t * model[i]]).T
-        results.append(_fit_result(
-            ("amplitude", "rate"), np.array([float(amplitudes[i]), rate]), jac,
-            w[i], float(chi2[i]), scheme, converged, iterations))
-    return results
+    chi2 = np.vecdot(w * residual, residual).tolist()
+    t0 = float(t[0])
+    return [_fit_result(("amplitude", "rate"), np.array([amplitude, rate]),
+                        np.array([decay[i] * math.exp(-rate * t0),
+                                  -t * model[i]]).T,
+                        w[i], chi2[i], scheme, converged, iterations)
+            for i, (amplitude, rate)
+            in enumerate(zip(amplitudes, rates.tolist()))]
 
 
 def fit_exponential_window(trace, window, weights="uniform",
@@ -686,13 +688,41 @@ def _decays(k, tau):
     return np.exp(np.minimum(k, 0.0)[:, None] * tau[-1] - k[:, None] * tau)
 
 
+def _profile_terms(s_ye, f_ye, q_ye, s_ee, f_ee, q_ee):
+    """S1^2/S2, h' = mean_ee - mean_ye and h'' = var_ye - 2 var_ee from the
+    sums of w y e and w e^2 times 1, tau and tau^2; floats or arrays."""
+    mean_ye = f_ye / s_ye
+    mean_ee = f_ee / s_ee
+    var_ye = q_ye / s_ye - mean_ye * mean_ye
+    var_ee = q_ee / s_ee - mean_ee * mean_ee
+    return s_ye * s_ye / s_ee, mean_ee - mean_ye, var_ye - 2.0 * var_ee
+
+
+def _profile_sums(wy, w, k, tau, powers):
+    """The sums of w y e and of w e^2 times 1, tau and tau^2 at the rates
+    k, one row of three per rate: the array work of a profile."""
+    e = _decays(k, tau)
+    return (wy * e) @ powers, (w * e * e) @ powers
+
+
 def _profile(wy, w, k, tau, powers):
     """The projected objective S1^2/S2 of `_windowed_rates` at the rates
-    k, with h' = mean_ee - mean_ye and h'' = var_ye - 2 var_ee."""
-    e = _decays(k, tau)
-    s_ye, mean_ye, var_ye = _moments(wy * e, powers)
-    s_ee, mean_ee, var_ee = _moments(w * e * e, powers)
-    return s_ye * s_ye / s_ee, mean_ee - mean_ye, var_ye - 2.0 * var_ee
+    k, with h' and h'', as arrays."""
+    ye, ee = _profile_sums(wy, w, k, tau, powers)
+    return _profile_terms(*ye.T, *ee.T)
+
+
+def _profile_rows(wy, w, k, tau, powers):
+    """`_profile` at the rates of the list k, as one float triple a row."""
+    ye, ee = _profile_sums(wy, w, np.array(k), tau, powers)
+    rows = []
+    for sums in zip(ye.tolist(), ee.tolist()):
+        try:
+            rows.append(_profile_terms(*sums[0], *sums[1]))
+        except ZeroDivisionError:  # numpy's inf or nan, as on arrays
+            rows.append(tuple(map(float, _profile_terms(
+                *np.array(sums[0] + sums[1])))))
+    return rows
 
 
 def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
@@ -712,6 +742,17 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
     not concave the step goes uphill by the rate's own size. h is
     unchanged by shifting t or rescaling e, so t is measured from the
     window start and e is scaled to a maximum of 1.
+
+    Cost model: every evaluation of the profile is array work over all
+    rows at once, one exp and two (rows x samples) @ (samples x 3)
+    moment products. The rest is per row: the means and variances, the
+    step choice, the tolerance test and the halving. Up to _FLOAT_ROWS
+    rows it runs on Python floats (`_float_newton`), where numpy would
+    cost ~1 us a call on length-1 arrays; beyond, on arrays with row masks
+    (`_array_newton`), where a Python loop would cost ~0.5 us a row. +,
+    -, * and / give the same IEEE results on floats as numpy's
+    elementwise operations, and the rows step together either way, so
+    both give the same bits.
 
     Returns (k, steps, converged): the Newton steps taken, at most
     max_iter, and whether the last one was within tolerance for every
@@ -741,32 +782,80 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
             k = np.asarray(start, dtype=float)
         if not np.isfinite(k).all():
             raise ValidationError("windowed fit has a non-finite starting rate")
-        tolerance = _NEWTON_RTOL * (np.abs(k) + 1.0 / tau[-1])
-        objective, slope, curvature = _profile(wy, w, k, tau, powers)
-        for steps in range(1, max_iter + 1):
-            # Newton ascent k -= h'/h'' where h is concave, else a step
-            # the size of the rate uphill; a zero h' is a stationary point
-            # even where e^2 underflows beyond the first sample and h'' = 0
-            step = -slope / curvature
-            other = ~(curvature < 0.0) | (slope == 0.0)
-            if np.count_nonzero(other):
-                step[other] = np.where(
-                    slope[other] == 0.0, 0.0,
-                    np.sign(slope[other]) * (np.abs(k[other]) + 1.0 / tau[-1]))
-            if np.count_nonzero(np.isfinite(step)) < len(step):
-                raise ValidationError("windowed fit took a non-finite Newton step")
-            if np.count_nonzero(np.abs(step) > tolerance) == 0:
-                return k + step, steps, True
-            # halve the steps that would lower the objective
-            while True:
-                trial = _profile(wy, w, k + step, tau, powers)
-                lower = (~(trial[0] >= objective * (1.0 - _PROFILE_RTOL))
-                         & (np.abs(step) > tolerance))
-                if not np.count_nonzero(lower):
-                    break
-                step = np.where(lower, 0.5 * step, step)
-            k = k + step
-            objective, slope, curvature = trial
+        newton = _float_newton if len(k) <= _FLOAT_ROWS else _array_newton
+        return newton(wy, w, k, tau, powers, max_iter)
+
+
+def _float_newton(wy, w, k, tau, powers, max_iter):
+    """The Newton steps of `_windowed_rates` from the rates k, per row on
+    Python floats."""
+    k = k.tolist()
+    inverse_span = 1.0 / float(tau[-1])
+    tolerance = [_NEWTON_RTOL * (abs(rate) + inverse_span) for rate in k]
+    profile = _profile_rows(wy, w, k, tau, powers)
+    for steps in range(1, max_iter + 1):
+        step = [_newton_step(rate, slope, curvature, inverse_span)
+                for rate, (_, slope, curvature) in zip(k, profile)]
+        if not all(map(math.isfinite, step)):
+            raise ValidationError("windowed fit took a non-finite Newton step")
+        if all(abs(d) <= tol for d, tol in zip(step, tolerance)):
+            return np.array([rate + d for rate, d in zip(k, step)]), steps, True
+        # halve the steps that would lower the objective
+        while True:
+            trial_k = [rate + d for rate, d in zip(k, step)]
+            trial = _profile_rows(wy, w, trial_k, tau, powers)
+            lower = [abs(d) > tol
+                     and not trial_row[0] >= row[0] * (1.0 - _PROFILE_RTOL)
+                     for trial_row, row, d, tol
+                     in zip(trial, profile, step, tolerance)]
+            if not any(lower):
+                break
+            step = [0.5 * d if halve else d for d, halve in zip(step, lower)]
+        k, profile = trial_k, trial
+    return np.array(k), max_iter, False
+
+
+def _newton_step(rate, slope, curvature, inverse_span):
+    """Newton ascent -h'/h'' where h is concave, else a step the size of
+    the rate uphill; a zero h' is a stationary point even where e^2
+    underflows beyond the first sample and h'' = 0, and a NaN h' gives a
+    NaN step."""
+    if curvature < 0.0 and slope != 0.0:
+        return -slope / curvature
+    if slope > 0.0:
+        return abs(rate) + inverse_span
+    if slope < 0.0:
+        return -(abs(rate) + inverse_span)
+    return 0.0 if slope == 0.0 else math.nan
+
+
+def _array_newton(wy, w, k, tau, powers, max_iter):
+    """The Newton steps of `_windowed_rates` from the rates k, on arrays
+    of rows; `_newton_step` and the halving of `_float_newton` as row
+    masks."""
+    tolerance = _NEWTON_RTOL * (np.abs(k) + 1.0 / tau[-1])
+    objective, slope, curvature = _profile(wy, w, k, tau, powers)
+    for steps in range(1, max_iter + 1):
+        step = -slope / curvature
+        other = ~(curvature < 0.0) | (slope == 0.0)
+        if np.count_nonzero(other):
+            step[other] = np.where(
+                slope[other] == 0.0, 0.0,
+                np.sign(slope[other]) * (np.abs(k[other]) + 1.0 / tau[-1]))
+        if np.count_nonzero(np.isfinite(step)) < len(step):
+            raise ValidationError("windowed fit took a non-finite Newton step")
+        if np.count_nonzero(np.abs(step) > tolerance) == 0:
+            return k + step, steps, True
+        # halve the steps that would lower the objective
+        while True:
+            trial = _profile(wy, w, k + step, tau, powers)
+            lower = (~(trial[0] >= objective * (1.0 - _PROFILE_RTOL))
+                     & (np.abs(step) > tolerance))
+            if not np.count_nonzero(lower):
+                break
+            step = np.where(lower, 0.5 * step, step)
+        k = k + step
+        objective, slope, curvature = trial
     return k, max_iter, False
 
 
