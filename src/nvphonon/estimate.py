@@ -39,6 +39,7 @@ differences.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -307,14 +308,23 @@ def _decrement(normal, grad, diag):
         return float(g @ np.linalg.lstsq(scaled, g, rcond=None)[0])
 
 
+def _require_max_iter(max_iter):
+    """Refuse an iteration cap that is not an integer >= 1."""
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
+            or max_iter < 1):
+        raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+
+
 def _least_squares(predict, y, weights, init, names, max_iter=200,
                    uncertainty=None, jacobian=None):
-    """Fit predict(theta) to y under a weighting scheme (module docstring).
+    """Fit predict(theta) to y under a weighting scheme (module docstring),
+    in at most max_iter Gauss-Newton iterations a pass.
 
     jacobian(theta, f), given f = predict(theta), returns the model's exact
     derivative (points x parameters), which also lets the descent stop on
     the Newton decrement (`_minimize`); forward differences by default.
     """
+    _require_max_iter(max_iter)
     y = np.asarray(y, dtype=float)
     w = _resolve_weights(weights, y, uncertainty)
     theta = np.array(init, dtype=float)
@@ -405,8 +415,10 @@ def fit_exponential_window(trace, window, weights="uniform",
     steps of each solve ("poisson" runs three); `iterations` reports the
     Newton steps of the last solve, and a solve stopped by the cap gives
     converged=False. Times are absolute (not window-relative), so `rate`
-    is directly comparable across windows.
+    is directly comparable across windows. A cap that is not an integer
+    >= 1 raises ValidationError.
     """
+    _require_max_iter(max_iter)
     sub = trace.window(window.start, window.length)
     y = np.asarray(sub.values, dtype=float)
     w = _resolve_weights(weights, y, sub.uncertainty)

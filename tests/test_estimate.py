@@ -290,6 +290,34 @@ def test_window_fit_iteration_cap():
     assert not capped.converged and capped.iterations == 1
     full = estimate.fit_exponential_window(trace, window)
     assert full.converged and 1 <= full.iterations <= 200
+    numpy_cap = estimate.fit_exponential_window(trace, window, max_iter=np.int64(1))
+    assert numpy_cap.values.tobytes() == capped.values.tobytes()
+
+
+# every fit with an iteration cap, called with the cap given
+CAPPED_FITS = {
+    "window": lambda cap: estimate.fit_exponential_window(
+        _exp_trace(), FitWindow(0.0, 100.0), max_iter=cap),
+    "nlls": lambda cap: estimate.nlls(
+        lambda t, a, k: a * np.exp(-k * t), _exp_trace(),
+        {"a": 30.0, "k": 0.1}, max_iter=cap),
+    "rabi": lambda cap: estimate.fit_rabi_trace(_rabi_trace(), max_iter=cap),
+    "t5": lambda cap: estimate.fit_t5(_t5_points(), max_iter=cap),
+    "depolarization": lambda cap: estimate.fit_depolarization(
+        _depol_traces(), GAMMA_MIX_COLD, GAMMA_MIX_WARM, GAMMA_RAD,
+        max_iter=cap),
+    "gamma_a1": lambda cap: estimate.fit_gamma_a1(
+        _gamma_a1_points(), phonon.MIXING_FIT_DEFAULT, GAMMA_RAD,
+        max_iter=cap),
+}
+
+
+@pytest.mark.parametrize("cap", [0, -1, 1.5, 2.0, "3", True, None])
+@pytest.mark.parametrize("fit", list(CAPPED_FITS))
+def test_fits_refuse_a_malformed_iteration_cap(fit, cap):
+    with pytest.raises(ValidationError,
+                       match=rf"^max_iter must be an integer >= 1, got {cap!r}$"):
+        CAPPED_FITS[fit](cap)
 
 
 # float.hex of (amplitude, rate, sigma_amplitude, sigma_rate, chi2) and the
