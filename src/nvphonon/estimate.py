@@ -687,14 +687,6 @@ def fit_depolarization(traces, gamma_mix_cold, gamma_mix_warm, gamma_rad,
     return result.with_derived(bright_channel=bright_channel)
 
 
-def _moments(weights, powers):
-    """Total, mean and variance of tau under each row of weights; the
-    columns of powers are 1, tau and tau^2."""
-    total, first, second = (weights @ powers).T
-    mean = first / total
-    return total, mean, second / total - mean * mean
-
-
 def _decays(k, tau):
     """exp(-k tau) for each rate k (rows), scaled to a maximum of 1."""
     return np.exp(np.minimum(k, 0.0)[:, None] * tau[-1] - k[:, None] * tau)
@@ -711,22 +703,25 @@ def _profile_terms(s_ye, f_ye, q_ye, s_ee, f_ee, q_ee):
 
 
 def _profile_sums(wy, w, k, tau, powers):
-    """The sums of w y e and of w e^2 times 1, tau and tau^2 at the rates
-    k, one row of three per rate: the array work of a profile."""
+    """The decays e at the rates k, then the sums of w y e and of w e^2
+    times 1, tau and tau^2, one row of three per rate: the array work of
+    a profile."""
     e = _decays(k, tau)
-    return (wy * e) @ powers, (w * e * e) @ powers
+    return e, (wy * e) @ powers, (w * e * e) @ powers
 
 
 def _profile(wy, w, k, tau, powers):
-    """The projected objective S1^2/S2 of `_windowed_rates` at the rates
-    k, with h' and h'', as arrays."""
-    ye, ee = _profile_sums(wy, w, k, tau, powers)
-    return _profile_terms(*ye.T, *ee.T)
+    """The decays and the sums of w y e of `_profile_sums`, then the
+    projected objective S1^2/S2 of `_windowed_rates` at the rates k, h'
+    and h'', as arrays."""
+    e, ye, ee = _profile_sums(wy, w, k, tau, powers)
+    return e, ye, *_profile_terms(*ye.T, *ee.T)
 
 
 def _profile_rows(wy, w, k, tau, powers):
-    """`_profile` at the rates of the list k, as one float triple a row."""
-    ye, ee = _profile_sums(wy, w, np.array(k), tau, powers)
+    """`_profile` at the rates of the list k, with S1^2/S2, h' and h'' as
+    one float triple a row."""
+    e, ye, ee = _profile_sums(wy, w, np.array(k), tau, powers)
     rows = []
     for sums in zip(ye.tolist(), ee.tolist()):
         try:
@@ -734,11 +729,11 @@ def _profile_rows(wy, w, k, tau, powers):
         except ZeroDivisionError:  # numpy's inf or nan, as on arrays
             rows.append(tuple(map(float, _profile_terms(
                 *np.array(sums[0] + sums[1])))))
-    return rows
+    return e, ye, rows
 
 
 def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
-                    start=None):
+                    start=None, dy=None):
     """Rate k of the least-squares fit of A exp(-k t) to each row of y
     (curves x samples) on the common sample times t, with per-sample
     weights broadcasting against y (uniform when None).
@@ -768,8 +763,10 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
 
     Returns (k, steps, converged): the Newton steps taken, at most
     max_iter, and whether the last one was within tolerance for every
-    curve. A non-finite start or step (all-zero weights, say) raises
-    ValidationError.
+    curve. Given dy, the derivatives of y with respect to a parameter p,
+    it also returns dk/dp (`_windowed_rate_slopes`) from the profile of
+    the last step. A non-finite start or step (all-zero weights, say)
+    raises ValidationError.
     """
     if len(t) < 3:
         raise ValidationError("window must contain at least 3 samples")
@@ -795,23 +792,29 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
         if not np.isfinite(k).all():
             raise ValidationError("windowed fit has a non-finite starting rate")
         newton = _float_newton if len(k) <= _FLOAT_ROWS else _array_newton
-        return newton(wy, w, k, tau, powers, max_iter)
+        k, steps, converged, last = newton(wy, w, k, tau, powers, max_iter)
+    if dy is None:
+        return k, steps, converged
+    return k, steps, converged, _windowed_rate_slopes(w * dy, tau, *last)
 
 
 def _float_newton(wy, w, k, tau, powers, max_iter):
     """The Newton steps of `_windowed_rates` from the rates k, per row on
-    Python floats."""
+    Python floats: (k, steps, converged) and the decays, sums of w y e
+    and h'' of the last profile evaluated."""
     k = k.tolist()
     inverse_span = 1.0 / float(tau[-1])
     tolerance = [_NEWTON_RTOL * (abs(rate) + inverse_span) for rate in k]
-    profile = _profile_rows(wy, w, k, tau, powers)
+    e, ye, profile = _profile_rows(wy, w, k, tau, powers)
+    converged = False
     for steps in range(1, max_iter + 1):
         step = [_newton_step(rate, slope, curvature, inverse_span)
                 for rate, (_, slope, curvature) in zip(k, profile)]
         if not all(map(math.isfinite, step)):
             raise ValidationError("windowed fit took a non-finite Newton step")
         if all(abs(d) <= tol for d, tol in zip(step, tolerance)):
-            return np.array([rate + d for rate, d in zip(k, step)]), steps, True
+            k, converged = [rate + d for rate, d in zip(k, step)], True
+            break
         # halve the steps that would lower the objective
         while True:
             trial_k = [rate + d for rate, d in zip(k, step)]
@@ -819,12 +822,14 @@ def _float_newton(wy, w, k, tau, powers, max_iter):
             lower = [abs(d) > tol
                      and not trial_row[0] >= row[0] * (1.0 - _PROFILE_RTOL)
                      for trial_row, row, d, tol
-                     in zip(trial, profile, step, tolerance)]
+                     in zip(trial[2], profile, step, tolerance)]
             if not any(lower):
                 break
             step = [0.5 * d if halve else d for d, halve in zip(step, lower)]
-        k, profile = trial_k, trial
-    return np.array(k), max_iter, False
+        k, (e, ye, profile) = trial_k, trial
+    curvature = np.array([row[2] for row in profile])
+    return (np.array(k), steps if converged else max_iter, converged,
+            (e, ye, curvature))
 
 
 def _newton_step(rate, slope, curvature, inverse_span):
@@ -843,10 +848,10 @@ def _newton_step(rate, slope, curvature, inverse_span):
 
 def _array_newton(wy, w, k, tau, powers, max_iter):
     """The Newton steps of `_windowed_rates` from the rates k, on arrays
-    of rows; `_newton_step` and the halving of `_float_newton` as row
-    masks."""
+    of rows, as `_float_newton` returns them; `_newton_step` and the
+    halving as row masks."""
     tolerance = _NEWTON_RTOL * (np.abs(k) + 1.0 / tau[-1])
-    objective, slope, curvature = _profile(wy, w, k, tau, powers)
+    e, ye, objective, slope, curvature = _profile(wy, w, k, tau, powers)
     for steps in range(1, max_iter + 1):
         step = -slope / curvature
         other = ~(curvature < 0.0) | (slope == 0.0)
@@ -857,37 +862,36 @@ def _array_newton(wy, w, k, tau, powers, max_iter):
         if np.count_nonzero(np.isfinite(step)) < len(step):
             raise ValidationError("windowed fit took a non-finite Newton step")
         if np.count_nonzero(np.abs(step) > tolerance) == 0:
-            return k + step, steps, True
+            return k + step, steps, True, (e, ye, curvature)
         # halve the steps that would lower the objective
         while True:
             trial = _profile(wy, w, k + step, tau, powers)
-            lower = (~(trial[0] >= objective * (1.0 - _PROFILE_RTOL))
+            lower = (~(trial[2] >= objective * (1.0 - _PROFILE_RTOL))
                      & (np.abs(step) > tolerance))
             if not np.count_nonzero(lower):
                 break
             step = np.where(lower, 0.5 * step, step)
         k = k + step
-        objective, slope, curvature = trial
-    return k, max_iter, False
+        e, ye, objective, slope, curvature = trial
+    return k, max_iter, False, (e, ye, curvature)
 
 
-def _windowed_rate_slopes(y, dy, t, k):
-    """Derivatives dk/dp of the uniform-weight rates k that
-    `_windowed_rates` fitted to the curves y, given dy = dy/dp.
+def _windowed_rate_slopes(wdy, tau, e, ye, curvature):
+    """Derivatives dk/dp of windowed rates k from w dy/dp (wdy) and the
+    last profile of their solve: its decays e, the sums of w y e times 1,
+    tau and tau^2 (ye) and h'' (curvature).
 
     At the optimum h'(k; y) = mean_ee - mean_ye = 0, so by the implicit
     function theorem dk/dp = (d mean_ye/dp) / h''(k), with
-    d mean_ye/dp = sum(dy e (t - mean_ye)) / sum(y e): one pass over the
-    moments, no Newton steps.
+    d mean_ye/dp = sum(w dy e (tau - mean_ye)) / sum(w y e): one pass over
+    dy, no exp and no Newton steps. The profile is taken one Newton step,
+    within the solve's tolerance, before the returned rates, which moves
+    the slopes by ~1e-9 relative.
     """
-    tau = t - t[0]
-    powers = np.stack([np.ones_like(tau), tau, tau * tau], axis=1)
-    e = _decays(k, tau)
-    _, mean_ye, var_ye = _moments(y * e, powers)
-    _, _, var_ee = _moments(e * e, powers)
-    dye = dy * e
-    d_mean_ye = (dye @ tau - mean_ye * dye.sum(axis=1)) / (y * e).sum(axis=1)
-    return d_mean_ye / (var_ye - 2.0 * var_ee)
+    total, first, _ = ye.T
+    dye = wdy * e
+    d_mean_ye = (dye @ tau - first / total * dye.sum(axis=1)) / total
+    return d_mean_ye / curvature
 
 
 def _forward_times(window):
@@ -962,16 +966,13 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix, window=DEFAULT_WINDOW,
         curves, d_curves = (_a12_curves(modes, times, slopes=True) if slopes
                             else (_a12_curves(modes, times), None))
         curves = curves.reshape(-1, len(times))
-        rates, _, converged = _windowed_rates(
-            curves, times, start=None if start is None else start[2 * i:2 * j])
+        rates, _, converged, *rate_slopes = _windowed_rates(
+            curves, times, start=None if start is None else start[2 * i:2 * j],
+            dy=None if d_curves is None else d_curves.reshape(curves.shape))
         if not converged:
             raise ValidationError(
                 f"windowed rate did not converge in {_NEWTON_MAX_ITER} Newton steps")
-        rows = [rates - gr]
-        if slopes:
-            rows.append(_windowed_rate_slopes(
-                curves, d_curves.reshape(curves.shape), times, rates))
-        return np.array(rows)
+        return np.array([rates - gr, *rate_slopes])
 
     # long mixing sequences are solved in blocks of bounded memory
     per_block = _FORWARD_BLOCK_SAMPLES // (2 * len(times))
@@ -1000,7 +1001,9 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window=DEFAULT_WINDOW, init=None,
     exactly one call per trial Gamma_a1. That call also returns the
     rates' Gamma_a1 slopes (slopes=True), which give the fit's Jacobian
     at the trial and start the next trial's solve from the first-order
-    prediction rates + slopes (Gamma_a1' - Gamma_a1). The exact Jacobian
+    prediction rates + slopes (Gamma_a1' - Gamma_a1); the first trial's
+    solve starts from the points' own rates, or cold if some branch at
+    some temperature has no point. The exact Jacobian
     lets the fit stop on the Newton decrement, without a last call that
     would only confirm a step below chi^2's rounding.
     """
@@ -1017,6 +1020,14 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window=DEFAULT_WINDOW, init=None,
     # accept either a callable T -> rate or a fit-form bundle
     mix_fn = getattr(mix_model, "clamped", mix_model)
     mixes = [rate_value(mix_fn(T)) for T in unique_temps.tolist()]
+    # the first forward call starts from the points' own rates, averaged
+    # under their weights where a (branch, temperature) curve has several;
+    # cold, from each curve's log-linear regression, if a curve has none
+    curve = branch_index * len(mixes) + temp_index
+    first_start = None
+    if len(np.unique(curve)) == 2 * len(mixes):
+        first_start = (np.bincount(curve, weights * rates)
+                       / np.bincount(curve, weights)).reshape(2, -1)
     # the last forward call: its Gamma_a1, then (a1, a2) rates and slopes
     last = None
 
@@ -1024,7 +1035,8 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window=DEFAULT_WINDOW, init=None,
         # one forward-model call covers every temperature and branch
         nonlocal last
         ga1 = float(theta[0])
-        start = None if last is None else last[1] + last[2] * (ga1 - last[0])
+        start = (first_start if last is None
+                 else last[1] + last[2] * (ga1 - last[0]))
         out = np.array(effective_isc_rates(gr, ga1, mixes, window, start=start,
                                            slopes=True))
         last = ga1, out[:2], out[2:]
