@@ -776,7 +776,8 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
     tau = t - t[0]
     w = 1.0 if weights is None else weights
     wy = w * y
-    powers = np.stack([np.ones_like(tau), tau, tau * tau], axis=1)
+    powers = np.empty((len(tau), 3))  # columns 1, tau, tau^2
+    powers[:, 0], powers[:, 1], powers[:, 2] = 1.0, tau, tau * tau
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if start is None:
             # log-linear regression weighted by w y^2: to first order in
@@ -785,8 +786,9 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
             start_weights = w * scaled * scaled
             logs = np.log(np.where(positive, y, 1.0))
             dtau = tau - (start_weights @ tau / start_weights.sum(axis=1))[:, None]
-            k = (-(start_weights * dtau * logs).sum(axis=1)
-                 / (start_weights * dtau * dtau).sum(axis=1))
+            weighted_dtau = start_weights * dtau
+            k = (-(weighted_dtau * logs).sum(axis=1)
+                 / (weighted_dtau * dtau).sum(axis=1))
         else:
             k = np.asarray(start, dtype=float)
         if not np.isfinite(k).all():
