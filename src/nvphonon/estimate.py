@@ -13,7 +13,12 @@ Windowed single-exponential fits, of measured traces
 (`fit_exponential_window`) and of the noiseless forward model
 (`effective_isc_rates`) alike, run through one variable-projection
 solve, `_windowed_rates`: the amplitude is eliminated and Newton steps
-act on the rate alone, for any number of curves at once. The data side's
+act on the rate alone, for any number of curves at once. Its cost is one
+exp and two moment products over all curves a profile evaluation, plus a
+few float operations a curve for the step control, which runs on Python
+floats up to 16 curves (a one-row fit would otherwise pay ~30 numpy calls
+on length-1 arrays a step) and on arrays with row masks beyond; both
+give the same bits. The data side's
 results (projected amplitude, Jacobian, covariance) come from
 `_fit_windows`, for one trace or for the many that `fit_gamma_a1_traces`,
 the lifetime analysis from traces to Gamma_a1, fits in one solve. Both sides,
@@ -21,10 +26,11 @@ and `fit_gamma_a1` between them, take the fit window as one `FitWindow`
 (`window=`), so data and model are fitted over the same window. The forward
 model builds all its curves in one array evaluation of the two-branch
 closed form (with their Gamma_a1 derivatives when `slopes=True` asks for
-the rates' slopes), and its solve can start from given rates (`start=`).
-`fit_gamma_a1` makes one forward call per trial Gamma_a1: its slopes are
-the fit's Jacobian and start the next trial from the first-order
-prediction of its rates. Every other fit runs through `_least_squares`: a
+the rates' slopes, which come from the solve's last profile), and its
+solve can start from given rates (`start=`). `fit_gamma_a1` makes one
+forward call per trial Gamma_a1, the first started from the points' own
+rates: its slopes are the fit's Jacobian and start the next trial from
+the first-order prediction of its rates. Every other fit runs through `_least_squares`: a
 damped Gauss-Newton iteration (Levenberg-style lambda adaptation) that
 accepts only steps lowering chi^2, and stops as converged at a step that
 raises chi^2 by rounding only. Its Jacobian is exact for `fit_gamma_a1`

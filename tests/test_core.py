@@ -178,6 +178,12 @@ def test_trace_window():
     np.testing.assert_array_equal(cut.values, [4.0, 3.0, 2.0])
     with pytest.raises(ValidationError):
         trace.window(10.0, 5.0)
+    # a NaN bound selects no sample, whatever sorted search would give
+    for start, length in ((0.0, np.nan), (-np.inf, np.inf), (np.nan, 2.0)):
+        with pytest.raises(ValidationError, match="^window selects no samples$"):
+            trace.window(start, length)
+    whole = trace.window(-1e300, np.inf)
+    np.testing.assert_array_equal(whole.times, trace.times)
 
 
 def test_trace_metadata_carried():
