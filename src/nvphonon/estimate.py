@@ -389,8 +389,9 @@ def _fit_windows(t, y, w, scheme, max_iter):
     for refit in range(_passes(scheme)):
         if refit:  # reweight counts by the previous fit's expectation
             w = 1.0 / np.maximum(model, 1.0)
-        rates, iterations, converged = _windowed_rates(y, t, w, max_iter,
-                                                       start=rates)
+        # unit weights multiply nothing: the solve takes them as None
+        rates, iterations, converged = _windowed_rates(
+            y, t, None if scheme == "uniform" else w, max_iter, start=rates)
         decay = np.exp(-rates[:, None] * (t - t[0]))
         w_decay = w * decay
         model = decay * (np.vecdot(w_decay, y)
