@@ -30,16 +30,16 @@ the rates' slopes, which come from the solve's last profile), and its
 solve can start from given rates (`start=`). `fit_gamma_a1` makes one
 forward call per trial Gamma_a1, the first started from the points' own
 rates: its slopes are the fit's Jacobian and start the next trial from
-the first-order prediction of its rates. Every other fit runs through `_least_squares`: a
-damped Gauss-Newton iteration (Levenberg-style lambda adaptation) that
-accepts only steps lowering chi^2, and stops as converged at a step that
-raises chi^2 by rounding only. Its Jacobian is exact for `fit_gamma_a1`
-(the implicit derivative of the windowed rates), `fit_rabi_trace` (the
-closed form `rabi_fit_model_jacobian`) and `fit_t5`, which therefore also
-stop, before evaluating a step, once the Newton decrement shows it could
-lower chi^2 by rounding only; `nlls`, for user models, and
-`fit_depolarization`, whose model has a kink at the pulse, take forward
-differences.
+the first-order prediction of its rates. Every other fit runs through
+`_least_squares`: a damped Gauss-Newton iteration (Levenberg-style lambda
+adaptation) that accepts only steps lowering chi^2, and stops as
+converged at a step that raises chi^2 by rounding only. Its Jacobian is
+exact for `fit_gamma_a1` (the implicit derivative of the windowed
+rates), `fit_rabi_trace` (the closed form `rabi_fit_model_jacobian`) and
+`fit_t5`, which therefore also stop, before evaluating a step, once the
+Newton decrement shows it could lower chi^2 by rounding only; `nlls`,
+for user models, and `fit_depolarization`, whose model has a kink at the
+pulse, take forward differences.
 """
 
 from __future__ import annotations
