@@ -16,16 +16,14 @@ solve, `_windowed_rates`: the amplitude is eliminated and Newton steps
 act on the rate alone, for any number of curves at once. Its cost is one
 exp and two moment products over all curves a profile evaluation, plus a
 few float operations a curve for the step control, which runs on Python
-floats up to 16 curves (a one-row fit would otherwise pay ~30 numpy calls
-on length-1 arrays a step) and on arrays with row masks beyond; both
-give the same bits. The data side's
-results (projected amplitude, Jacobian, covariance) come from
-`_fit_windows`, for one trace or for the many that `fit_gamma_a1_traces`,
-the lifetime analysis from traces to Gamma_a1, fits in one solve. Both sides,
-and `fit_gamma_a1` between them, take the fit window as one `FitWindow`
-(`window=`), so data and model are fitted over the same window. The forward
-model builds all its curves in one array evaluation of the two-branch
-closed form (with their Gamma_a1 derivatives when `slopes=True` asks for
+floats (a one-row fit would otherwise pay ~30 numpy calls on length-1
+arrays a step). The data side's results (projected amplitude, Jacobian,
+covariance) come from `_fit_windows`, for one trace or for the many that
+`fit_gamma_a1_traces`, the lifetime analysis from traces to Gamma_a1,
+fits in one solve. Both sides, and `fit_gamma_a1` between them, take the
+fit window as one `FitWindow` (`window=`), so data and model are fitted
+over the same window. The forward model builds all its curves in one
+array evaluation of the two-branch closed form (with their Gamma_a1 derivatives when `slopes=True` asks for
 the rates' slopes, which come from the solve's last profile), and its
 solve can start from given rates (`start=`). `fit_gamma_a1` makes one
 forward call per trial Gamma_a1, the first started from the points' own
@@ -69,8 +67,6 @@ _NEWTON_RTOL = 1e-9
 # not resolve above that are still up to 1e-8 of the rate
 _PROFILE_RTOL = 1e-12
 _NEWTON_MAX_ITER = 30
-# rows up to which _windowed_rates steps on Python floats (see there)
-_FLOAT_ROWS = 16
 _WINDOW_FIT_MAX_ITER = 200         # Newton steps of a data-side window fit
 # a Gauss-Newton step raising chi^2 by less than this share ends the fit:
 # a model evaluated by iterative solves (fit_gamma_a1's forward model)
@@ -696,7 +692,9 @@ def fit_depolarization(traces, gamma_mix_cold, gamma_mix_warm, gamma_rad,
 
 def _decays(k, tau):
     """exp(-k tau) for each rate k (rows), scaled to a maximum of 1."""
-    return np.exp(np.minimum(k, 0.0)[:, None] * tau[-1] - k[:, None] * tau)
+    e = np.multiply(k[:, None], tau)
+    np.subtract(np.minimum(k, 0.0)[:, None] * tau[-1], e, out=e)
+    return np.exp(e, out=e)
 
 
 def _profile_terms(s_ye, f_ye, q_ye, s_ee, f_ee, q_ee):
@@ -709,34 +707,24 @@ def _profile_terms(s_ye, f_ye, q_ye, s_ee, f_ee, q_ee):
     return s_ye * s_ye / s_ee, mean_ee - mean_ye, var_ye - 2.0 * var_ee
 
 
-def _profile_sums(wy, w, k, tau, powers):
-    """The decays e at the rates k, then the sums of w y e and of w e^2
-    times 1, tau and tau^2, one row of three per rate: the array work of
-    a profile."""
-    e = _decays(k, tau)
-    return e, (wy * e) @ powers, (w * e * e) @ powers
+def _weighted(w, x):
+    """w x, or x itself for the uniform weights w = None."""
+    return x if w is None else w * x
 
 
 def _profile(wy, w, k, tau, powers):
-    """The decays and the sums of w y e of `_profile_sums`, then the
-    projected objective S1^2/S2 of `_windowed_rates` at the rates k, h'
-    and h'', as arrays."""
-    e, ye, ee = _profile_sums(wy, w, k, tau, powers)
-    return e, ye, *_profile_terms(*ye.T, *ee.T)
-
-
-def _profile_rows(wy, w, k, tau, powers):
-    """`_profile` at the rates of the list k, with S1^2/S2, h' and h'' as
-    one float triple a row."""
-    e, ye, ee = _profile_sums(wy, w, np.array(k), tau, powers)
-    rows = []
-    for sums in zip(ye.tolist(), ee.tolist()):
-        try:
-            rows.append(_profile_terms(*sums[0], *sums[1]))
-        except ZeroDivisionError:  # numpy's inf or nan, as on arrays
-            rows.append(tuple(map(float, _profile_terms(
-                *np.array(sums[0] + sums[1])))))
-    return e, ye, rows
+    """The decays e at the rates of the list k, the sums of w y e times 1,
+    tau and tau^2 (one row of three per rate), and S1^2/S2, h' and h''
+    as one float triple a rate."""
+    e = _decays(np.array(k), tau)
+    ye = (wy * e) @ powers
+    ee = (_weighted(w, e) * e) @ powers
+    try:
+        terms = list(map(_profile_terms, *ye.T.tolist(), *ee.T.tolist()))
+    except ZeroDivisionError:  # numpy's inf or nan, as on arrays
+        terms = list(zip(*(part.tolist()
+                           for part in _profile_terms(*ye.T, *ee.T))))
+    return e, ye, terms
 
 
 def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
@@ -759,14 +747,12 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
 
     Cost model: every evaluation of the profile is array work over all
     rows at once, one exp and two (rows x samples) @ (samples x 3)
-    moment products. The rest is per row: the means and variances, the
-    step choice, the tolerance test and the halving. Up to _FLOAT_ROWS
-    rows it runs on Python floats (`_float_newton`), where numpy would
-    cost ~1 us a call on length-1 arrays; beyond, on arrays with row masks
-    (`_array_newton`), where a Python loop would cost ~0.5 us a row. +,
-    -, * and / give the same IEEE results on floats as numpy's
-    elementwise operations, and the rows step together either way, so
-    both give the same bits.
+    moment products. The rest is per row on Python floats (`_newton`):
+    the means and variances, the step choice, the tolerance test and the
+    halving, ~1 us a row an evaluation, where numpy would cost ~1 us a
+    call on the length-1 arrays of a one-row fit. +, -, * and / give the
+    same IEEE results on floats as numpy's elementwise operations, so the
+    steps have the bits they would have on arrays.
 
     Returns (k, steps, converged): the Newton steps taken, at most
     max_iter, and whether the last one was within tolerance for every
@@ -781,8 +767,8 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
     if (positive.sum(axis=1) < 2).any():
         raise ValidationError("need >= 2 positive samples to initialize the rate")
     tau = t - t[0]
-    w = 1.0 if weights is None else weights
-    wy = w * y
+    w = weights
+    wy = _weighted(w, y)
     powers = np.empty((len(tau), 3))  # columns 1, tau, tau^2
     powers[:, 0], powers[:, 1], powers[:, 2] = 1.0, tau, tau * tau
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -790,7 +776,7 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
             # log-linear regression weighted by w y^2: to first order in
             # the relative residuals the same objective as the least squares
             scaled = np.where(positive, y / np.max(y, axis=1, keepdims=True), 0.0)
-            start_weights = w * scaled * scaled
+            start_weights = _weighted(w, scaled) * scaled
             logs = np.log(np.where(positive, y, 1.0))
             dtau = tau - (start_weights @ tau / start_weights.sum(axis=1))[:, None]
             weighted_dtau = start_weights * dtau
@@ -800,21 +786,21 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
             k = np.asarray(start, dtype=float)
         if not np.isfinite(k).all():
             raise ValidationError("windowed fit has a non-finite starting rate")
-        newton = _float_newton if len(k) <= _FLOAT_ROWS else _array_newton
-        k, steps, converged, last = newton(wy, w, k, tau, powers, max_iter)
+        k, steps, converged, last = _newton(wy, w, k.tolist(), tau, powers,
+                                            max_iter)
     if dy is None:
         return k, steps, converged
-    return k, steps, converged, _windowed_rate_slopes(w * dy, tau, *last)
+    return (k, steps, converged,
+            _windowed_rate_slopes(_weighted(w, dy), tau, *last))
 
 
-def _float_newton(wy, w, k, tau, powers, max_iter):
-    """The Newton steps of `_windowed_rates` from the rates k, per row on
-    Python floats: (k, steps, converged) and the decays, sums of w y e
-    and h'' of the last profile evaluated."""
-    k = k.tolist()
+def _newton(wy, w, k, tau, powers, max_iter):
+    """The Newton steps of `_windowed_rates` from the rates of the list k,
+    per row on Python floats: (k, steps, converged) and the decays, sums
+    of w y e and h'' of the last profile evaluated."""
     inverse_span = 1.0 / float(tau[-1])
     tolerance = [_NEWTON_RTOL * (abs(rate) + inverse_span) for rate in k]
-    e, ye, profile = _profile_rows(wy, w, k, tau, powers)
+    e, ye, profile = _profile(wy, w, k, tau, powers)
     converged = False
     for steps in range(1, max_iter + 1):
         step = [_newton_step(rate, slope, curvature, inverse_span)
@@ -827,9 +813,9 @@ def _float_newton(wy, w, k, tau, powers, max_iter):
         # halve the steps that would lower the objective
         while True:
             trial_k = [rate + d for rate, d in zip(k, step)]
-            trial = _profile_rows(wy, w, trial_k, tau, powers)
-            lower = [abs(d) > tol
-                     and not trial_row[0] >= row[0] * (1.0 - _PROFILE_RTOL)
+            trial = _profile(wy, w, trial_k, tau, powers)
+            lower = [not trial_row[0] >= row[0] * (1.0 - _PROFILE_RTOL)
+                     and abs(d) > tol
                      for trial_row, row, d, tol
                      in zip(trial[2], profile, step, tolerance)]
             if not any(lower):
@@ -853,36 +839,6 @@ def _newton_step(rate, slope, curvature, inverse_span):
     if slope < 0.0:
         return -(abs(rate) + inverse_span)
     return 0.0 if slope == 0.0 else math.nan
-
-
-def _array_newton(wy, w, k, tau, powers, max_iter):
-    """The Newton steps of `_windowed_rates` from the rates k, on arrays
-    of rows, as `_float_newton` returns them; `_newton_step` and the
-    halving as row masks."""
-    tolerance = _NEWTON_RTOL * (np.abs(k) + 1.0 / tau[-1])
-    e, ye, objective, slope, curvature = _profile(wy, w, k, tau, powers)
-    for steps in range(1, max_iter + 1):
-        step = -slope / curvature
-        other = ~(curvature < 0.0) | (slope == 0.0)
-        if np.count_nonzero(other):
-            step[other] = np.where(
-                slope[other] == 0.0, 0.0,
-                np.sign(slope[other]) * (np.abs(k[other]) + 1.0 / tau[-1]))
-        if np.count_nonzero(np.isfinite(step)) < len(step):
-            raise ValidationError("windowed fit took a non-finite Newton step")
-        if np.count_nonzero(np.abs(step) > tolerance) == 0:
-            return k + step, steps, True, (e, ye, curvature)
-        # halve the steps that would lower the objective
-        while True:
-            trial = _profile(wy, w, k + step, tau, powers)
-            lower = (~(trial[2] >= objective * (1.0 - _PROFILE_RTOL))
-                     & (np.abs(step) > tolerance))
-            if not np.count_nonzero(lower):
-                break
-            step = np.where(lower, 0.5 * step, step)
-        k = k + step
-        e, ye, objective, slope, curvature = trial
-    return k, max_iter, False, (e, ye, curvature)
 
 
 def _windowed_rate_slopes(wdy, tau, e, ye, curvature):
@@ -941,9 +897,13 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix, window=DEFAULT_WINDOW,
     slopes=True also returns the derivatives of both rates with respect to
     Gamma_a1, (a1, a2, d_a1, d_a2), the derivatives as floats for a single
     mixing rate and as arrays otherwise: the implicit derivative of each
-    converged windowed rate (`_windowed_rate_slopes`), from the curves'
-    Gamma_a1 derivatives, which the same array pass builds with the
-    curves. The rates are the same bits either way.
+    windowed rate (`_windowed_rate_slopes`), from the curves' Gamma_a1
+    derivatives, which the same array pass builds with the curves. It is
+    taken at the solve's last profile, one Newton step within tolerance
+    before the returned rates, so a rate's slope can differ by ~1e-9
+    relative with the start and with the other mixing rates solved with
+    it (a scalar call against a sequence call, say). The rates are the
+    same bits either way.
     """
     gr = rate_value(gamma_rad)
     ga1 = rate_value(gamma_a1)

@@ -175,6 +175,25 @@ def test_windowed_rates_match_the_array_oracle(problem):
             == _outcome(_windowed_rates, y, t, weights, max_iter, start=start))
 
 
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_wide_solves_match_the_array_oracle(weighted, warm):
+    # 600 two-exponential curves on the forward model's 461 samples, wider
+    # than the examples above: the per-row step control holds its bits
+    rng = np.random.default_rng(5)
+    t = 4.0 + 0.25 * np.arange(461)
+    fast, slow = rng.uniform(0.05, 0.5, (2, 600, 1))
+    y = np.exp(-fast * t) + rng.uniform(0.0, 1.0, (600, 1)) * np.exp(-slow * t)
+    weights = rng.uniform(0.5, 2.0, y.shape) if weighted else None
+    start = None
+    if warm:
+        start = estimate._windowed_rates(y, t, weights)[0] * rng.uniform(
+            0.99, 1.01, 600)
+    assert (_outcome(estimate._windowed_rates, y, t, weights, start=start)
+            == _outcome(_windowed_rates, y, t, weights, start=start))
+
+
 # ---------------------------------------------------------------------------
 # slopes from the last profile
 
