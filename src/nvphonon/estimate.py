@@ -23,14 +23,14 @@ covariance) come from `_fit_windows`, for one trace or for the many that
 fits in one solve. Both sides, and `fit_gamma_a1` between them, take the
 fit window as one `FitWindow` (`window=`), so data and model are fitted
 over the same window. The forward model builds all its curves in one
-array evaluation of the two-branch closed form (with their Gamma_a1 derivatives when `slopes=True` asks for
-the rates' slopes, which come from the solve's last profile), and its
-solve can start from given rates (`start=`). `fit_gamma_a1` makes one
-forward call per trial Gamma_a1, the first started from the points' own
-rates: its slopes are the fit's Jacobian and start the next trial from
-the first-order prediction of its rates. Every other fit runs through
-`_least_squares`: a damped Gauss-Newton iteration (Levenberg-style lambda
-adaptation) that accepts only steps lowering chi^2, and stops as
+array evaluation of the two-branch closed form (with their Gamma_a1
+derivatives when `slopes=True` asks for the rates' slopes, which come
+from the solve's last profile), and its solve can start from given rates
+(`start=`). `fit_gamma_a1` makes one forward call per trial Gamma_a1:
+its slopes are the fit's Jacobian and start the next trial from the
+first-order prediction of its rates. Every other fit runs through
+`_least_squares`: a damped Gauss-Newton iteration (Levenberg-style
+lambda adaptation) that accepts only steps lowering chi^2, and stops as
 converged at a step that raises chi^2 by rounding only. Its Jacobian is
 exact for `fit_gamma_a1` (the implicit derivative of the windowed
 rates), `fit_rabi_trace` (the closed form `rabi_fit_model_jacobian`) and
@@ -970,9 +970,7 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window=DEFAULT_WINDOW, init=None,
     exactly one call per trial Gamma_a1. That call also returns the
     rates' Gamma_a1 slopes (slopes=True), which give the fit's Jacobian
     at the trial and start the next trial's solve from the first-order
-    prediction rates + slopes (Gamma_a1' - Gamma_a1); the first trial's
-    solve starts from the points' own rates, or cold if some branch at
-    some temperature has no point. The exact Jacobian
+    prediction rates + slopes (Gamma_a1' - Gamma_a1). The exact Jacobian
     lets the fit stop on the Newton decrement, without a last call that
     would only confirm a step below chi^2's rounding.
     """
@@ -989,14 +987,6 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window=DEFAULT_WINDOW, init=None,
     # accept either a callable T -> rate or a fit-form bundle
     mix_fn = getattr(mix_model, "clamped", mix_model)
     mixes = [rate_value(mix_fn(T)) for T in unique_temps.tolist()]
-    # the first forward call starts from the points' own rates, averaged
-    # under their weights where a (branch, temperature) curve has several;
-    # cold, from each curve's log-linear regression, if a curve has none
-    curve = branch_index * len(mixes) + temp_index
-    first_start = None
-    if len(np.unique(curve)) == 2 * len(mixes):
-        first_start = (np.bincount(curve, weights * rates)
-                       / np.bincount(curve, weights)).reshape(2, -1)
     # the last forward call: its Gamma_a1, then (a1, a2) rates and slopes
     last = None
 
@@ -1004,8 +994,7 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window=DEFAULT_WINDOW, init=None,
         # one forward-model call covers every temperature and branch
         nonlocal last
         ga1 = float(theta[0])
-        start = (first_start if last is None
-                 else last[1] + last[2] * (ga1 - last[0]))
+        start = None if last is None else last[1] + last[2] * (ga1 - last[0])
         out = np.array(effective_isc_rates(gr, ga1, mixes, window, start=start,
                                            slopes=True))
         last = ga1, out[:2], out[2:]
