@@ -12,29 +12,34 @@ drive on g-x. Dissipation enters through Lindblad jump operators:
 * crossing loss       |dark><x| at gamma_isc_x; in that mode the third
   level is a non-radiative sink and mixing must be zero
 
+The Lindblad generator is the sum of constant unit generators
+(_GENERATORS), one per model field, weighted by the field values; it
+takes about 5 us to build.
+
 Both evolvers propagate exactly. The generator M is constant in time, so
 the state at time t is exp(t M) y0. The sample states are read off a
 lattice of the most common sample spacing delta, whose states
 exp(k delta M) y(t_0) come from O(log n) block products of propagator
 powers; a sample off the lattice is moved on from a lattice state by
-its remainder (see _propagate). Each propagator is built with scipy.linalg.expm and is
-exact up to rounding. A call makes one expm for the lattice step, one
-more when the grid starts after 0, and one per distinct remainder of an
-off-lattice sample; one 9x9 Lindblad propagator takes about 0.05 ms on
-one core of a Xeon host. A uniform grid, arange's last-bit spacing
-differences included, therefore costs one or two expm calls and
-O(log n) interpreted steps whatever its length; an irregular grid still
-pays about one expm per sample. The propagation never uses the closed
-forms, so it is an independent check on them.
+its remainder (see _propagate). _taylor computes every exponential:
+applied to the identity and squared for a propagator (_propagator), or
+to the states for a short remainder. A call builds one propagator for
+the lattice step, one more when the grid starts after 0, and one per
+distinct long remainder of an off-lattice sample; one takes 40-90 us
+(9x9 Lindblad) or 35-55 us (2x2 rates), rising with h ||M||_1, on one
+core of a 2-CPU virtual machine. A uniform grid, arange's last-bit
+spacing differences included, therefore costs one or two propagators
+and O(log n) interpreted steps whatever its length; an irregular grid
+still pays about one propagator per sample. The propagation never uses
+the closed forms, so it is an independent check on them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import AngularRate, TimeTrace, ValidationError, rate_value
 
@@ -67,10 +72,10 @@ class ThreeLevelModel:
     detuning: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma_rad_x", "gamma_rad_y", "gamma_mix_xy",
-                     "gamma_mix_yx", "gamma_t2", "gamma_isc_x", "rabi"):
-            rate = AngularRate(rate_value(getattr(self, name)))
-            object.__setattr__(self, name, rate)
+        for field in fields(self):
+            if field.name != "detuning":
+                rate = AngularRate(rate_value(getattr(self, field.name)))
+                object.__setattr__(self, field.name, rate)
         object.__setattr__(self, "detuning", float(self.detuning))
         if not np.isfinite(self.detuning):
             raise ValidationError("detuning must be finite")
@@ -154,14 +159,15 @@ _TAYLOR_REACH = 2.0**-10
 
 
 def _propagator(matrix, h, norm1):
-    """exp(hM) by expm at a 1-norm below 1, then repeated squaring.
-
-    expm alone stops scaling near norm 5.4, where rounding in its Pade
-    step costs the small entries of exp(hM) up to ~1e-12 of relative
-    accuracy; from below norm 1 they stay near 1e-14.
-    """
-    squarings = max(0, math.frexp(h * norm1)[1])
-    prop = expm((h / 2.0**squarings) * matrix)
+    """exp(hM) by _taylor at h' = h / 2^s, with s the fewest squarings
+    that bring h' ||M||_1 below 1, where at most 18 terms, falling
+    factorially, keep it within a few ulp; then s squarings."""
+    reach = float(h) * norm1
+    if not math.isfinite(reach):
+        raise ValidationError("t ||M||_1 overflows: times too long for the rates")
+    squarings = max(0, math.frexp(reach)[1])
+    identity = np.eye(len(matrix), dtype=matrix.dtype)
+    prop = _taylor(matrix, math.ldexp(h, -squarings), identity, norm1).T
     for _ in range(squarings):
         prop = prop @ prop
     return prop
@@ -185,10 +191,11 @@ def _lattice(start, step, count):
 
 
 def _taylor(matrix, rest, states, norm1):
-    """exp(r_i M) applied to row i of states by its Taylor series, summed
+    """exp(r_i M) applied to row i of states by its Taylor series, where
+    rest is one r for every row or a column of one r_i per row; summed
     until the next term is below 2^-56 of the state for the largest
     |r_i| ||M||_1 (a handful of terms at _TAYLOR_REACH, one or two for the
-    last-bit offsets of an arange grid)."""
+    last-bit offsets of an arange grid, 18 at norm 1)."""
     reach = float(np.max(np.abs(rest))) * norm1
     total = states.copy()
     term = states
@@ -196,7 +203,8 @@ def _taylor(matrix, rest, states, norm1):
     while bound * reach / (order + 1) > 2.0**-56:
         order += 1
         bound *= reach / order
-        term = (term @ matrix.T) * (rest / order)[:, np.newaxis]
+        term = term @ matrix.T
+        term *= rest / order
         total += term
     return total
 
@@ -233,7 +241,7 @@ def _propagate(matrix, y0, times):
                       int(steps.max()) + 1)[steps]
     near = (rest != 0.0) & ~far
     if np.any(near):
-        states[near] = _taylor(matrix, rest[near], states[near], norm1)
+        states[near] = _taylor(matrix, rest[near, np.newaxis], states[near], norm1)
     order = np.flatnonzero(far)
     order = order[np.argsort(rest[order], kind="stable")]
     remainders, first = np.unique(rest[order], return_index=True)
@@ -242,45 +250,53 @@ def _propagate(matrix, y0, times):
     return states
 
 
-def _lindblad_superoperator(model):
-    """Build the 9x9 generator acting on the row-stacked density matrix."""
-    omega = model.rabi.value
-    delta = model.detuning
-    ham = np.zeros((3, 3), dtype=complex)
-    ham[1, 1] = -delta
-    ham[0, 1] = 0.5 * omega
-    ham[1, 0] = 0.5 * omega
-
-    jumps = []
-    basis = np.zeros((3, 3), dtype=complex)
-
-    def op(i, j):
-        out = basis.copy()
-        out[i, j] = 1.0
-        return out
-
-    if model.gamma_rad_x.value > 0:
-        jumps.append(np.sqrt(model.gamma_rad_x.value) * op(0, 1))
-    if model.gamma_rad_y.value > 0:
-        jumps.append(np.sqrt(model.gamma_rad_y.value) * op(0, 2))
-    if model.gamma_mix_xy.value > 0:
-        jumps.append(np.sqrt(model.gamma_mix_xy.value) * op(2, 1))
-    if model.gamma_mix_yx.value > 0:
-        jumps.append(np.sqrt(model.gamma_mix_yx.value) * op(1, 2))
-    if model.gamma_isc_x.value > 0:
-        jumps.append(np.sqrt(model.gamma_isc_x.value) * op(2, 1))
-    if model.gamma_t2.value > 0:
-        deph = op(1, 1) - op(0, 0)
-        jumps.append(np.sqrt(0.5 * model.gamma_t2.value) * deph)
-
-    eye = np.eye(3, dtype=complex)
+def _unit_generator(ham=None, jump=None):
+    """The 9x9 generator, on the row-stacked density matrix, of the
+    Hamiltonian ham or of the Lindblad dissipator of jump at unit rate."""
+    eye = np.eye(3)
     # row-stacked vec: vec(A rho B) = (A kron B^T) vec(rho)
-    gen = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
-    for jump in jumps:
-        jj = jump.conj().T @ jump
-        gen += np.kron(jump, jump.conj())
-        gen -= 0.5 * (np.kron(jj, eye) + np.kron(eye, jj.T))
-    return gen
+    if ham is not None:
+        return -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    jj = jump.T @ jump
+    return np.kron(jump, jump) - 0.5 * (np.kron(jj, eye) + np.kron(eye, jj.T))
+
+
+def _unit(i, j):
+    out = np.zeros((3, 3))
+    out[i, j] = 1.0
+    return out
+
+
+# d(generator)/d(field) for each field of ThreeLevelModel: the generator is
+# their sum weighted by the field values, and the jumps are real
+_GENERATORS = {
+    "gamma_rad_x": _unit_generator(jump=_unit(0, 1)),
+    "gamma_rad_y": _unit_generator(jump=_unit(0, 2)),
+    "gamma_mix_xy": _unit_generator(jump=_unit(2, 1)),
+    "gamma_mix_yx": _unit_generator(jump=_unit(1, 2)),
+    "gamma_t2": 0.5 * _unit_generator(jump=_unit(1, 1) - _unit(0, 0)),
+    "gamma_isc_x": _unit_generator(jump=_unit(2, 1)),
+    "rabi": _unit_generator(ham=0.5 * (_unit(0, 1) + _unit(1, 0))),
+    "detuning": _unit_generator(ham=-_unit(1, 1)),
+}
+_GENERATOR_TABLE = np.stack([g.reshape(9 * 9) for g in _GENERATORS.values()])
+
+
+def _lindblad_superoperator(model):
+    """The 9x9 generator acting on the row-stacked density matrix."""
+    theta = [rate_value(getattr(model, name)) for name in _GENERATORS]
+    return (np.array(theta) @ _GENERATOR_TABLE).reshape(9, 9)
+
+
+def _populations(times, columns, labels):
+    """The columns of populations as one TimeTrace per label, clipped at 0."""
+    out = {}
+    for idx, label in enumerate(labels):
+        values = columns[:, idx]
+        if np.min(values) < -1e-9:
+            raise IntegrationError("population went significantly negative")
+        out[label] = TimeTrace(times, np.clip(values, 0.0, None))
+    return out
 
 
 def evolve_lindblad(model, rho0, times):
@@ -304,12 +320,8 @@ def evolve_lindblad(model, rho0, times):
     y0 = rho0.matrix.reshape(9)
     states = _propagate(gen, y0, times)
     rho_t = states.reshape(len(times), 3, 3)
-    populations = {}
-    for idx, label in enumerate(model.labels):
-        pop = rho_t[:, idx, idx].real
-        if np.min(pop) < -1e-9:
-            raise IntegrationError("population went significantly negative")
-        populations[label] = TimeTrace(times, np.clip(pop, 0.0, None))
+    populations = _populations(times, np.diagonal(rho_t, axis1=1, axis2=2).real,
+                               model.labels)
     coherence = TimeTrace(times, np.abs(rho_t[:, 0, 1]))
     return EvolutionResult(times=times, populations=populations, coherence=coherence)
 
@@ -372,11 +384,4 @@ def evolve_rates(model, p0, times):
         raise ValidationError(f"p0 must have shape ({model.n},)")
     if not np.all(np.isfinite(p0)) or np.any(p0 < 0):
         raise ValidationError("initial populations must be finite and >= 0")
-    pops = _propagate(model.matrix, p0, times)
-    out = {}
-    for idx, label in enumerate(model.labels):
-        values = pops[:, idx]
-        if np.min(values) < -1e-9:
-            raise IntegrationError("population went significantly negative")
-        out[label] = TimeTrace(times, np.clip(values, 0.0, None))
-    return out
+    return _populations(times, _propagate(model.matrix, p0, times), model.labels)

@@ -472,6 +472,17 @@ def _envelope_decay_guess(times, values):
     return span / 3.0, plateau
 
 
+def _start(defaults, init):
+    """A fit's default starting values, overridden by the user's init
+    (a dict of parameter name -> value), refusing names it does not fit."""
+    if init:
+        unknown = set(init) - set(defaults)
+        if unknown:
+            raise ValidationError(f"unknown init parameters {sorted(unknown)}")
+        defaults.update({k: float(v) for k, v in init.items()})
+    return defaults
+
+
 def fit_rabi_trace(trace, init=None, gamma_rad=None, weights="uniform",
                    max_iter=200):
     """Fit the driven-fluorescence form to an oscillating trace.
@@ -499,32 +510,24 @@ def fit_rabi_trace(trace, init=None, gamma_rad=None, weights="uniform",
         raise ValidationError("no oscillation found by the FFT initializer")
     tau_guess, plateau = _envelope_decay_guess(times, values)
 
-    defaults = {
+    start = _start({
         "amplitude": plateau if plateau > 0 else float(np.mean(values)),
         "omega": omega_fft,
         "phi": phi_fft,
         "t0": 0.0,
         "tau_rabi": tau_guess,
         "gamma_isc_x": 0.0,
-    }
-    if init:
-        unknown = set(init) - set(defaults)
-        if unknown:
-            raise ValidationError(f"unknown init parameters {sorted(unknown)}")
-        if "omega" in init:
-            omega_init = float(init["omega"])
-            if abs(omega_init - omega_fft) > 0.5 * omega_fft:
-                raise ValidationError(
-                    f"init omega {omega_init:.4g} rad/ns differs from the "
-                    f"FFT estimate {omega_fft:.4g} rad/ns by more than 50%; "
-                    "refusing a likely period alias"
-                )
-        defaults.update({k: float(v) for k, v in init.items()})
+    }, init)
+    if abs(start["omega"] - omega_fft) > 0.5 * omega_fft:
+        raise ValidationError(
+            f"init omega {start['omega']:.4g} rad/ns differs from the "
+            f"FFT estimate {omega_fft:.4g} rad/ns by more than 50%; "
+            "refusing a likely period alias"
+        )
 
-    names = tuple(defaults)
     result = _least_squares(
         lambda theta: rabi_fit_model(times, *theta), values, weights,
-        [defaults[name] for name in names], names, max_iter=max_iter,
+        list(start.values()), tuple(start), max_iter=max_iter,
         uncertainty=trace.uncertainty,
         jacobian=lambda theta, f: rabi_fit_model_jacobian(times, *theta))
     tau_fit = result["tau_rabi"]
@@ -572,21 +575,19 @@ def fit_t5(points, init=None, max_iter=200):
     order = np.argsort(temps)
     temps, rates, weights = temps[order], rates[order], weights[order]
 
-    defaults = {
+    start = _start({
         "a": (rates[-1] - rates[0]) / max((temps[-1] - temps[0] + 0.5) ** 5, 1e-300),
         "t0": temps[0] - 0.5,
         "c": rates[0],
-    }
-    if init:
-        defaults.update({k: float(v) for k, v in init.items()})
+    }, init)
 
     def predict(theta):
         a, t0, c = theta
         return a * (temps - t0) ** 5 + c
 
     return _least_squares(
-        predict, rates, weights, [defaults["a"], defaults["t0"], defaults["c"]],
-        ("a", "t0", "c"), max_iter=max_iter,
+        predict, rates, weights, list(start.values()), tuple(start),
+        max_iter=max_iter,
         jacobian=lambda theta, f: _t5_gradient(temps, theta[0], theta[1]))
 
 
@@ -678,15 +679,11 @@ def fit_depolarization(traces, gamma_mix_cold, gamma_mix_warm, gamma_rad,
     # keeps the search away from the mirrored local minimum at -t0
     brightest = max(traces, key=_early_brightness)
     t0_guess = float(brightest.times[int(np.argmax(brightest.values))])
-    defaults = {"amplitude": 2.0 * float(np.max(values)), "t0": t0_guess,
-                "epsilon": 0.05}
-    if init:
-        defaults.update({k: float(v) for k, v in init.items()})
-    result = _least_squares(predict, values, weights,
-                            [defaults["amplitude"], defaults["t0"],
-                             defaults["epsilon"]],
-                            ("amplitude", "t0", "epsilon"),
-                            max_iter=max_iter, uncertainty=uncert)
+    start = _start({"amplitude": 2.0 * float(np.max(values)), "t0": t0_guess,
+                    "epsilon": 0.05}, init)
+    result = _least_squares(predict, values, weights, list(start.values()),
+                            tuple(start), max_iter=max_iter,
+                            uncertainty=uncert)
     return result.with_derived(bright_channel=bright_channel)
 
 

@@ -583,6 +583,16 @@ def test_t5_fit_input_checks():
         estimate.fit_t5(bad_sigma)
 
 
+def test_t5_fit_refuses_unknown_init_names():
+    # "T0" is not "t0": a misspelled start must not be dropped silently
+    with pytest.raises(ValidationError,
+                       match=r"unknown init parameters \['T0', 'bogus'\]"):
+        estimate.fit_t5(_t5_points(), init={"T0": 3.0, "bogus": 1})
+    fit = estimate.fit_t5(_t5_points(), init={"t0": 4.0}, max_iter=1)
+    assert fit.iterations == 1 and fit["t0"] != estimate.fit_t5(
+        _t5_points(), max_iter=1)["t0"]
+
+
 @pytest.mark.parametrize("field", [1, 2], ids=["rate", "sigma"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_t5_fit_rejects_non_finite_points(field, bad):
@@ -673,6 +683,15 @@ def test_depolarization_fit_pure_polarization():
         _depol_traces(epsilon=0.0), gamma_mix_cold=GAMMA_MIX_COLD,
         gamma_mix_warm=GAMMA_MIX_WARM, gamma_rad=GAMMA_RAD)
     assert abs(fit["epsilon"]) < 1e-6
+
+
+def test_depolarization_fit_refuses_unknown_init_names():
+    with pytest.raises(ValidationError,
+                       match=r"unknown init parameters \['eps'\]"):
+        estimate.fit_depolarization(
+            _depol_traces(), gamma_mix_cold=GAMMA_MIX_COLD,
+            gamma_mix_warm=GAMMA_MIX_WARM, gamma_rad=GAMMA_RAD,
+            init={"epsilon": 0.2, "eps": 0.2})
 
 
 def test_depolarization_fit_needs_consistent_labels():

@@ -1,6 +1,10 @@
-"""Structure of the package's own imports: all at module level, no cycles."""
+"""Structure of the package's own imports: all at module level, no cycles,
+and no scipy at run time."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nvphonon
@@ -66,3 +70,13 @@ def test_package_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+def test_package_loads_no_scipy():
+    # the runtime needs numpy alone; scipy serves only the tests' oracles
+    probe = ("import sys, nvphonon, nvphonon.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    assert loaded.strip() == "[]"
