@@ -23,15 +23,15 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import math
 import sys
-import warnings
 
 import numpy as np
 
 from . import dynamics, estimate, phonon, synth, verify
 from .core import (CONSTANTS, AngularRate, TimeTrace, ValidationError,
-                   rate_from_linear_mhz, to_linear_mhz)
+                   rate_from_linear_mhz, read_plain_csv, to_linear_mhz)
 from .synth import MAX_SAMPLES
 
 EXIT_OK = 0
@@ -326,35 +326,22 @@ def _parse_trace_rows(path, column=None):
 
 
 def _parse_trace_bulk(path, column=None):
-    """Parse a plain trace CSV in one np.loadtxt call; None where it cannot.
+    """Parse a plain trace CSV (see core.read_plain_csv) in one np.loadtxt
+    call, float64 for time and value columns and int64 for counts columns;
+    None where it cannot, and _parse_trace_rows reads the file or names its
+    bad line. A plain header is checked before any row is parsed."""
+    def dtypes(header):
+        if header[0] != "time_ns":
+            return None
+        _trace_layout(path, 1, header, column)
+        return [np.int64 if i and _is_counts(name) else np.float64
+                for i, name in enumerate(header)]
 
-    Plain means the header is the first line and holds no quote, no line
-    is longer than csv.reader's field limit, and every data line holds
-    exactly one number per column: float64 for time and value columns,
-    int64 for counts columns. Anything else (comment rows, quoted cells,
-    forms only float()/int() read, any error) is left to _parse_trace_rows,
-    which reads it or names the bad line. comments=None keeps numpy from
-    cutting a row at a '#'.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
-    except (OSError, ValueError):  # ValueError: not UTF-8
+    plain = read_plain_csv(path, dtypes)
+    if plain is None:
         return None
-    header = [cell.strip() for cell in lines[0].split(",")]
-    if ('"' in lines[0] or header[0] != "time_ns"
-            or max(map(len, lines)) > csv.field_size_limit()):
-        return None
+    header, table = plain
     index, is_counts = _trace_layout(path, 1, header, column)
-    dtype = [(f"f{i}", np.int64 if i and _is_counts(name) else np.float64)
-             for i, name in enumerate(header)]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loadtxt warns on no data rows
-            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                               skiprows=1, ndmin=1)
-    except (ValueError, Warning):
-        return None
     return (np.ascontiguousarray(table["f0"]),
             np.ascontiguousarray(table[f"f{index}"]), is_counts)
 
@@ -428,18 +415,23 @@ _ROWS_PER_WRITE = 1 << 16
 
 def _write_columns(path, header, columns, formats):
     """Write equal-length columns as a CSV: the header row as csv.writer
-    writes it, then each row with one %-format over its cells ('%.17g' for
-    floats, '%d' for counts) and csv.writer's CRLF line end."""
+    writes it, then the rows in blocks of _ROWS_PER_WRITE, each block one
+    %-format of the row format repeated over its cells in row order
+    ('%.17g' for floats, '%d' for counts, csv.writer's CRLF line end): the
+    same format applied to each cell as one % per row would."""
     columns = [np.asarray(column) for column in columns]
     if any(len(column) != len(columns[0]) for column in columns):
         raise ValueError("columns differ in length")
     line = ",".join(formats) + "\r\n"
+    width = len(columns)
     with _csv_output(path) as handle:
         csv.writer(handle).writerow(header)
         for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            cells = [column[start:start + _ROWS_PER_WRITE].tolist()
-                     for column in columns]
-            handle.write("".join([line % row for row in zip(*cells)]))
+            rows = min(_ROWS_PER_WRITE, len(columns[0]) - start)
+            cells = [None] * (rows * width)
+            for j, column in enumerate(columns):
+                cells[j::width] = column[start:start + rows].tolist()
+            handle.write((line * rows) % tuple(cells))
 
 
 def write_trace_csv(path, times, columns, counts=False):
@@ -851,6 +843,8 @@ def cmd_verify(args):
 # entry points
 
 def build_parser():
+    """The argument parser. Each subcommand's func looks its cmd_* function
+    up when called, so that a parser built once serves a patched module."""
     parser = argparse.ArgumentParser(
         prog="nvphonon",
         description="Simulate and fit orbital dynamics of optically "
@@ -863,7 +857,7 @@ def build_parser():
     p_sim.add_argument("--out", required=True, help="output trace CSV")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override synth.seed for count generation")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=lambda args: cmd_simulate(args))
 
     p_fit = sub.add_parser("fit", help="run an estimation procedure on "
                            "trace or points files")
@@ -872,7 +866,7 @@ def build_parser():
     p_fit.add_argument("--config", default=None, help="key = value file")
     p_fit.add_argument("--out", default=None, help="parameter CSV")
     p_fit.add_argument("inputs", nargs="+", help="input CSV files")
-    p_fit.set_defaults(func=cmd_fit)
+    p_fit.set_defaults(func=lambda args: cmd_fit(args))
 
     p_sweep = sub.add_parser("sweep", help="tabulate model predictions "
                              "along a parameter axis")
@@ -880,17 +874,20 @@ def build_parser():
                          help="axis T or delta with bounds and step")
     p_sweep.add_argument("--config", default=None, help="key = value file")
     p_sweep.add_argument("--out", required=True, help="output table CSV")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=lambda args: cmd_sweep(args))
 
     p_verify = sub.add_parser("verify", help="run the built-in "
                               "self-consistency checks")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=lambda args: cmd_verify(args))
     return parser
 
 
+# built by the first main() call, not at import, and reused by later calls
+_session_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _session_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, TraceFormatError) as exc:

@@ -1,4 +1,5 @@
-"""Canonical units, physical constants, and the photon-count trace container.
+"""Canonical units, physical constants, the photon-count trace container,
+and the one-call reader of plain CSV tables (traces, overlap tables).
 
 Unit conventions used throughout the package:
 
@@ -14,7 +15,9 @@ Unit conventions used throughout the package:
 
 from __future__ import annotations
 
+import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,6 +175,41 @@ def temperature_value(temperature):
 def thermal_energy(temperature):
     """kB * T as an EnergyMeV."""
     return EnergyMeV(CONSTANTS.kb * temperature_value(temperature))
+
+
+def read_plain_csv(path, dtypes):
+    """Read a plain CSV table in one np.loadtxt call: (the header's stripped
+    cells, a structured array with one field f0, f1, ... per column), or
+    None where a row-by-row reader must take the file.
+
+    Plain means the file is UTF-8, the header is its first line and holds
+    no quote, no line is longer than csv.reader's field limit, and every
+    data line holds exactly one number per column. `dtypes(header)` gives
+    each column's dtype, or None to decline the header; it may also raise
+    to refuse a bad header before any row is parsed. Anything else (comment
+    rows, quoted cells, forms only float()/int() read, any loadtxt error)
+    gives None, so that the row reader reads the file or names its bad
+    line. comments=None keeps numpy from cutting a row at a '#'.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+    except (OSError, ValueError):  # ValueError: not UTF-8
+        return None
+    if '"' in lines[0] or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = [cell.strip() for cell in lines[0].split(",")]
+    types = dtypes(header)
+    if types is None:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on no data rows
+            table = np.loadtxt(lines, dtype=[(f"f{i}", t) for i, t in enumerate(types)],
+                               delimiter=",", comments=None, skiprows=1, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    return header, table
 
 
 def _read_only(arr):

@@ -35,6 +35,7 @@ from .core import (
     ValidationError,
     energy_value,
     rate_value,
+    read_plain_csv,
     temperature_value,
 )
 
@@ -209,14 +210,19 @@ class OverlapTable:
         # C0 = integral of F and H = integral of C0, each exact per segment,
         # summed up from the first knot and (the *_up twins) down from the last
         h = np.diff(e)
-        area = 0.5 * h * (f[:-1] + f[1:])
-        bend = h**2 * (2.0 * f[:-1] + f[1:]) / 6.0     # integral of C0 - C0(e_k)
-        c0 = np.concatenate([[0.0], np.cumsum(area)])
-        hc = np.concatenate([[0.0], np.cumsum(h * c0[:-1] + bend)])
-        c0_up = np.concatenate([-np.cumsum(area[::-1])[::-1], [0.0]])
-        hc_up = np.concatenate([-np.cumsum((h * c0_up[:-1] + bend)[::-1])[::-1], [0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            area = 0.5 * h * (f[:-1] + f[1:])
+            bend = h**2 * (2.0 * f[:-1] + f[1:]) / 6.0  # integral of C0 - C0(e_k)
+            c0 = np.concatenate([[0.0], np.cumsum(area)])
+            hc = np.concatenate([[0.0], np.cumsum(h * c0[:-1] + bend)])
+            c0_up = np.concatenate([-np.cumsum(area[::-1])[::-1], [0.0]])
+            hc_up = np.concatenate([-np.cumsum((h * c0_up[:-1] + bend)[::-1])[::-1],
+                                    [0.0]])
+            slope = np.diff(f) / h
+        if not all(np.isfinite(table).all() for table in (c0, hc, c0_up, hc_up, slope)):
+            raise ValidationError("overlap table's slopes or cumulative integrals overflow")
         for name, table in (("energies", e.copy()), ("values", f.copy()),
-                            ("_slope", np.diff(f) / h), ("_c0", c0), ("_hc", hc),
+                            ("_slope", slope), ("_c0", c0), ("_hc", hc),
                             ("_c0_up", c0_up), ("_hc_up", hc_up)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
@@ -232,31 +238,21 @@ class OverlapTable:
 
     @classmethod
     def from_csv(cls, path, provenance=None):
-        """Read an `energy_mev,f_per_mev` table (`#` lines are comments);
-        read errors and bad rows raise ValidationError naming the path."""
-        energies, values = [], []
+        """Read an `energy_mev,f_per_mev` table.
+
+        A plain file (the header on the first line, two numbers on every
+        other; see core.read_plain_csv) is read in one np.loadtxt call.
+        Any other file is read row by row, skipping blank and `#` rows; a
+        bad row raises ValidationError naming the path and its line. A
+        table the constructor refuses raises ValidationError naming the
+        path too.
+        """
+        energies, values = _read_overlap_file(path)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                reader = csv.reader(handle)
-                rows = (row for row in reader
-                        if row and not row[0].lstrip().startswith("#"))
-                if [h.strip() for h in next(rows, [])] != ["energy_mev", "f_per_mev"]:
-                    raise ValidationError(f"{path}: expected header 'energy_mev,f_per_mev'")
-                for row in rows:
-                    try:
-                        energy, value = (float(cell) for cell in row)
-                    except ValueError as exc:
-                        raise ValidationError(f"{path}, line {reader.line_num}: expected "
-                                              f"2 numbers, got {row!r}") from exc
-                    energies.append(energy)
-                    values.append(value)
-        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
-            raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
-        except (OSError, UnicodeDecodeError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            raise ValidationError(f"cannot read overlap table {path}: {reason}") from exc
-        return cls(np.array(energies), np.array(values),
-                   provenance=provenance if provenance is not None else str(path))
+            return cls(energies, values,
+                       provenance=provenance if provenance is not None else str(path))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -280,6 +276,47 @@ class OverlapTable:
             values += w * np.exp(-((energies - n * mode_energy) ** 2) / (2.0 * width**2))
         norm = np.trapezoid(values, energies)
         return cls(energies, values / norm, provenance="synthetic-default")
+
+
+_OVERLAP_HEADER = ["energy_mev", "f_per_mev"]
+
+
+def _read_overlap_rows(path):
+    """(energies, values) of an overlap table CSV, read one row at a time
+    with csv.reader; read errors and bad rows raise ValidationError naming
+    the path."""
+    energies, values = [], []
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            rows = (row for row in reader
+                    if row and not row[0].lstrip().startswith("#"))
+            if [h.strip() for h in next(rows, [])] != _OVERLAP_HEADER:
+                raise ValidationError(f"{path}: expected header 'energy_mev,f_per_mev'")
+            for row in rows:
+                try:
+                    energy, value = (float(cell) for cell in row)
+                except ValueError as exc:
+                    raise ValidationError(f"{path}, line {reader.line_num}: expected "
+                                          f"2 numbers, got {row!r}") from exc
+                energies.append(energy)
+                values.append(value)
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot read overlap table {path}: {reason}") from exc
+    return np.array(energies), np.array(values)
+
+
+def _read_overlap_file(path):
+    """(energies, values) of an overlap table CSV: a plain file in one
+    np.loadtxt call, any other through _read_overlap_rows."""
+    plain = read_plain_csv(
+        path, lambda header: [float, float] if header == _OVERLAP_HEADER else None)
+    if plain is None:
+        return _read_overlap_rows(path)
+    return plain[1]["f0"], plain[1]["f1"]
 
 
 def isc_rate_a1(spin_orbit, overlap, delta):

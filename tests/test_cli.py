@@ -949,6 +949,30 @@ def test_sweep_oversized_overlap_cell_is_input_error(tmp_path, capsys):
         f"{table}, line 2: field larger than field limit")
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("", "overlap table needs >= 2 (energy, value) rows"),
+    ("0,1\n", "overlap table needs >= 2 (energy, value) rows"),
+    ("1,1\n0,1\n", "overlap energies must be strictly increasing"),
+    ("-1,1\n0,1\n", "overlap energies must be >= 0 meV"),
+    ("0,-1\n1,1\n", "overlap values must be >= 0"),
+    ("0,nan\n1,1\n", "overlap table entries must be finite"),
+    # finite entries whose cumulative integrals overflow
+    ("0,0\n100,1e308\n500,1e308\n",
+     "overlap table's slopes or cumulative integrals overflow"),
+], ids=["header-only", "one-row", "decreasing", "negative-energy",
+        "negative-value", "nan", "overflow"])
+def test_sweep_refused_overlap_table_names_its_file(tmp_path, capsys, rows,
+                                                    message):
+    table = _write(tmp_path / "table.csv", "energy_mev,f_per_mev\n" + rows)
+    cfg = _write(tmp_path / "sweep.cfg", f"files.overlap_table = {table}\n")
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep", "--config", cfg, "--sweep", "delta:100:400:50",
+                     "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {table}: {message}\n"
+    assert not out.exists()
+
+
 def test_sample_cap_refuses_oversized_grids(tmp_path, capsys):
     # each request is refused by the size check, before numpy sees it
     out = str(tmp_path / "x.csv")
@@ -1001,6 +1025,78 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, command):
         argv = ["sweep", "--sweep", "delta:100:200:50", "--out", out]
     capsys.readouterr()
     _assert_sweep_input_error(argv, capsys, f"cannot write {out}")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: no option carries over between main() calls
+
+
+@pytest.mark.parametrize("full, bare", [
+    (["simulate", "--config", "a", "--out", "b", "--seed", "3"],
+     ["simulate", "--config", "c", "--out", "d"]),
+    (["fit", "--procedure", "rabi", "--config", "a", "--out", "b", "x", "y"],
+     ["fit", "--procedure", "t5", "z"]),
+    (["sweep", "--sweep", "T:1:2:1", "--config", "a", "--out", "b"],
+     ["sweep", "--out", "c"]),
+    (["fit", "--procedure", "t5", "--out", "b", "z"], ["verify"]),
+])
+def test_reused_parser_parses_like_a_fresh_one(full, bare):
+    def parsed(parser, argv):
+        return {key: value for key, value in vars(parser.parse_args(argv)).items()
+                if key != "func"}
+
+    cli._session_parser().parse_args(full)
+    assert parsed(cli._session_parser(), bare) == parsed(cli.build_parser(), bare)
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("cmd_simulate", ["simulate", "--config", "a", "--out", "b"]),
+    ("cmd_fit", ["fit", "--procedure", "t5", "z"]),
+    ("cmd_sweep", ["sweep", "--out", "c"]),
+    ("cmd_verify", ["verify"]),
+])
+def test_built_parser_calls_the_patched_command(monkeypatch, command, argv):
+    # the parser outlives a monkeypatch, so its funcs look commands up late
+    cli._session_parser()
+    seen = []
+    monkeypatch.setattr(cli, command, lambda args: seen.append(args) or 17)
+    assert cli.main(argv) == 17
+    assert [args.command for args in seen] == [argv[0]]
+
+
+def test_consecutive_fits_share_no_out_file(tmp_path, capsys):
+    trace_path, _ = _count_trace_file(tmp_path)
+    out = tmp_path / "fit.csv"
+    fit = ["fit", "--procedure", "exp-window"]
+    assert cli.main(fit + ["--out", str(out), str(trace_path)]) == EXIT_OK
+    first = capsys.readouterr().out
+    out.unlink()
+    assert cli.main(fit + [str(trace_path)]) == EXIT_OK
+    second = capsys.readouterr().out
+    assert not out.exists()
+    assert first == second + f"fit: parameters written to {out}\n"
+
+
+def test_sweep_after_a_sweep_flag_reads_its_config(tmp_path, capsys):
+    delta = tmp_path / "delta.csv"
+    assert cli.main(["sweep", "--sweep", "delta:380:480:5",
+                     "--out", str(delta)]) == EXIT_OK
+    cfg = _write(tmp_path / "sweep.cfg", """
+rates.gamma_rad_mhz = 13.2
+rates.gamma_a1_mhz = 16.0
+sweep.axis = T
+sweep.lo = 5
+sweep.hi = 26
+sweep.step = 3
+""")
+    table = tmp_path / "t.csv"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(table)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        f"sweep: wrote 21 gap points to {delta}",
+        f"sweep: wrote 8 temperature points to {table}"]
+    header, *rows = table.read_text(encoding="utf-8").splitlines()
+    assert header.startswith("temperature_k,")
+    assert [float(row.split(",")[0]) for row in rows] == list(range(5, 27, 3))
 
 
 # ---------------------------------------------------------------------------

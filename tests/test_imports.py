@@ -1,5 +1,5 @@
 """Structure of the package's own imports: all at module level, no cycles,
-and no scipy at run time."""
+no scipy at run time, and no work done at import."""
 
 import ast
 import os
@@ -80,3 +80,15 @@ def test_package_loads_no_scipy():
     loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                             capture_output=True, text=True).stdout
     assert loaded.strip() == "[]"
+
+
+def test_importing_the_cli_builds_no_parser():
+    # main() builds its parser on its first call, not at import
+    probe = ("import argparse; built = []; init = argparse.ArgumentParser.__init__; "
+             "argparse.ArgumentParser.__init__ = "
+             "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+             "import nvphonon, nvphonon.cli; print(len(built))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    built = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                           capture_output=True, text=True).stdout
+    assert built.strip() == "0"

@@ -159,6 +159,15 @@ def test_overlap_table_validation():
         OverlapTable(np.array([0.0, 1.0]), np.array([-0.1, 0.5]))
 
 
+def test_overlap_table_refuses_overflowing_integrals():
+    # every entry is finite, but the area under F is not
+    with pytest.raises(ValidationError, match="cumulative integrals overflow"):
+        OverlapTable(np.array([0.0, 100.0, 500.0]), np.array([0.0, 1e308, 1e308]))
+    # a table just inside the range is kept
+    table = OverlapTable(np.array([0.0, 1.0]), np.array([1e300, 1e300]))
+    assert table.integral() == 1e300
+
+
 def test_overlap_table_interpolation():
     table = OverlapTable(np.array([0.0, 10.0]), np.array([0.0, 1.0]))
     assert table.interpolate(5.0) == pytest.approx(0.5)

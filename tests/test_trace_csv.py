@@ -1,19 +1,23 @@
-"""Trace CSV I/O: write_trace_csv -> load_trace round trips, the bulk
-reader against the row parser it falls back to, and the bytes the CLI
-writes."""
+"""CSV I/O: write_trace_csv -> load_trace round trips, the bulk readers
+of traces and overlap tables against the row parsers they fall back to,
+the block writer against the per-row writer it replaced, and the bytes the
+CLI writes."""
 
 import csv
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from nvphonon import cli
+from nvphonon import cli, phonon
 from nvphonon.cli import EXIT_OK, load_trace, write_trace_csv
+from nvphonon.core import ValidationError
 
-INT64_MAX = 2**63 - 1
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -166,6 +170,188 @@ def test_bulk_reader_takes_plain_files(scratch, text, column):
     assert _arrays(*bulk) == _outcome(cli._parse_trace_rows, str(path), column)
 
 
+# Differential test: the block writer against the per-row writer it
+# replaced, kept verbatim as the oracle.
+
+def _per_row_write_columns(path, header, columns, formats):
+    columns = [np.asarray(column) for column in columns]
+    if any(len(column) != len(columns[0]) for column in columns):
+        raise ValueError("columns differ in length")
+    line = ",".join(formats) + "\r\n"
+    with cli._csv_output(path) as handle:
+        csv.writer(handle).writerow(header)
+        for start in range(0, len(columns[0]), cli._ROWS_PER_WRITE):
+            cells = [column[start:start + cli._ROWS_PER_WRITE].tolist()
+                     for column in columns]
+            handle.write("".join([line % row for row in zip(*cells)]))
+
+
+_WRITER_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    EDGE_FLOATS + [float("nan"), float("inf"), float("-inf")]))
+_WRITER_INTS = st.one_of(st.integers(INT64_MIN, INT64_MAX),
+                         st.sampled_from([INT64_MIN, INT64_MAX, -1, 0]))
+
+
+@st.composite
+def write_tables(draw):
+    """(columns, formats): one to four equal-length columns of 0 to a few
+    hundred rows, float64 under '%.17g' and int64 under '%d'."""
+    rows = draw(st.integers(0, 300))
+    formats = draw(st.lists(st.sampled_from(["%.17g", "%d"]), min_size=1,
+                            max_size=4))
+    columns = [draw(arrays(np.int64, rows, elements=_WRITER_INTS))
+               if fmt == "%d" else
+               draw(arrays(np.float64, rows, elements=_WRITER_FLOATS))
+               for fmt in formats]
+    return columns, formats
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=write_tables(), block=st.sampled_from([1, 2, 3, 7, 64, 1 << 16]))
+def test_block_writer_matches_per_row_writer(scratch, table, block):
+    columns, formats = table
+    header = [f"c{j}" for j in range(len(columns))]
+    with mock.patch.object(cli, "_ROWS_PER_WRITE", block):
+        cli._write_columns(scratch / "block.csv", header, columns, formats)
+        _per_row_write_columns(scratch / "per_row.csv", header, columns, formats)
+    assert ((scratch / "block.csv").read_bytes()
+            == (scratch / "per_row.csv").read_bytes())
+
+
+# Differential test: generated overlap tables, read through from_csv and by
+# the row parser from_csv had before its bulk path (kept verbatim as the
+# oracle, returning its arrays), must give the same arrays or the same error.
+
+def _overlap_rows_oracle(path):
+    energies, values = [], []
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            rows = (row for row in reader
+                    if row and not row[0].lstrip().startswith("#"))
+            if [h.strip() for h in next(rows, [])] != ["energy_mev", "f_per_mev"]:
+                raise ValidationError(f"{path}: expected header 'energy_mev,f_per_mev'")
+            for row in rows:
+                try:
+                    energy, value = (float(cell) for cell in row)
+                except ValueError as exc:
+                    raise ValidationError(f"{path}, line {reader.line_num}: expected "
+                                          f"2 numbers, got {row!r}") from exc
+                energies.append(energy)
+                values.append(value)
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot read overlap table {path}: {reason}") from exc
+    return np.array(energies), np.array(values)
+
+
+_OVERLAP_HEADERS = ["energy_mev,f_per_mev"] * 4 + [" energy_mev , f_per_mev ",
+                    '"energy_mev",f_per_mev', "energy_mev,f_per_mev,",
+                    "energy_mev", "energy,f"]
+# the trace test's odd cells and lines, and forms the overlap table refuses
+_OVERLAP_ODD_CELLS = _ODD_CELLS + ["inf", "-inf", "nan", "-nan", "Infinity",
+                                   "1e400", "1e308", "-1"]
+_OVERLAP_ODD_LINES = _ODD_LINES + ['"0.5","1"', "1_0,2"]
+
+
+@st.composite
+def overlap_texts(draw):
+    """An overlap table file: one of the headers over rows of increasing
+    energies and nonnegative values, then up to three edits (an odd cell,
+    an odd line, a comment or blank line above the header, a UTF-8 BOM),
+    with LF, CRLF or CR line ends."""
+    header = draw(st.sampled_from(_OVERLAP_HEADERS))
+    energies = sorted(draw(st.lists(st.floats(0.0, 1e6), max_size=6, unique=True)))
+    values = draw(st.lists(st.floats(0.0, 1e3), min_size=len(energies),
+                           max_size=len(energies)))
+    lines = [header] + [",".join(draw(_PADDING) + repr(cell) + draw(_PADDING)
+                                 for cell in row) for row in zip(energies, values)]
+    bom = ""
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["cell", "line", "above", "bom"]))
+        if edit == "cell" and len(lines) > 1:
+            index = draw(st.integers(1, len(lines) - 1))
+            cells = lines[index].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.one_of(
+                st.sampled_from(_OVERLAP_ODD_CELLS), st.floats().map(repr)))
+            lines[index] = ",".join(cells)
+        elif edit == "line":
+            lines.insert(draw(st.integers(1, len(lines))),
+                         draw(st.sampled_from(_OVERLAP_ODD_LINES)))
+        elif edit == "above":
+            lines.insert(0, draw(st.sampled_from(["", "# note", "#x,y"])))
+        else:
+            bom = "\ufeff"
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return bom + ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def _overlap_outcome(read, path):
+    try:
+        return tuple(map(_bits, read(path)))
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _table_outcome(path, read):
+    """What from_csv gives when the arrays come from read: the table's bits,
+    or the error, a constructor error prefixed with the path."""
+    try:
+        energies, values = read(path)
+    except ValidationError as exc:
+        return str(exc)
+    try:
+        table = phonon.OverlapTable(energies, values)
+    except ValidationError as exc:
+        return f"{path}: {exc}"
+    return _bits(table.energies), _bits(table.values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=overlap_texts())
+# csv.reader refuses a cell over its field size limit
+@example(text=f"energy_mev,f_per_mev\n0,1\n1,{'0' * csv.field_size_limit()}5\n")
+@example(text="energy_mev,f_per_mev\r\n0,1\r\n\r\n# note\r\n1,2\r\n")
+@example(text="energy_mev,f_per_mev\r0,1\r1,2")
+@example(text="# note\n\nenergy_mev,f_per_mev\n0,1\n1,2\n")
+@example(text="\ufeffenergy_mev,f_per_mev\n0,1\n1,2\n")
+@example(text='energy_mev,f_per_mev\n0,"1"\n1,2\n')
+# numpy's default comments='#' would read '5 # x' as 5
+@example(text="energy_mev,f_per_mev\n0,1\n1,5 # x\n")
+@example(text="energy_mev,f_per_mev\n0,1_0\n1,2\n")
+@example(text="energy_mev,f_per_mev\n0,inf\n1,nan\n")
+@example(text="energy_mev,f_per_mev\n0,1,2\n1,2\n")
+@example(text="energy_mev,f_per_mev\n0\n1,2\n")
+def test_overlap_reader_matches_row_parser(scratch, text):
+    path = str(scratch / "overlap.csv")
+    (scratch / "overlap.csv").write_bytes(text.encode("utf-8"))
+    assert (_overlap_outcome(phonon._read_overlap_file, path)
+            == _overlap_outcome(_overlap_rows_oracle, path))
+    try:
+        table = phonon.OverlapTable.from_csv(path)
+        outcome = _bits(table.energies), _bits(table.values)
+    except ValidationError as exc:
+        outcome = str(exc)
+    assert outcome == _table_outcome(path, _overlap_rows_oracle)
+
+
+@pytest.mark.parametrize("text", [
+    "energy_mev,f_per_mev\n0,0.5\n1.5,nan\n",
+    "energy_mev,f_per_mev\r\n0,1\r\n1,2\r\n",
+    "energy_mev,f_per_mev\r0,1\r\r1,2",
+    " energy_mev , f_per_mev \n0, 1\n1 ,-0.0\n",
+])
+def test_overlap_bulk_reader_takes_plain_files(scratch, text):
+    path = str(scratch / "plain.csv")
+    (scratch / "plain.csv").write_bytes(text.encode("utf-8"))
+    with mock.patch.object(phonon, "_read_overlap_rows",
+                           side_effect=AssertionError("read row by row")):
+        bulk = _overlap_outcome(phonon._read_overlap_file, path)
+    assert bulk == _overlap_outcome(_overlap_rows_oracle, path)
+
+
 # Golden bytes: SHA-256 of what seeded CLI runs write, recorded before the
 # writer became columnar. A change to the numbers themselves (the synth
 # model, the forward model, the quadrature) moves these on purpose and
@@ -211,14 +397,24 @@ phonon.cutoff_mev = 93.0
         # where composite Simpson was off by up to 3e-7: only the
         # gamma_e12_mhz and ratio columns moved
         "dce57f8eb97ab27256186bff63d80f5cbc6b0db47cf3c38409d8f385f2a218f9"),
+    "sweep_delta_file": ("""
+phonon.eta_mhz_per_mev3 = 44.0
+phonon.cutoff_mev = 93.0
+files.overlap_table = {overlap}
+""", ["sweep", "--sweep", "delta:380:480:5"],
+        # read from an overlap CSV (written by OverlapTable.to_csv) rather
+        # than built in memory, recorded before that reader went columnar
+        "31a99c7269ef1d66d4fed41bbd620048d60af335286d19c19e3982d70149a0d5"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_cli_output_bytes_are_pinned(tmp_path, capsys, name):
     config, argv, digest = _GOLDEN[name]
+    overlap = tmp_path / "overlap.csv"
+    phonon.OverlapTable.synthetic_default(mode_energy=61.0, width=27.0).to_csv(overlap)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(config, encoding="utf-8")
+    cfg.write_text(config.format(overlap=overlap), encoding="utf-8")
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
