@@ -1,6 +1,7 @@
 import ast
 import csv
 import functools
+import hashlib
 import inspect
 
 import numpy as np
@@ -1111,6 +1112,15 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert first == second
     assert "checks passed" in first
     assert "FAIL" not in first
+
+
+def test_verify_output_is_pinned(capsys):
+    # recorded before the envelope identities were evaluated on arrays and
+    # before _propagate read remainder-free grids straight off the lattice
+    assert cli.main(["verify"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b65defb26322353a5271ac73defd803635ca01bf42ebe2447088aaef31d1c1cb")
 
 
 def test_verify_catches_perturbed_constant(monkeypatch, capsys):

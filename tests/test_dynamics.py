@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -337,6 +339,54 @@ def test_wide_grid_builds_no_span_sized_lattice(monkeypatch, times):
                                    states[:, idx, idx].real,
                                    rtol=0.0, atol=atol)
     assert len(propagators) <= n + 2 and sum(lattices) <= 2 * n + 1
+
+
+# on the lattice (every r_i = 0, from t = 0 and from a later start), near
+# it (arange's last-bit offsets) and far off it (every remainder distinct)
+_PINNED_GRIDS = (np.arange(0.0, 200.1, 2.0), np.arange(3.0, 203.0, 2.0),
+                 np.arange(0.0, 40.0, 0.05), np.geomspace(0.01, 200.0, 50))
+
+
+def test_propagated_states_are_pinned():
+    # recorded before _propagate read remainder-free grids straight off the
+    # lattice: the states, as float.hex, of a rate and a Lindblad generator
+    digest = hashlib.sha256()
+    rates = build_a12_model(GAMMA_RAD, GAMMA_MIX_WARM, GAMMA_ISC).matrix
+    lindblad = dynamics._lindblad_superoperator(_LINDBLAD_MODELS["driven"])
+    for matrix, y0 in ((rates, np.array([0.3, 0.7])),
+                       (lindblad, DensityMatrix3.pure("g").matrix.reshape(9))):
+        for times in _PINNED_GRIDS:
+            states = dynamics._propagate(matrix, y0, times)
+            digest.update(" ".join(map(float.hex, states.view(float).ravel().tolist()))
+                          .encode())
+    assert digest.hexdigest() == (
+        "7d323435fa62d79254a68dcf383995e02ae113d0a799d94f69a03d6211d597ca")
+
+
+@pytest.mark.parametrize("kind", ["rate", "lindblad"])
+def test_lattice_grid_builds_one_propagator(monkeypatch, kind):
+    # a grid with no remainder from t = 0 needs the lattice step alone:
+    # one propagator, whose Taylor series is the only one summed
+    calls = []
+    propagator, taylor = dynamics._propagator, dynamics._taylor
+
+    def counting_propagator(matrix, h, norm1):
+        calls.append("propagator")
+        return propagator(matrix, h, norm1)
+
+    def counting_taylor(matrix, rest, states, norm1):
+        calls.append("taylor")
+        return taylor(matrix, rest, states, norm1)
+
+    monkeypatch.setattr(dynamics, "_propagator", counting_propagator)
+    monkeypatch.setattr(dynamics, "_taylor", counting_taylor)
+    t = np.arange(0.0, 200.1, 2.0)
+    if kind == "rate":
+        evolve_rates(build_a12_model(GAMMA_RAD, GAMMA_MIX_WARM, GAMMA_ISC),
+                     np.array([1.0, 0.0]), t)
+    else:
+        evolve_lindblad(_LINDBLAD_MODELS["driven"], DensityMatrix3.pure("g"), t)
+    assert sorted(calls) == ["propagator", "taylor"]
 
 
 @settings(max_examples=25, deadline=None)
