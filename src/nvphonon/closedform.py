@@ -33,37 +33,45 @@ class EnvelopeParams:
     gamma_t2: AngularRate
 
 
+def _envelope_terms(gr_x, gr_y, m_xy, m_yx, gt2):
+    """(tau_rabi, tau_2, A, B) of envelope_timescales from its five rates
+    in rad/ns, each a float or an array; arrays give arrays, element for
+    element the bits of the float form. Refuses the whole call if any
+    element has 2 Gamma_rad,y + Gamma_mix,xy + 2 Gamma_mix,yx <= 0."""
+    denom = 2.0 * gr_y + m_xy + 2.0 * m_yx
+    if np.any(denom <= 0.0):
+        raise ValidationError(
+            "envelope offset amplitudes are undefined when "
+            "2*gamma_rad_y + gamma_mix_xy + 2*gamma_mix_yx = 0"
+        )
+    with np.errstate(divide="ignore"):
+        tau_rabi = np.divide(1.0, 0.75 * gr_x + 0.5 * (m_xy + gt2))
+    return (tau_rabi, 1.0 / (0.5 * denom), -m_xy / denom,
+            2.0 * (gr_y + m_xy + m_yx) / denom)
+
+
 def envelope_timescales(params):
     """Return (tau_rabi, tau_2, A, B) for the strong-drive envelope.
 
     tau_rabi is the decay time of the oscillating term, tau_2 the decay
     time of the transient offset, and A, B the transient and steady
-    offset amplitudes (A + B = 1).
+    offset amplitudes (A + B = 1). An undamped drive,
+    3/4 Gamma_rad,x + (Gamma_mix,xy + Gamma_t2)/2 = 0, has tau_rabi = inf.
     """
-    gr_x = rate_value(params.gamma_rad_x)
-    gr_y = rate_value(params.gamma_rad_y)
-    m_xy = rate_value(params.gamma_mix_xy)
-    m_yx = rate_value(params.gamma_mix_yx)
-    gt2 = rate_value(params.gamma_t2)
-
-    inv_tau_rabi = 0.75 * gr_x + 0.5 * (m_xy + gt2)
-    denom = 2.0 * gr_y + m_xy + 2.0 * m_yx
-    if denom <= 0.0:
-        raise ValidationError(
-            "envelope offset amplitudes are undefined when "
-            "2*gamma_rad_y + gamma_mix_xy + 2*gamma_mix_yx = 0"
-        )
-    inv_tau_2 = 0.5 * (2.0 * gr_y + m_xy + 2.0 * m_yx)
-    amp_transient = -m_xy / denom
-    amp_steady = 2.0 * (gr_y + m_xy + m_yx) / denom
-    return 1.0 / inv_tau_rabi, 1.0 / inv_tau_2, amp_transient, amp_steady
+    terms = _envelope_terms(rate_value(params.gamma_rad_x),
+                            rate_value(params.gamma_rad_y),
+                            rate_value(params.gamma_mix_xy),
+                            rate_value(params.gamma_mix_yx),
+                            rate_value(params.gamma_t2))
+    return tuple(map(float, terms))
 
 
 def rabi_envelope(params, t):
     """Oscillation envelope g(t) = (exp(-t/tau_rabi) + A exp(-t/tau_2) + B)/2.
 
     Normalized so g(0) = 1; the fluorescence extrema of a strongly driven
-    g-x transition follow this curve.
+    g-x transition follow this curve. An undamped drive (tau_rabi = inf)
+    gives (1 + A exp(-t/tau_2) + B)/2.
     """
     tau_rabi, tau_2, amp_a, amp_b = envelope_timescales(params)
     t = np.asarray(t, dtype=float)

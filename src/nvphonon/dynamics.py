@@ -220,7 +220,10 @@ def _propagate(matrix, y0, times):
     _TAYLOR_REACH, and otherwise by one propagator per distinct remainder.
     Those samples step forward from the lattice state below them (k_i
     rounded down, r_i >= 0), because stepping back through a dissipative
-    generator amplifies its decayed modes.
+    generator amplifies its decayed modes. A grid whose gaps all equal the
+    first takes that gap as delta without counting spacings, and a grid
+    with no remainder (every t_i - t_0 a multiple of delta, as in an arange
+    of a step exact in binary) is the lattice rows k_i as they are.
     """
     norm1 = float(np.abs(matrix).sum(axis=0).max())
     start = np.array(y0, dtype=matrix.dtype)
@@ -229,24 +232,36 @@ def _propagate(matrix, y0, times):
     if len(times) == 1:
         return start[np.newaxis]
     elapsed = times - times[0]
-    spacings, counts = np.unique(np.diff(times), return_counts=True)
-    delta = max(spacings[np.argmax(counts)], elapsed[-1] / (2 * len(times)))
+    gaps = np.diff(times)
+    if (gaps == gaps[0]).all():
+        delta = gaps[0]
+    else:
+        spacings, counts = np.unique(gaps, return_counts=True)
+        delta = spacings[np.argmax(counts)]
+    delta = max(delta, elapsed[-1] / (2 * len(times)))
     steps = np.rint(elapsed / delta)
     rest = elapsed - steps * delta
-    far = np.abs(rest) * norm1 > _TAYLOR_REACH
-    steps[far] = np.floor(elapsed[far] / delta)
-    rest[far] = elapsed[far] - steps[far] * delta
+    off_lattice = rest.any()
+    if off_lattice:
+        far = np.abs(rest) * norm1 > _TAYLOR_REACH
+        any_far = far.any()
+        if any_far:
+            steps[far] = np.floor(elapsed[far] / delta)
+            rest[far] = elapsed[far] - steps[far] * delta
     steps = steps.astype(np.intp)
     states = _lattice(start, _propagator(matrix, delta, norm1),
                       int(steps.max()) + 1)[steps]
+    if not off_lattice:
+        return states
     near = (rest != 0.0) & ~far
-    if np.any(near):
+    if near.any():
         states[near] = _taylor(matrix, rest[near, np.newaxis], states[near], norm1)
-    order = np.flatnonzero(far)
-    order = order[np.argsort(rest[order], kind="stable")]
-    remainders, first = np.unique(rest[order], return_index=True)
-    for r, group in zip(remainders, np.split(order, first[1:])):
-        states[group] = states[group] @ _propagator(matrix, r, norm1).T
+    if any_far:
+        order = np.flatnonzero(far)
+        order = order[np.argsort(rest[order], kind="stable")]
+        remainders, first = np.unique(rest[order], return_index=True)
+        for r, group in zip(remainders, np.split(order, first[1:])):
+            states[group] = states[group] @ _propagator(matrix, r, norm1).T
     return states
 
 

@@ -255,10 +255,17 @@ class OverlapTable:
             raise ValidationError(f"{path}: {exc}") from exc
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write("energy_mev,f_per_mev\n")
-            for e, f in zip(self.energies, self.values):
-                handle.write(f"{e:.17g},{f:.17g}\n")
+        """Write the table as `energy_mev,f_per_mev` rows (%.17g, LF line
+        ends); failing to open or write the file raises ValidationError
+        naming the path, as the CLI's writers do."""
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write("energy_mev,f_per_mev\n")
+                for e, f in zip(self.energies, self.values):
+                    handle.write(f"{e:.17g},{f:.17g}\n")
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write {path}: {exc.strerror or exc}") from exc
 
     @classmethod
     def synthetic_default(cls, mode_energy=64.0, width=25.0, weight=3.5,

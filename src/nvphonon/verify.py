@@ -54,19 +54,16 @@ def check_envelope_identities():
     # 200 rounds of uniform(0, 0.126, size=4) then uniform(1e-3, 0.126),
     # drawn at once and scaled as Generator.uniform scales them
     draws = np.random.default_rng(12345).random(1000).reshape(200, 5)
-    rates = 0.126 * draws[:, :4]
-    gr_ys = 1e-3 + (0.126 - 1e-3) * draws[:, 4]
-    worst_sum = 0.0
-    worst_g0 = 0.0
-    worst_sym = 0.0
-    for (gr_x, gt2, m_xy, m_yx), gr_y in zip(rates.tolist(), gr_ys.tolist()):
-        params = closedform.EnvelopeParams(gr_x, gr_y, m_xy, m_yx, gt2)
-        _, _, amp_a, amp_b = closedform.envelope_timescales(params)
-        worst_sum = max(worst_sum, abs(amp_a + amp_b - 1.0))
-        worst_g0 = max(worst_g0, abs(float(closedform.rabi_envelope(params, 0.0)) - 1.0))
-        sym = closedform.EnvelopeParams(gr_x, max(gr_x, 1e-6), m_xy, m_xy, gt2)
-        _, _, amp_a_s, _ = closedform.envelope_timescales(sym)
-        worst_sym = max(worst_sym, abs(amp_a_s) - 1.0 / 3.0)
+    gr_x, gt2, m_xy, m_yx = 0.126 * draws[:, :4].T
+    gr_y = 1e-3 + (0.126 - 1e-3) * draws[:, 4]
+    _, _, amp_a, amp_b = closedform._envelope_terms(gr_x, gr_y, m_xy, m_yx, gt2)
+    worst_sum = float(np.max(np.abs(amp_a + amp_b - 1.0)))
+    # rabi_envelope at t = 0: both exponentials are exp(-0.0) = 1 exactly
+    worst_g0 = float(np.max(np.abs(0.5 * (1.0 + amp_a + amp_b) - 1.0)))
+    # symmetric mixing bounds |A| by 1/3; the worst excess, floored at 0
+    _, _, amp_a_s, _ = closedform._envelope_terms(
+        gr_x, np.maximum(gr_x, 1e-6), m_xy, m_xy, gt2)
+    worst_sym = max(0.0, float(np.max(np.abs(amp_a_s) - 1.0 / 3.0)))
     ok = worst_sum <= 1e-12 and worst_g0 <= 1e-12 and worst_sym <= 1e-12
     return ok, (f"A+B-1 {worst_sum:.1e}, g(0)-1 {worst_g0:.1e}, "
                 f"|A|-1/3 {worst_sym:.1e}")

@@ -1123,6 +1123,41 @@ def test_verify_output_is_pinned(capsys):
         "b65defb26322353a5271ac73defd803635ca01bf42ebe2447088aaef31d1c1cb")
 
 
+def test_envelope_identities_detail_matches_the_per_draw_loop():
+    # the check as it was written before it evaluated its 200 draws as
+    # arrays: one EnvelopeParams and scalar closed form per draw
+    draws = np.random.default_rng(12345).random(1000).reshape(200, 5)
+    rates = 0.126 * draws[:, :4]
+    gr_ys = 1e-3 + (0.126 - 1e-3) * draws[:, 4]
+    worst_sum = worst_g0 = worst_sym = 0.0
+    for (gr_x, gt2, m_xy, m_yx), gr_y in zip(rates.tolist(), gr_ys.tolist()):
+        params = closedform.EnvelopeParams(gr_x, gr_y, m_xy, m_yx, gt2)
+        _, _, amp_a, amp_b = closedform.envelope_timescales(params)
+        worst_sum = max(worst_sum, abs(amp_a + amp_b - 1.0))
+        worst_g0 = max(worst_g0, abs(float(closedform.rabi_envelope(params, 0.0)) - 1.0))
+        sym = closedform.EnvelopeParams(gr_x, max(gr_x, 1e-6), m_xy, m_xy, gt2)
+        _, _, amp_a_s, _ = closedform.envelope_timescales(sym)
+        worst_sym = max(worst_sym, abs(amp_a_s) - 1.0 / 3.0)
+    detail = (f"A+B-1 {worst_sum:.1e}, g(0)-1 {worst_g0:.1e}, "
+              f"|A|-1/3 {worst_sym:.1e}")
+    assert verify.check_envelope_identities() == (True, detail)
+
+
+def test_verify_catches_a_broken_envelope(monkeypatch, capsys):
+    # B off by 1e-9 breaks A + B = 1 and g(0) = 1
+    terms = closedform._envelope_terms
+
+    def shifted(*rates):
+        tau_rabi, tau_2, amp_a, amp_b = terms(*rates)
+        return tau_rabi, tau_2, amp_a, amp_b + 1e-9
+
+    monkeypatch.setattr(closedform, "_envelope_terms", shifted)
+    assert cli.main(["verify"]) == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "FAIL envelope_identities" in out
+    assert "verify: 12/13 checks passed" in out
+
+
 def test_verify_catches_perturbed_constant(monkeypatch, capsys):
     import nvphonon.core as core
     # a wrong emission-angle factor must trip the coefficient check

@@ -367,6 +367,49 @@ def test_fluorescence_a12_rejects_unknown_branch():
                                     np.array([1.0]))
 
 
+def test_undamped_envelope_has_infinite_tau_rabi():
+    # 3/4 Gamma_rad,x + (Gamma_mix,xy + Gamma_t2)/2 = 0: the oscillation
+    # never decays, and the envelope keeps only the offset's transient
+    params = EnvelopeParams(0.0, 0.1, 0.0, 0.0, 0.0)
+    tau_rabi, tau_2, amp_a, amp_b = closedform.envelope_timescales(params)
+    assert tau_rabi == np.inf
+    assert (tau_2, amp_a, amp_b) == (10.0, 0.0, 1.0)
+    t = np.linspace(0.0, 50.0, 11)
+    np.testing.assert_array_equal(closedform.rabi_envelope(params, t),
+                                  0.5 * (1.0 + amp_a * np.exp(-t / tau_2) + amp_b))
+    terms = closedform._envelope_terms(np.array([0.0, 0.1]), 0.1, 0.0, 0.0,
+                                       np.array([0.0, 0.2]))
+    assert terms[0].tolist() == [np.inf, 1.0 / (0.75 * 0.1 + 0.5 * 0.2)]
+
+
+def _verify_draws():
+    """The 200 rate sets of verify.check_envelope_identities, (gr_x, gr_y,
+    m_xy, m_yx, gt2) as columns."""
+    draws = np.random.default_rng(12345).random(1000).reshape(200, 5)
+    gr_x, gt2, m_xy, m_yx = 0.126 * draws[:, :4].T
+    return gr_x, 1e-3 + (0.126 - 1e-3) * draws[:, 4], m_xy, m_yx, gt2
+
+
+def test_envelope_array_form_matches_scalar_form():
+    gr_x, gr_y, m_xy, m_yx, gt2 = _verify_draws()
+    for rates in ((gr_x, gr_y, m_xy, m_yx, gt2),
+                  (gr_x, np.maximum(gr_x, 1e-6), m_xy, m_xy, gt2)):
+        arrays = closedform._envelope_terms(*rates)
+        for i, row in enumerate(zip(*(rate.tolist() for rate in rates))):
+            scalar = closedform.envelope_timescales(EnvelopeParams(*row))
+            assert [x.hex() for x in scalar] == [
+                float(term[i]).hex() for term in arrays]
+
+
+def test_envelope_array_form_refuses_one_undefined_element():
+    gr_x, gr_y, m_xy, m_yx, gt2 = _verify_draws()
+    gr_y, m_xy, m_yx = gr_y.copy(), m_xy.copy(), m_yx.copy()
+    gr_y[57] = m_xy[57] = m_yx[57] = 0.0
+    with pytest.raises(ValidationError, match="envelope offset amplitudes are "
+                       "undefined when 2\\*gamma_rad_y"):
+        closedform._envelope_terms(gr_x, gr_y, m_xy, m_yx, gt2)
+
+
 # (Gamma_mix, Gamma_isc): Gamma' = 0, Gamma_mix = 0, Gamma_isc = 0,
 # 2 Gamma_mix = Gamma_isc, Gamma_mix ~ 1e-7, either side of the split,
 # and Gamma' -> 0

@@ -190,6 +190,13 @@ def test_overlap_table_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.values, table.values)
 
 
+def test_overlap_table_to_csv_names_an_unwritable_path(tmp_path):
+    path = tmp_path / "missing" / "overlap.csv"
+    with pytest.raises(ValidationError, match=f"^cannot write {re.escape(str(path))}: "):
+        OverlapTable.synthetic_default().to_csv(path)
+    assert not path.parent.exists()
+
+
 def test_overlap_table_csv_header_checked(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("energy,f\n0.0,0.5\n1.0,0.5\n")
