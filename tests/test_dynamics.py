@@ -418,6 +418,116 @@ def test_negative_population_is_reported(monkeypatch):
         evolve_rates(model, np.array([1.0, 0.0]), t)
 
 
+# times that _validate_times refuses, with the exception each evolver
+# raises; the finiteness test comes before the start and order tests
+_BAD_TIMES = {
+    "2-d": (np.zeros((2, 2)), "times must be a nonempty 1-d array"),
+    "empty": (np.array([]), "times must be a nonempty 1-d array"),
+    "nan": (np.array([0.0, np.nan, 2.0]), "times must be finite"),
+    "negative-start": (np.array([-1.0, 0.5, 2.0]), "times must start at or after 0"),
+    "repeated": (np.array([0.0, 1.0, 1.0]), "times must be strictly increasing"),
+    "decreasing": (np.array([0.0, 2.0, 1.0]), "times must be strictly increasing"),
+    "nan-and-negative-start": (np.array([-1.0, np.nan, 2.0]), "times must be finite"),
+}
+
+
+def _evolve(kind, times):
+    if kind == "rate":
+        return evolve_rates(build_a12_model(0.1, 0.05, 0.08),
+                            np.array([1.0, 0.0]), times)
+    return evolve_lindblad(_LINDBLAD_MODELS["driven"], DensityMatrix3.pure("g"),
+                           times)
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TIMES))
+@pytest.mark.parametrize("kind", ["rate", "lindblad"])
+def test_malformed_times_are_refused_with_their_message(kind, case):
+    times, message = _BAD_TIMES[case]
+    with pytest.raises(ValidationError) as info:
+        _evolve(kind, times)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == message
+
+
+_NEGATIVE = "population went significantly negative"
+_NOT_FINITE = "trace values must be finite"
+
+# (first label's column, second label's column) at t = 0, 1, 2, and the
+# exception the per-label check raises first
+_BAD_POPULATIONS = {
+    "negative-first": ([1.0, -1e-6, 0.5], [0.0, 0.5, 0.5], IntegrationError, _NEGATIVE),
+    "negative-later": ([1.0, 0.5, 0.5], [0.0, 0.5, -1e-6], IntegrationError, _NEGATIVE),
+    "nan-first": ([1.0, np.nan, 0.5], [0.0, 0.5, 0.5], ValidationError, _NOT_FINITE),
+    "nan-later": ([1.0, 0.5, 0.5], [0.0, np.nan, 0.5], ValidationError, _NOT_FINITE),
+    "inf-first": ([1.0, np.inf, 0.5], [0.0, 0.5, 0.5], ValidationError, _NOT_FINITE),
+    "minus-inf-later": ([1.0, 0.5, 0.5], [0.0, -np.inf, 0.5], IntegrationError,
+                        _NEGATIVE),
+    "nan-and-negative-in-one-column": ([1.0, np.nan, -1e-6], [0.0, 0.5, 0.5],
+                                       ValidationError, _NOT_FINITE),
+    "nan-first-negative-later": ([1.0, np.nan, 0.5], [0.0, 0.5, -1e-6],
+                                 ValidationError, _NOT_FINITE),
+    "negative-first-nan-later": ([1.0, -1e-6, 0.5], [0.0, np.nan, 0.5],
+                                 IntegrationError, _NEGATIVE),
+    "within-tolerance": ([1.0, -1e-10, 0.5], [0.0, 0.5, 0.5], None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_POPULATIONS))
+@pytest.mark.parametrize("kind", ["rate", "lindblad"])
+def test_bad_populations_are_refused_with_their_message(monkeypatch, kind, case):
+    # the propagated states are replaced, as in
+    # test_negative_population_is_reported; in the Lindblad case the two
+    # columns are the x and y populations, with g at 0
+    first, later, error, message = _BAD_POPULATIONS[case]
+    if kind == "rate":
+        states = np.column_stack([first, later])
+    else:
+        states = np.zeros((3, 9))
+        states[:, 4], states[:, 8] = first, later
+    monkeypatch.setattr(dynamics, "_propagate", lambda matrix, y0, times: states)
+    if error is None:
+        _evolve(kind, np.array([0.0, 1.0, 2.0]))
+        return
+    with pytest.raises(ValidationError) as info:
+        _evolve(kind, np.array([0.0, 1.0, 2.0]))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_non_finite_coherence_is_refused(monkeypatch):
+    states = np.zeros((2, 9))
+    states[:, 0] = 1.0
+    states[1, 1] = np.nan
+    monkeypatch.setattr(dynamics, "_propagate", lambda matrix, y0, times: states)
+    with pytest.raises(ValidationError) as info:
+        _evolve("lindblad", np.array([0.0, 1.0]))
+    assert type(info.value) is ValidationError
+    assert str(info.value) == _NOT_FINITE
+
+
+def test_evolved_traces_are_pinned():
+    # the population and coherence traces, times and values as float.hex,
+    # of the models and grids of test_propagated_states_are_pinned
+    digest = hashlib.sha256()
+
+    def update(trace):
+        for array in (trace.times, trace.values):
+            digest.update(" ".join(map(float.hex, array.tolist())).encode())
+
+    rates = build_a12_model(GAMMA_RAD, GAMMA_MIX_WARM, GAMMA_ISC)
+    for times in _PINNED_GRIDS:
+        pops = evolve_rates(rates, np.array([0.3, 0.7]), times)
+        for label in rates.labels:
+            update(pops[label])
+        model = _LINDBLAD_MODELS["driven"]
+        result = evolve_lindblad(model, DensityMatrix3.pure("g"), times)
+        for label in model.labels:
+            update(result.populations[label])
+        update(result.coherence)
+    assert digest.hexdigest() == (
+        "3006e0dc1b3d79779bea1c5f5dc595534865d76fbcbc755501f92e4d82c52972")
+
+
 def test_rate_evolution_conserves_without_loss():
     # pure exchange keeps the total fixed
     gen = np.array([[-0.2, 0.1], [0.2, -0.1]])
