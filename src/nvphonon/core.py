@@ -242,6 +242,12 @@ class TimeTrace:
         Whether a background trace has already been subtracted.
     clamped_bins : int
         Number of bins clamped to zero during background subtraction.
+
+    The constructor copies its arrays, marks them read-only and checks
+    them. Traces the package makes (the evolvers' populations and
+    coherence, synthetic histograms, background subtraction, rejection
+    and windows) are checked once, where their arrays are made, and
+    share those read-only arrays without a second copy.
     """
 
     times: np.ndarray
@@ -285,6 +291,18 @@ class TimeTrace:
     def __len__(self):
         return len(self.times)
 
+    @classmethod
+    def _made(cls, times, values, **fields):
+        """A trace of arrays the package made and checked: the arrays are
+        marked read-only, neither copied nor checked again. Fields not
+        given read their class defaults."""
+        trace = object.__new__(cls)
+        vars(trace).update(fields, times=times, values=values)
+        for array in (times, values, fields.get("uncertainty")):
+            if array is not None:
+                array.setflags(write=False)
+        return trace
+
     def window(self, start, length):
         """Return the sub-trace with start <= t <= start + length.
 
@@ -300,9 +318,9 @@ class TimeTrace:
         end = int(np.searchsorted(self.times, stop, side="right"))
         if not (first < end and stop >= start):  # a NaN bound selects none
             raise ValidationError("window selects no samples")
-        sub = object.__new__(type(self))
-        vars(sub).update(vars(self), times=self.times[first:end],
-                         values=self.values[first:end],
-                         uncertainty=None if self.uncertainty is None
-                         else self.uncertainty[first:end])
-        return sub
+        sigma = self.uncertainty
+        return self._made(self.times[first:end], self.values[first:end],
+                          uncertainty=None if sigma is None else sigma[first:end],
+                          temperature=self.temperature, channel=self.channel,
+                          background_subtracted=self.background_subtracted,
+                          clamped_bins=self.clamped_bins)

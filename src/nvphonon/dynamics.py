@@ -32,6 +32,12 @@ spacing differences included, therefore costs one or two propagators
 and O(log n) interpreted steps whatever its length; an irregular grid
 still pays about one propagator per sample. The propagation never uses
 the closed forms, so it is an independent check on them.
+
+Each array is checked once, where it is made: _validate_times checks and
+copies the sample times, _populations checks every level's populations
+in one pass, and evolve_lindblad the coherence. The traces an evolver
+returns share that read-only copy of the times, which is also
+EvolutionResult.times, and are not copied or checked again.
 """
 
 from __future__ import annotations
@@ -125,7 +131,14 @@ class DensityMatrix3:
                     f"unknown level label {level!r}") from None
         rho = np.zeros((3, 3), dtype=complex)
         rho[level, level] = 1.0
-        return cls(rho)
+        # a level index sets one diagonal entry, which makes a valid state;
+        # anything else that indexes sets none or several
+        if rho.trace() != 1.0:
+            raise ValidationError("density matrix trace must be 1")
+        rho.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", rho)
+        return state
 
     @classmethod
     def from_populations(cls, p_g, p_x, p_y):
@@ -142,14 +155,18 @@ class EvolutionResult:
 
 
 def _validate_times(times):
-    times = np.asarray(times, dtype=float)
+    """The sample times as one float64 copy, checked: a nonempty 1-d array,
+    finite, starting at or after 0 and strictly increasing (refused in
+    that order). The copy is shared by the propagation, every trace of the
+    result, which marks it read-only, and EvolutionResult.times."""
+    times = np.array(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValidationError("times must be a nonempty 1-d array")
     if not np.all(np.isfinite(times)):
         raise ValidationError("times must be finite")
     if times[0] < 0.0:
         raise ValidationError("times must start at or after 0")
-    if len(times) > 1 and not np.all(np.diff(times) > 0):
+    if not (times[1:] > times[:-1]).all():
         raise ValidationError("times must be strictly increasing")
     return times
 
@@ -304,14 +321,23 @@ def _lindblad_superoperator(model):
 
 
 def _populations(times, columns, labels):
-    """The columns of populations as one TimeTrace per label, clipped at 0."""
-    out = {}
-    for idx, label in enumerate(labels):
-        values = columns[:, idx]
-        if np.min(values) < -1e-9:
+    """The columns of populations as one TimeTrace per label, clipped at 0.
+
+    One pass over all columns: the first label, in order, whose column
+    goes below -1e-9 is an IntegrationError, or, if it holds a nan or an
+    inf, a ValidationError. The traces share times (checked by
+    _validate_times) and the rows of one read-only clipped array.
+    """
+    negative = columns.min(axis=0) < -1e-9  # a nan minimum is not negative
+    finite = np.isfinite(columns).all(axis=0)
+    for is_negative, is_finite in zip(negative, finite):
+        if is_negative:
             raise IntegrationError("population went significantly negative")
-        out[label] = TimeTrace(times, np.clip(values, 0.0, None))
-    return out
+        if not is_finite:
+            raise ValidationError("trace values must be finite")
+    rows = np.clip(columns.T, 0.0, None, order="C")
+    rows.setflags(write=False)
+    return {label: TimeTrace._made(times, row) for label, row in zip(labels, rows)}
 
 
 def evolve_lindblad(model, rho0, times):
@@ -337,8 +363,11 @@ def evolve_lindblad(model, rho0, times):
     rho_t = states.reshape(len(times), 3, 3)
     populations = _populations(times, np.diagonal(rho_t, axis1=1, axis2=2).real,
                                model.labels)
-    coherence = TimeTrace(times, np.abs(rho_t[:, 0, 1]))
-    return EvolutionResult(times=times, populations=populations, coherence=coherence)
+    coherence = np.abs(rho_t[:, 0, 1])
+    if not np.isfinite(coherence).all():
+        raise ValidationError("trace values must be finite")
+    return EvolutionResult(times=times, populations=populations,
+                           coherence=TimeTrace._made(times, coherence))
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,12 @@ def test_isc_envelope_reduces_without_crossing():
                                rtol=1e-14)
 
 
+@pytest.mark.parametrize("tau_rabi", [0.0, -9.0])
+def test_isc_envelope_refuses_a_non_positive_tau_rabi(tau_rabi):
+    with pytest.raises(ValidationError, match="^tau_rabi must be > 0$"):
+        closedform.isc_envelope_ex(tau_rabi, 0.0, np.linspace(0.0, 60.0, 61))
+
+
 def test_isc_envelope_suppression_factor():
     gamma_x = rate_from_linear_mhz(0.62).value
     plain = closedform.isc_envelope_ex(9.0, 0.0, np.array([60.0]))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nvphonon import dynamics, phonon
+from nvphonon import dynamics, phonon, synth
 from nvphonon.core import (
     CONSTANTS,
     TWO_PI,
@@ -201,3 +201,121 @@ def test_physical_rates_refuse_signed_fit_outputs(build):
     # a fitted rate may be negative, but a model's physical rates may not
     with pytest.raises(ValidationError, match="physical rate must be >= 0"):
         build()
+
+
+# ---------------------------------------------------------------------------
+# traces the package makes
+
+
+def _assert_same_trace(made, public):
+    """Every field of made equals public's: arrays bit for bit, with their
+    dtype, layout and read-only flags; the other fields by value and type."""
+    for field in dataclasses.fields(TimeTrace):
+        ours, theirs = getattr(made, field.name), getattr(public, field.name)
+        if isinstance(theirs, np.ndarray):
+            assert isinstance(ours, np.ndarray), field.name
+            assert ours.dtype == theirs.dtype, field.name
+            assert ours.shape == theirs.shape, field.name
+            assert ours.tobytes() == theirs.tobytes(), field.name
+            assert ours.flags.c_contiguous == theirs.flags.c_contiguous, field.name
+            assert not ours.flags.writeable and not theirs.flags.writeable
+            # nor can the array be written through a view's base
+            assert ours.base is None or not ours.base.flags.writeable, field.name
+        else:
+            assert type(ours) is type(theirs) and ours == theirs, field.name
+
+
+def _check_made_trace(made):
+    # dataclasses.replace builds the public TimeTrace of the same fields,
+    # copied and checked
+    _assert_same_trace(made, dataclasses.replace(made))
+
+
+def _evolved_traces(seed, times):
+    """The traces of one evolve_rates call on a seeded rate model, those of
+    one evolve_lindblad call on a seeded driven model (populations, then
+    the coherence) and that call's EvolutionResult."""
+    rng = np.random.default_rng(seed)
+    rates = dynamics.build_a12_model(*rng.uniform(0.01, 0.3, 3))
+    populations = dynamics.evolve_rates(rates, rng.dirichlet([1.0, 1.0]), times)
+    r = rng.uniform(0.0, 0.3, 6)
+    model = dynamics.ThreeLevelModel(
+        gamma_rad_x=r[0], gamma_rad_y=r[1], gamma_mix_xy=r[2],
+        gamma_mix_yx=r[3], gamma_t2=r[4], rabi=10.0 * r[5],
+        detuning=rng.uniform(-1.0, 1.0))
+    result = dynamics.evolve_lindblad(model, dynamics.DensityMatrix3.pure("g"),
+                                      times)
+    return (list(populations.values()),
+            list(result.populations.values()) + [result.coherence], result)
+
+
+_MADE_GRIDS = {"lattice": np.arange(0.0, 200.1, 2.0),
+               "arange-0.05": np.arange(0.0, 40.0, 0.05),
+               "geomspace": np.geomspace(0.01, 200.0, 50)}
+
+
+@pytest.mark.parametrize("grid", sorted(_MADE_GRIDS))
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_evolved_traces_match_the_public_constructor(seed, grid):
+    times = _MADE_GRIDS[grid].copy()
+    rate, lindblad, result = _evolved_traces(seed, times)
+    traces = rate + lindblad
+    kept = [(trace.times.copy(), trace.values.copy()) for trace in traces]
+    for trace in traces:
+        _check_made_trace(trace)
+    # each call makes one copy of the times, which its result also holds
+    assert all(trace.times is rate[0].times for trace in rate)
+    assert all(trace.times is result.times for trace in lindblad)
+    times[:] = -1.0  # the caller's array is not the traces'
+    for trace, (t, v) in zip(traces, kept):
+        np.testing.assert_array_equal(trace.times, t)
+        np.testing.assert_array_equal(trace.values, v)
+
+
+_MADE_SPECS = [
+    dict(model="a12", params=dict(gamma_rad=0.083, gamma_mix=0.116,
+                                  gamma_isc=0.1, branch="A1"), seed=11),
+    dict(model="lindblad", params=dict(gamma_rad_x=0.083, gamma_t2=0.06,
+                                       rabi=1.2), span=40.0, seed=12),
+    dict(model="exponential", params=dict(rate=0.12), pulse_edge=0.0,
+         background_rate=3.0, total_counts=5e4, seed=13),
+]
+
+
+@pytest.mark.parametrize("fields", _MADE_SPECS, ids=lambda f: f["model"])
+def test_synthetic_traces_match_the_public_constructor(fields):
+    spec = synth.ExperimentSpec(**fields)
+    trace = synth.generate(spec)
+    signal, background = synth.generate_background_pair(spec)
+    for each in (trace, signal, background):
+        _check_made_trace(each)
+    signal = dataclasses.replace(signal, temperature=14.0, channel="A1")
+    clean = synth.subtract_background(signal, background)
+    sigma = np.sqrt(np.maximum(signal.values + background.values, 1.0))
+    # what the subtraction, a rejection and a window carry over
+    for each, first in ((clean, 0), (synth.reject_before(clean, 3.3), 13),
+                        (clean.window(5.0, 30.0), 20)):
+        _check_made_trace(each)
+        end = first + len(each)
+        _assert_same_trace(each, TimeTrace(
+            signal.times[first:end], clean.values[first:end],
+            uncertainty=sigma[first:end], temperature=14.0, channel="A1",
+            background_subtracted=True, clamped_bins=clean.clamped_bins))
+    _check_made_trace(synth.reject_before(trace, 3.3))
+
+
+def test_package_made_traces_are_not_checked_again(monkeypatch):
+    calls = []
+    post_init = TimeTrace.__post_init__
+
+    def counting_post_init(self):
+        calls.append(type(self))
+        post_init(self)
+
+    monkeypatch.setattr(TimeTrace, "__post_init__", counting_post_init)
+    _evolved_traces(3, _MADE_GRIDS["arange-0.05"])
+    synth.generate(synth.ExperimentSpec(**_MADE_SPECS[0]))
+    synth.generate(synth.ExperimentSpec(**_MADE_SPECS[1]))
+    assert calls == []
+    _simple_trace()  # the public constructor does run it
+    assert calls == [TimeTrace]

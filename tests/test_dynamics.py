@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from nvphonon import closedform, dynamics
-from nvphonon.core import TWO_PI, ValidationError, rate_from_linear_mhz
+from nvphonon.core import TWO_PI, TimeTrace, ValidationError, rate_from_linear_mhz
 from nvphonon.dynamics import (
     DensityMatrix3,
     IntegrationError,
@@ -161,8 +162,16 @@ def test_pure_state_labels():
     for label, index in (("g", 0), ("x", 1), ("y", 2)):
         rho = DensityMatrix3.pure(label)
         assert rho.matrix[index, index] == 1.0
+        checked = DensityMatrix3(rho.matrix)
+        assert rho.matrix.tobytes() == checked.matrix.tobytes()
+        assert rho.matrix.dtype == checked.matrix.dtype
+        assert not rho.matrix.flags.writeable
     with pytest.raises(ValidationError):
         DensityMatrix3.pure("z")
+    # an index that sets no diagonal entry or several is no pure state
+    for index in (np.array([0, 1]), slice(0, 2), True, False):
+        with pytest.raises(ValidationError, match="^density matrix trace must be 1$"):
+            DensityMatrix3.pure(index)
 
 
 def test_rate_matrix_validation():
@@ -503,6 +512,54 @@ def test_non_finite_coherence_is_refused(monkeypatch):
         _evolve("lindblad", np.array([0.0, 1.0]))
     assert type(info.value) is ValidationError
     assert str(info.value) == _NOT_FINITE
+
+
+def _populations_per_label(times, columns, labels):
+    """The per-label loop _populations replaced, one public TimeTrace a
+    label: the oracle of its refusals and values."""
+    out = {}
+    for idx, label in enumerate(labels):
+        values = columns[:, idx]
+        if np.min(values) < -1e-9:
+            raise IntegrationError("population went significantly negative")
+        out[label] = TimeTrace(times, np.clip(values, 0.0, None))
+    return out
+
+
+def _outcome(populate, times, columns, labels):
+    try:
+        traces = populate(times, columns, labels)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return {label: (trace.values.dtype, trace.values.tobytes())
+            for label, trace in traces.items()}
+
+
+_POPULATION = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, -1e-6, -1e-9, -1e-10, -0.0, 0.0]),
+    st.floats(-1e-8, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4)),
+                          elements=_POPULATION))
+def test_populations_refuse_like_the_per_label_loop(columns):
+    # one pass over all columns raises what the loop raised first, and
+    # otherwise gives its values bit for bit
+    times = np.arange(len(columns), dtype=float)
+    labels = tuple("abcd"[:columns.shape[1]])
+    assert (_outcome(dynamics._populations, times, columns, labels)
+            == _outcome(_populations_per_label, times, columns, labels))
+
+
+def test_result_times_are_the_traces_read_only_copy():
+    times = np.arange(0.0, 10.0, 1.0)
+    result = evolve_lindblad(_LINDBLAD_MODELS["driven"], DensityMatrix3.pure("g"),
+                             times)
+    times[3] = -5.0
+    assert result.times[3] == 3.0
+    assert not result.times.flags.writeable
+    assert result.times is result.populations["x"].times
 
 
 def test_evolved_traces_are_pinned():
