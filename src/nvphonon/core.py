@@ -218,6 +218,12 @@ def _read_only(arr):
     return arr
 
 
+def _check_finite_values(values):
+    """Refuse float trace values that hold a nan or an inf."""
+    if not np.isfinite(values).all():
+        raise ValidationError("trace values must be finite")
+
+
 @dataclass(frozen=True)
 class TimeTrace:
     """A sampled time trace: photon counts per bin or normalized intensity.
@@ -244,10 +250,10 @@ class TimeTrace:
         Number of bins clamped to zero during background subtraction.
 
     The constructor copies its arrays, marks them read-only and checks
-    them. Traces the package makes (the evolvers' populations and
-    coherence, synthetic histograms, background subtraction, rejection
-    and windows) are checked once, where their arrays are made, and
-    share those read-only arrays without a second copy.
+    them. Traces the package makes from arrays it has just checked (the
+    evolvers' populations and coherence, and windows) are checked once,
+    where their arrays are made, and share those read-only arrays without
+    a second copy.
     """
 
     times: np.ndarray
@@ -276,8 +282,8 @@ class TimeTrace:
         if values.dtype.kind in "iu":  # integer counts
             if not self.background_subtracted and values.min() < 0:
                 raise ValidationError("count traces must be >= 0 before subtraction")
-        elif not np.isfinite(np.asarray(values, dtype=float)).all():
-            raise ValidationError("trace values must be finite")
+        else:
+            _check_finite_values(np.asarray(values, dtype=float))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", _read_only(values))
         if self.uncertainty is not None:
@@ -319,8 +325,6 @@ class TimeTrace:
         if not (first < end and stop >= start):  # a NaN bound selects none
             raise ValidationError("window selects no samples")
         sigma = self.uncertainty
-        return self._made(self.times[first:end], self.values[first:end],
-                          uncertainty=None if sigma is None else sigma[first:end],
-                          temperature=self.temperature, channel=self.channel,
-                          background_subtracted=self.background_subtracted,
-                          clamped_bins=self.clamped_bins)
+        return self._made(**dict(vars(self), times=self.times[first:end],
+                                 values=self.values[first:end],
+                                 uncertainty=None if sigma is None else sigma[first:end]))

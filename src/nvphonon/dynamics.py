@@ -35,9 +35,9 @@ the closed forms, so it is an independent check on them.
 
 Each array is checked once, where it is made: _validate_times checks and
 copies the sample times, _populations checks every level's populations
-in one pass, and evolve_lindblad the coherence. The traces an evolver
-returns share that read-only copy of the times, which is also
-EvolutionResult.times, and are not copied or checked again.
+and evolve_lindblad the coherence. The traces an evolver returns share
+that read-only copy of the times, which is also EvolutionResult.times,
+and are not copied or checked again.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import AngularRate, TimeTrace, ValidationError, rate_value
+from .core import (AngularRate, TimeTrace, ValidationError, _check_finite_values,
+                   rate_value)
 
 
 class IntegrationError(ValidationError):
@@ -131,14 +132,7 @@ class DensityMatrix3:
                     f"unknown level label {level!r}") from None
         rho = np.zeros((3, 3), dtype=complex)
         rho[level, level] = 1.0
-        # a level index sets one diagonal entry, which makes a valid state;
-        # anything else that indexes sets none or several
-        if rho.trace() != 1.0:
-            raise ValidationError("density matrix trace must be 1")
-        rho.setflags(write=False)
-        state = object.__new__(cls)
-        object.__setattr__(state, "matrix", rho)
-        return state
+        return cls(rho)
 
     @classmethod
     def from_populations(cls, p_g, p_x, p_y):
@@ -323,18 +317,16 @@ def _lindblad_superoperator(model):
 def _populations(times, columns, labels):
     """The columns of populations as one TimeTrace per label, clipped at 0.
 
-    One pass over all columns: the first label, in order, whose column
-    goes below -1e-9 is an IntegrationError, or, if it holds a nan or an
-    inf, a ValidationError. The traces share times (checked by
-    _validate_times) and the rows of one read-only clipped array.
+    Label by label, a column below -1e-9 is an IntegrationError and one
+    holding a nan or an inf a ValidationError. The traces share times
+    (checked by _validate_times) and the rows of one read-only clipped
+    array.
     """
-    negative = columns.min(axis=0) < -1e-9  # a nan minimum is not negative
-    finite = np.isfinite(columns).all(axis=0)
-    for is_negative, is_finite in zip(negative, finite):
-        if is_negative:
+    below = columns.min(axis=0) < -1e-9  # a nan minimum is not below
+    for column, is_below in zip(columns.T, below):
+        if is_below:
             raise IntegrationError("population went significantly negative")
-        if not is_finite:
-            raise ValidationError("trace values must be finite")
+        _check_finite_values(column)
     rows = np.clip(columns.T, 0.0, None, order="C")
     rows.setflags(write=False)
     return {label: TimeTrace._made(times, row) for label, row in zip(labels, rows)}
@@ -364,8 +356,7 @@ def evolve_lindblad(model, rho0, times):
     populations = _populations(times, np.diagonal(rho_t, axis1=1, axis2=2).real,
                                model.labels)
     coherence = np.abs(rho_t[:, 0, 1])
-    if not np.isfinite(coherence).all():
-        raise ValidationError("trace values must be finite")
+    _check_finite_values(coherence)
     return EvolutionResult(times=times, populations=populations,
                            coherence=TimeTrace._made(times, coherence))
 
