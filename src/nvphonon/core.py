@@ -298,11 +298,14 @@ class TimeTrace:
         return len(self.times)
 
     @classmethod
-    def _made(cls, times, values, **fields):
+    def _made(cls, times, values, like=None, **fields):
         """A trace of arrays the package made and checked: the arrays are
-        marked read-only, neither copied nor checked again. Fields not
-        given read their class defaults."""
+        marked read-only, neither copied nor checked again. The other
+        fields are those of the trace `like`, then `fields`; fields given
+        by neither read their class defaults."""
         trace = object.__new__(cls)
+        if like is not None:
+            vars(trace).update(vars(like))
         vars(trace).update(fields, times=times, values=values)
         for array in (times, values, fields.get("uncertainty")):
             if array is not None:
@@ -325,6 +328,5 @@ class TimeTrace:
         if not (first < end and stop >= start):  # a NaN bound selects none
             raise ValidationError("window selects no samples")
         sigma = self.uncertainty
-        return self._made(**dict(vars(self), times=self.times[first:end],
-                                 values=self.values[first:end],
-                                 uncertainty=None if sigma is None else sigma[first:end]))
+        return self._made(self.times[first:end], self.values[first:end], like=self,
+                          uncertainty=None if sigma is None else sigma[first:end])

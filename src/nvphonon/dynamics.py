@@ -109,14 +109,14 @@ class DensityMatrix3:
         rho = np.array(self.matrix, dtype=complex)
         if rho.shape != (3, 3):
             raise ValidationError("density matrix must be 3x3")
-        if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
+        if not np.isfinite(rho).all():  # both parts of each entry
             raise ValidationError("density matrix must be finite")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+        if np.abs(rho - rho.conj().T).max() > 1e-12:
             raise ValidationError("density matrix must be hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-9:
+        if abs(rho.trace().real - 1.0) > 1e-9:
             raise ValidationError("density matrix trace must be 1")
-        diag = np.diag(rho).real
-        if np.any(diag < -1e-9) or np.any(diag > 1.0 + 1e-9):
+        diag = rho.diagonal().real
+        if (diag < -1e-9).any() or (diag > 1.0 + 1e-9).any():
             raise ValidationError("populations must lie in [0, 1]")
         rho.setflags(write=False)
         object.__setattr__(self, "matrix", rho)
@@ -156,7 +156,7 @@ def _validate_times(times):
     times = np.array(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValidationError("times must be a nonempty 1-d array")
-    if not np.all(np.isfinite(times)):
+    if not np.isfinite(times).all():
         raise ValidationError("times must be finite")
     if times[0] < 0.0:
         raise ValidationError("times must start at or after 0")
@@ -376,13 +376,12 @@ class RateMatrixModel:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("rate matrix must be square")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValidationError("rate matrix must be finite")
-        off = m - np.diag(np.diag(m))
-        if np.any(off < -1e-12):
+        off = m - np.diag(m.diagonal())
+        if (off < -1e-12).any():
             raise ValidationError("off-diagonal transfer rates must be >= 0")
-        col_sums = m.sum(axis=0)
-        if np.any(col_sums > 1e-9):
+        if (m.sum(axis=0) > 1e-9).any():
             raise ValidationError("columns must sum to <= 0 (no probability gain)")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -417,6 +416,6 @@ def evolve_rates(model, p0, times):
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (model.n,):
         raise ValidationError(f"p0 must have shape ({model.n},)")
-    if not np.all(np.isfinite(p0)) or np.any(p0 < 0):
+    if not np.isfinite(p0).all() or (p0 < 0).any():
         raise ValidationError("initial populations must be finite and >= 0")
     return _populations(times, _propagate(model.matrix, p0, times), model.labels)

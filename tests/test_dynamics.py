@@ -184,6 +184,67 @@ def test_rate_matrix_validation():
                         ("a", "b"))
 
 
+def _with(matrix, index, value):
+    matrix = np.array(matrix, dtype=complex)
+    matrix[index] = value
+    return matrix
+
+
+_HALF = np.diag([0.5, 0.5, 0.0])
+
+# inputs each constructor refuses, with the message of the first test that
+# fails; inputs with several faults get the earliest one
+_BAD_INPUTS = {
+    "rho-2x2": (lambda: DensityMatrix3(np.eye(2)), "density matrix must be 3x3"),
+    "rho-nan-2x2": (lambda: DensityMatrix3(np.full((2, 2), np.nan)),
+                    "density matrix must be 3x3"),
+    "rho-nan-real": (lambda: DensityMatrix3(_with(_HALF, (0, 0), np.nan)),
+                     "density matrix must be finite"),
+    "rho-nan-imag": (lambda: DensityMatrix3(_with(_HALF, (0, 0), complex(0.5, np.nan))),
+                     "density matrix must be finite"),
+    "rho-inf-imag": (lambda: DensityMatrix3(_with(_HALF, (0, 1), complex(0.0, np.inf))),
+                     "density matrix must be finite"),
+    "rho-nan-and-not-hermitian": (
+        lambda: DensityMatrix3(_with(_with(_HALF, (0, 1), 0.3), (2, 2), np.nan)),
+        "density matrix must be finite"),
+    "rho-not-hermitian": (lambda: DensityMatrix3(_with(_HALF, (0, 1), 0.1)),
+                          "density matrix must be hermitian"),
+    "rho-trace": (lambda: DensityMatrix3(np.diag([0.5, 0.5, 0.5])),
+                  "density matrix trace must be 1"),
+    "rho-population": (lambda: DensityMatrix3(np.diag([1.5, -0.5, 0.0])),
+                       "populations must lie in [0, 1]"),
+    "rates-1d": (lambda: RateMatrixModel(np.array([1.0])), "rate matrix must be square"),
+    "rates-2x3": (lambda: RateMatrixModel(np.zeros((2, 3))), "rate matrix must be square"),
+    "rates-nan": (lambda: RateMatrixModel(np.array([[np.nan, 0.0], [0.0, -0.1]])),
+                  "rate matrix must be finite"),
+    "rates-negative-transfer": (
+        lambda: RateMatrixModel(np.array([[-0.1, -0.05], [0.1, 0.05]])),
+        "off-diagonal transfer rates must be >= 0"),
+    "rates-gain": (lambda: RateMatrixModel(np.array([[0.1, 0.0], [0.0, -0.1]])),
+                   "columns must sum to <= 0 (no probability gain)"),
+    "rates-labels": (lambda: RateMatrixModel(-np.eye(2), ("a",)),
+                     "one label per level required"),
+    "p0-shape": (lambda: evolve_rates(build_a12_model(0.1, 0.05, 0.08),
+                                      [1.0, 0.0, 0.0], [0.0, 1.0]),
+                 "p0 must have shape (2,)"),
+    "p0-nan": (lambda: evolve_rates(build_a12_model(0.1, 0.05, 0.08),
+                                    [np.nan, 0.0], [0.0, 1.0]),
+               "initial populations must be finite and >= 0"),
+    "p0-negative": (lambda: evolve_rates(build_a12_model(0.1, 0.05, 0.08),
+                                         [1.0, -0.5], [0.0, 1.0]),
+                    "initial populations must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_states_models_and_initial_populations_refuse_with_their_message(case):
+    build, message = _BAD_INPUTS[case]
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert type(info.value) is ValidationError
+    assert str(info.value) == message
+
+
 def test_rate_evolution_against_expm():
     rng = np.random.default_rng(31)
     for _ in range(10):
