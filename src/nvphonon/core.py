@@ -298,16 +298,15 @@ class TimeTrace:
         return len(self.times)
 
     @classmethod
-    def _made(cls, times, values, like=None, **fields):
+    def _made(cls, times, values, like=None, uncertainty=None):
         """A trace of arrays the package made and checked: the arrays are
         marked read-only, neither copied nor checked again. The other
-        fields are those of the trace `like`, then `fields`; fields given
-        by neither read their class defaults."""
+        fields are those of the trace `like`, or else the class defaults."""
         trace = object.__new__(cls)
         if like is not None:
             vars(trace).update(vars(like))
-        vars(trace).update(fields, times=times, values=values)
-        for array in (times, values, fields.get("uncertainty")):
+        vars(trace).update(times=times, values=values, uncertainty=uncertainty)
+        for array in (times, values, uncertainty):
             if array is not None:
                 array.setflags(write=False)
         return trace
