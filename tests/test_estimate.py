@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import warnings
 
@@ -338,8 +339,9 @@ WINDOW_FIT_BITS = {
 }
 
 
-@pytest.mark.parametrize("weights", list(WINDOW_FIT_BITS))
-def test_window_fit_bits_are_pinned(weights):
+def _seeded_window_fit(weights):
+    """One seeded window fit with background under a weighting scheme
+    ("array": seeded weights in [0.5, 2])."""
     spec = synth.ExperimentSpec(model="exponential", params=dict(rate=0.18),
                                 bin_width=0.25, span=120.0, total_counts=2e5,
                                 background_rate=0.5, pulse_edge=0.0, seed=3)
@@ -351,7 +353,12 @@ def test_window_fit_bits_are_pinned(weights):
     if weights == "array":
         scheme = np.random.default_rng(3).uniform(
             0.5, 2.0, len(trace.window(window.start, window.length)))
-    fit = estimate.fit_exponential_window(trace, window, weights=scheme)
+    return estimate.fit_exponential_window(trace, window, weights=scheme)
+
+
+@pytest.mark.parametrize("weights", list(WINDOW_FIT_BITS))
+def test_window_fit_bits_are_pinned(weights):
+    fit = _seeded_window_fit(weights)
     assert fit.converged
     assert (fit["amplitude"].hex(), fit["rate"].hex(),
             fit.sigma_of("amplitude").hex(), fit.sigma_of("rate").hex(),
@@ -376,17 +383,65 @@ CRITERION5_WINDOW_FIT_DIGESTS = {
 }
 
 
+@functools.cache
+def _criterion5_window_fits(weights):
+    """The 160 window fits of criterion-5 seeds 0-9 under a weighting."""
+    return tuple(estimate.fit_exponential_window(trace, estimate.DEFAULT_WINDOW,
+                                                 weights=weights)
+                 for seed in range(10) for trace in _criterion5_traces(seed))
+
+
 @pytest.mark.parametrize("weights", list(CRITERION5_WINDOW_FIT_DIGESTS))
 def test_criterion5_window_fit_bits_are_pinned(weights):
-    rows = []
-    for seed in range(10):
-        for trace in _criterion5_traces(seed):
-            fit = estimate.fit_exponential_window(trace, estimate.DEFAULT_WINDOW,
-                                                  weights=weights)
-            rows.append((fit["amplitude"], fit["rate"],
-                         fit.sigma_of("amplitude"), fit.sigma_of("rate"),
-                         fit.chi2, fit.iterations, fit.converged))
+    rows = [(fit["amplitude"], fit["rate"],
+             fit.sigma_of("amplitude"), fit.sigma_of("rate"),
+             fit.chi2, fit.iterations, fit.converged)
+            for fit in _criterion5_window_fits(weights)]
     assert _hex_digest(rows) == CRITERION5_WINDOW_FIT_DIGESTS[weights]
+
+
+def _fit_value_rows(fits):
+    """(amplitude, rate, chi2, Newton steps, converged) of each fit."""
+    return [(fit["amplitude"], fit["rate"], fit.chi2, fit.iterations,
+             fit.converged) for fit in fits]
+
+
+# digests of the fits above without their sigmas: the covariance is taken
+# after the solve, and no fitted value depends on it
+WINDOW_FIT_VALUE_DIGESTS = {
+    "criterion5 uniform":
+        "cfd79dc6eed11b7eab04b6c89db0715e6cceda013e6be12c2da88721f0af7d72",
+    "criterion5 poisson":
+        "3b422369e6c54f4e9bf254b72214229eeae7c6e989f8316096aa9389eee80175",
+    "seeded": "7530d8141a6cc986badb0b3393e54130a4e6c84b5918f6a8c9171dd3ef8c439f",
+}
+
+
+@pytest.mark.parametrize("fits", list(WINDOW_FIT_VALUE_DIGESTS))
+def test_window_fit_values_are_pinned(fits):
+    if fits == "seeded":
+        rows = _fit_value_rows(map(_seeded_window_fit, WINDOW_FIT_BITS))
+    else:
+        rows = _fit_value_rows(_criterion5_window_fits(fits.split()[1]))
+    assert _hex_digest(rows) == WINDOW_FIT_VALUE_DIGESTS[fits]
+
+
+def test_window_fit_with_an_underflowing_amplitude_column():
+    # the fitted rate, ~ln(1e6) per ns, makes exp(-rate t) underflow from
+    # the window start t0 = 100 ns on: the amplitude's Jacobian column is
+    # 0, so the amplitude gets the unbounded variance and the rate stays
+    # bounded
+    t = np.arange(200.0)
+    y = np.zeros(200)
+    y[100], y[101] = 1e6, 1.0
+    fit = estimate.fit_exponential_window(TimeTrace(t, y), FitWindow(100.0, 50.0))
+    assert fit.converged
+    assert [sigma.hex() for sigma in fit.sigma.tolist()] == [
+        "0x1.76e1a8c9d4d1bp+475", "0x1.9bc1f78373dbap-50"]
+    cov = fit.covariance
+    assert cov[0, 0] == estimate._HUGE_VARIANCE * (fit.chi2 / fit.dof)
+    assert cov[0, 1] == cov[1, 0] == 0.0
+    assert 0.0 < cov[1, 1] < 1e-20
 
 
 @settings(max_examples=60, deadline=None)
