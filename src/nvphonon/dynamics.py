@@ -43,6 +43,7 @@ and are not copied or checked again.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -57,6 +58,8 @@ class IntegrationError(ValidationError):
 
 _LABELS_DEFAULT = ("g", "x", "y")
 _LABELS_SINK = ("g", "x", "dark")
+# DensityMatrix3.pure's level labels
+_LEVEL_INDEX = {"g": 0, "x": 1, "y": 2, "dark": 2}
 
 
 @dataclass(frozen=True)
@@ -123,15 +126,21 @@ class DensityMatrix3:
 
     @classmethod
     def pure(cls, level):
-        """Pure state in level index 0..2 or label 'g'/'x'/'y'."""
+        """Pure state in level 0, 1 or 2 (an integer, not a bool) or label
+        'g'/'x'/'y'/'dark'; anything else raises ValidationError."""
         if isinstance(level, str):
-            try:
-                level = {"g": 0, "x": 1, "y": 2, "dark": 2}[level]
-            except KeyError:
-                raise ValidationError(
-                    f"unknown level label {level!r}") from None
+            index = _LEVEL_INDEX.get(level)
+        elif (isinstance(level, numbers.Integral) and not isinstance(level, bool)
+                and 0 <= level <= 2):
+            index = int(level)
+        else:
+            index = None
+        if index is None:
+            raise ValidationError(
+                f"level must be 0, 1, 2 or a label 'g', 'x', 'y' or 'dark', "
+                f"got {level!r}")
         rho = np.zeros((3, 3), dtype=complex)
-        rho[level, level] = 1.0
+        rho[index, index] = 1.0
         return cls(rho)
 
     @classmethod

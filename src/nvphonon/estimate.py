@@ -20,9 +20,13 @@ floats (a one-row fit would otherwise pay ~30 numpy calls on length-1
 arrays a step). The data side's results (projected amplitude, Jacobian,
 covariance) come from `_fit_windows`, for one trace or for the many that
 `fit_gamma_a1_traces`, the lifetime analysis from traces to Gamma_a1,
-fits in one solve. Both sides, and `fit_gamma_a1` between them, take the
-fit window as one `FitWindow` (`window=`), so data and model are fitted
-over the same window. The forward model builds all its curves in one
+fits in one solve. Their covariances (`_window_covariances`) are the
+closed-form inverses of the column-scaled 2x2 normal matrices, from three
+weighted sums over all rows, under the rank rule by which `_covariance`
+treats the p parameters of the other fits through an eigendecomposition.
+Both sides, and `fit_gamma_a1` between them, take the fit window as one
+`FitWindow` (`window=`), so data and model are fitted over the same
+window. The forward model builds all its curves in one
 array evaluation of the two-branch closed form (with their Gamma_a1
 derivatives when `slopes=True` asks for the rates' slopes, which come
 from the solve's last profile), and its solve can start from given rates
@@ -180,6 +184,11 @@ def _jacobian(predict, theta, f0):
 
 
 def _covariance(jac, weights, chi2, dof, scale):
+    """Covariance of the parameters of a fit with Jacobian jac (points x
+    parameters) under weights: the inverse of the normal matrix of the
+    columns scaled to unit norm, with _HUGE_VARIANCE along each
+    eigenvector whose eigenvalue is at or below 1e-12 of the largest, then
+    unscaled, and times chi2/dof where scale is set."""
     # column-scale first so the rank test sees collinearity, not unit
     # mismatches between parameters (their scales differ by many decades)
     wjac = jac * np.sqrt(weights)[:, None]
@@ -196,24 +205,6 @@ def _covariance(jac, weights, chi2, dof, scale):
     if scale and dof > 0:
         cov = cov * (chi2 / dof)
     return cov
-
-
-def _fit_result(names, values, jac, weights, chi2, scheme, converged,
-                iterations):
-    """FitResult at values, with the covariance of the model Jacobian jac
-    (points x parameters) under a weighting scheme's final weights."""
-    dof = len(weights) - len(values)
-    cov = _covariance(jac, weights, chi2, dof, scale=scheme == "uniform")
-    return FitResult(
-        names=tuple(names),
-        values=values,
-        sigma=np.sqrt(np.maximum(cov.diagonal(), 0.0)),
-        covariance=cov,
-        chi2=chi2,
-        dof=dof,
-        converged=converged,
-        iterations=iterations,
-    )
 
 
 def _passes(scheme):
@@ -347,8 +338,18 @@ def _least_squares(predict, y, weights, init, names, max_iter=200,
             predict, jacobian, y, w, theta, f, max_iter, exact)
     if jac is None:
         jac = jacobian(theta, f)
-    return _fit_result(names, theta, jac, w, chi2, scheme, converged,
-                       iterations)
+    dof = n_points - n_params
+    cov = _covariance(jac, w, chi2, dof, scale=scheme == "uniform")
+    return FitResult(
+        names=tuple(names),
+        values=theta,
+        sigma=np.sqrt(np.maximum(cov.diagonal(), 0.0)),
+        covariance=cov,
+        chi2=chi2,
+        dof=dof,
+        converged=converged,
+        iterations=iterations,
+    )
 
 
 def nlls(model, data, init, weights="uniform", max_iter=200):
@@ -377,32 +378,83 @@ def nlls(model, data, init, weights="uniform", max_iter=200):
 def _fit_windows(t, y, w, scheme, max_iter):
     """FitResults of A exp(-rate t) fitted to each row of y (windows x
     samples) on the common sample times t, one per row, from the initial
-    weights w (shaped like y) of a weighting scheme ("array" for explicit
-    weights); see `fit_exponential_window`. Every row runs through one
-    `_windowed_rates` solve per pass, whose Newton steps and convergence
-    each result reports."""
+    weights w (shaped like y, or None for the uniform weights) of a
+    weighting scheme ("array" for explicit weights); see
+    `fit_exponential_window`. Every row runs through one `_windowed_rates`
+    solve per pass, whose Newton steps and convergence each result
+    reports, and every row's covariance comes from one
+    `_window_covariances` call."""
     rates = None
     for refit in range(_passes(scheme)):
         if refit:  # reweight counts by the previous fit's expectation
             w = 1.0 / np.maximum(model, 1.0)
-        # unit weights multiply nothing: the solve takes them as None
-        rates, iterations, converged = _windowed_rates(
-            y, t, None if scheme == "uniform" else w, max_iter, start=rates)
+        rates, iterations, converged = _windowed_rates(y, t, w, max_iter,
+                                                       start=rates)
         decay = np.exp(-rates[:, None] * (t - t[0]))
-        w_decay = w * decay
+        w_decay = _weighted(w, decay)
         model = decay * (np.vecdot(w_decay, y)
                          / np.vecdot(w_decay, decay))[:, None]
     with np.errstate(over="ignore"):
         amplitudes = (model[:, 0] * np.exp(rates * t[0])).tolist()
     residual = y - model
-    chi2 = np.vecdot(w * residual, residual).tolist()
+    chi2 = np.vecdot(_weighted(w, residual), residual).tolist()
+    rates = rates.tolist()
+    dof = len(t) - 2
     t0 = float(t[0])
-    return [_fit_result(("amplitude", "rate"), np.array([amplitude, rate]),
-                        np.array([decay[i] * math.exp(-rate * t0),
-                                  -t * model[i]]).T,
-                        w[i], chi2[i], scheme, converged, iterations)
-            for i, (amplitude, rate)
-            in enumerate(zip(amplitudes, rates.tolist()))]
+    # the model's derivatives in the amplitude, exp(-rate t), and the rate
+    d_amplitude = decay * np.array([[math.exp(-rate * t0)] for rate in rates])
+    covariances = _window_covariances(d_amplitude, -t * model, w, chi2, dof,
+                                      scale=scheme == "uniform")
+    return [FitResult(names=("amplitude", "rate"),
+                      values=np.array([amplitude, rate]),
+                      sigma=np.sqrt(cov.diagonal()), covariance=cov,
+                      chi2=chi2_row, dof=dof, converged=converged,
+                      iterations=iterations)
+            for amplitude, rate, chi2_row, cov
+            in zip(amplitudes, rates, chi2, covariances)]
+
+
+def _window_covariances(d_amplitude, d_rate, w, chi2, dof, scale):
+    """`_covariance` of a two-parameter fit, for every row of the Jacobian
+    columns d_amplitude and d_rate (rows x samples) under the weights w
+    (None for uniform), with that row's entry of the list chi2.
+
+    Three weighted sums over all rows give each row's normal matrix. Per
+    row, on Python floats: the columns scaled to unit norm (a zero column
+    kept at 0) give [[a, b], [b, c]], whose eigenvalues are
+    top = (a + c)/2 + hypot((a - c)/2, b) and det/top, det = ac - b^2
+    (Golub & Van Loan, Matrix Computations, 8.5). Where det/top exceeds
+    1e-12 top, the matrix is inverted directly; otherwise the inverse is
+    v v^T / top along top's unit eigenvector v plus an unbounded variance
+    (_HUGE_VARIANCE) along the direction u orthogonal to it, and
+    _HUGE_VARIANCE in place of 1/top where top = 0 (two zero columns).
+    """
+    w_amplitude = _weighted(w, d_amplitude)
+    sums = (np.vecdot(w_amplitude, d_amplitude).tolist(),
+            np.vecdot(w_amplitude, d_rate).tolist(),
+            np.vecdot(_weighted(w, d_rate), d_rate).tolist())
+    covariances = []
+    for aa, ab, bb, chi2_row in zip(*sums, chi2):
+        factor = chi2_row / dof if scale else 1.0
+        n0, n1 = math.sqrt(aa) or 1.0, math.sqrt(bb) or 1.0
+        a, b, c = aa / (n0 * n0), ab / (n0 * n1), bb / (n1 * n1)
+        top = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+        det = a * c - b * b
+        if det > 1e-12 * top * top:
+            p00, p01, p11 = c / det, -b / det, a / det
+        else:
+            # top's eigenvector from the better conditioned of its two forms
+            x, y = (b, top - a) if abs(top - a) >= abs(top - c) else (top - c, b)
+            norm = math.hypot(x, y)
+            x, y = (x / norm, y / norm) if norm > 0.0 else (1.0, 0.0)
+            inv_top = 1.0 / top if top > 0.0 else _HUGE_VARIANCE
+            p00 = x * x * inv_top + y * y * _HUGE_VARIANCE
+            p01 = x * y * inv_top - x * y * _HUGE_VARIANCE
+            p11 = y * y * inv_top + x * x * _HUGE_VARIANCE
+        off = p01 / (n0 * n1) * factor
+        covariances.append(np.array([[p00 / (n0 * n0) * factor, off],
+                                     [off, p11 / (n1 * n1) * factor]]))
+    return covariances
 
 
 def fit_exponential_window(trace, window, weights="uniform",
@@ -423,10 +475,12 @@ def fit_exponential_window(trace, window, weights="uniform",
     """
     _require_max_iter(max_iter)
     sub = trace.window(window.start, window.length)
-    y = np.asarray(sub.values, dtype=float)
-    w = _resolve_weights(weights, y, sub.uncertainty)
+    y = np.asarray(sub.values, dtype=float)[None, :]
     scheme = weights if isinstance(weights, str) else "array"
-    return _fit_windows(sub.times, y[None, :], w[None, :], scheme, max_iter)[0]
+    # unit weights multiply nothing: the fit takes them as None
+    w = (None if scheme == "uniform"
+         else _resolve_weights(weights, y[0], sub.uncertainty)[None, :])
+    return _fit_windows(sub.times, y, w, scheme, max_iter)[0]
 
 
 def _fft_frequency_estimate(times, values):
@@ -1033,7 +1087,7 @@ def fit_gamma_a1_traces(traces, mix_model, gamma_rad):
     if not all(np.array_equal(sub.times, t) for sub in subs):
         raise ValidationError("the traces' windows fall on different bin grids")
     y = np.array([sub.values for sub in subs], dtype=float)
-    fits = _fit_windows(t, y, np.ones_like(y), "uniform", _WINDOW_FIT_MAX_ITER)
+    fits = _fit_windows(t, y, None, "uniform", _WINDOW_FIT_MAX_ITER)
     gr = rate_value(gamma_rad)
     points = [(trace.temperature, fit["rate"] - gr, fit.sigma_of("rate"),
                trace.channel) for trace, fit in zip(traces, fits)]

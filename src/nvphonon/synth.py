@@ -317,9 +317,12 @@ def subtract_background(signal, background):
         raise ValidationError("signal and background binning do not match")
     s = np.asarray(signal.values, dtype=float)
     b = np.asarray(background.values, dtype=float)
-    diff = s - b
+    # an overflow to inf is the constructor's to refuse, not numpy's to warn of
+    with np.errstate(over="ignore"):
+        diff = s - b
+        total = s + b
     clamped = int(np.count_nonzero(diff <= 0.0))
-    sigma = np.sqrt(np.maximum(s + b, 1.0))
+    sigma = np.sqrt(np.maximum(total, 1.0))
     return TimeTrace(
         signal.times,
         np.clip(diff, 0.0, None),

@@ -3,6 +3,7 @@ import csv
 import functools
 import hashlib
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,26 @@ def test_fit_oversized_cell_cites_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"error: {path}:2: field larger than field limit "
                    f"({csv.field_size_limit()})\n")
+
+
+@pytest.mark.parametrize("background, message", [
+    ("-1e308", "trace values must be finite"),          # s - b overflows
+    ("1e308", "uncertainty must be finite and >= 0"),   # s + b overflows
+])
+def test_background_overflow_is_one_line_input_error(tmp_path, capsys,
+                                                     background, message):
+    rows = "".join(f"{t},VALUE\n" for t in (0.5, 1.5, 2.5, 3.5))
+    signal = _write(tmp_path / "signal.csv",
+                    "time_ns,intensity\n" + rows.replace("VALUE", "1e308"))
+    bg = _write(tmp_path / "background.csv",
+                "time_ns,intensity\n" + rows.replace("VALUE", background))
+    cfg = _write(tmp_path / "fit.cfg", f"trace.background = {bg}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would raise here
+        code = cli.main(["fit", "--procedure", "exp-window", "--config", cfg,
+                         signal])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {signal} / {bg}: {message}\n"
 
 
 def test_load_trace_multicolumn_needs_selection(tmp_path):

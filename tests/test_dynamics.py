@@ -166,12 +166,25 @@ def test_pure_state_labels():
         assert rho.matrix.tobytes() == checked.matrix.tobytes()
         assert rho.matrix.dtype == checked.matrix.dtype
         assert not rho.matrix.flags.writeable
-    with pytest.raises(ValidationError):
-        DensityMatrix3.pure("z")
-    # an index that sets no diagonal entry or several is no pure state
-    for index in (np.array([0, 1]), slice(0, 2), True, False):
-        with pytest.raises(ValidationError, match="^density matrix trace must be 1$"):
-            DensityMatrix3.pure(index)
+    for index in (0, 1, 2, np.int64(1), np.uint8(2)):
+        assert DensityMatrix3.pure(index).matrix[index, index] == 1.0
+    assert DensityMatrix3.pure("dark").matrix.tobytes() == \
+        DensityMatrix3.pure(2).matrix.tobytes()
+
+
+@pytest.mark.parametrize("level", [
+    "z", "G", "", -1, -3, 3, 1.5, 1.0, True, False, np.bool_(True),
+    np.array(1), np.array([1]), [1], np.array([0, 1]), slice(0, 1),
+    slice(0, 2), None,
+], ids=repr)
+def test_pure_state_refuses_anything_but_a_level(level):
+    # a negative, sequence or slice index would set some diagonal entry,
+    # and 3 or 1.5 would fail inside numpy: each is refused by name
+    with pytest.raises(ValidationError) as refused:
+        DensityMatrix3.pure(level)
+    assert str(refused.value) == (
+        "level must be 0, 1, 2 or a label 'g', 'x', 'y' or 'dark', "
+        f"got {level!r}")
 
 
 def test_rate_matrix_validation():

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
 import hashlib
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -325,16 +327,16 @@ def test_fits_refuse_a_malformed_iteration_cap(fit, cap):
 # Newton steps of one seeded window fit with background, per weighting
 WINDOW_FIT_BITS = {
     "uniform": ("0x1.1e3132c15985fp+13", "0x1.73c64596e6e47p-3",
-                "0x1.43ba1eaa7d536p+4", "0x1.3d86db564f4a4p-12",
+                "0x1.43ba1eaa7d559p+4", "0x1.3d86db564f4c6p-12",
                 "0x1.0ce3c2cb2699cp+16", 3),
     "poisson": ("0x1.1ad1d4cb275d2p+13", "0x1.70be7e296a18ep-3",
-                "0x1.ce0543e43d3b6p+5", "0x1.2f37bbbd3ba8bp-11",
+                "0x1.ce0543e43d3abp+5", "0x1.2f37bbbd3ba83p-11",
                 "0x1.790cb3b191a3dp+8", 3),
     "provided": ("0x1.1d93eeeb1d25ep+13", "0x1.7338f653d92d0p-3",
-                 "0x1.d2e204671731dp+5", "0x1.30a4c9dfffc9ep-11",
+                 "0x1.d2e204671730ap+5", "0x1.30a4c9dfffc91p-11",
                  "0x1.405a1b6debcd1p+8", 6),
     "array": ("0x1.1d5a786ddc653p+13", "0x1.72eacffb3db4dp-3",
-              "0x1.8b115c66ddf72p+0", "0x1.7781d9d020c52p-16",
+              "0x1.8b115c66ddf52p+0", "0x1.7781d9d020c34p-16",
               "0x1.57e1a9d997125p+16", 3),
 }
 
@@ -378,8 +380,8 @@ def _hex_digest(rows):
 # digests of (amplitude, rate, sigma_amplitude, sigma_rate, chi2, Newton
 # steps, converged) of the 160 window fits of criterion-5 seeds 0-9
 CRITERION5_WINDOW_FIT_DIGESTS = {
-    "uniform": "b0b84fbbf2f02edd0a66d497084f966932078e1445a727cbae9157a86b5b15d1",
-    "poisson": "00793e8ff9f4fd2743398bee61f89d4622959ffc73cbfd8494506efffe977745",
+    "uniform": "745f8fdce92ab10b0dbd5201b30d8b7025a98dee49408a1b86f201fb429ef803",
+    "poisson": "473bba9b115b4382a0b1f552fe9f87a3591e77e38a05f6308c80704e67c5c4f8",
 }
 
 
@@ -442,6 +444,106 @@ def test_window_fit_with_an_underflowing_amplitude_column():
     assert cov[0, 0] == estimate._HUGE_VARIANCE * (fit.chi2 / fit.dof)
     assert cov[0, 1] == cov[1, 0] == 0.0
     assert 0.0 < cov[1, 1] < 1e-20
+
+
+def _two_column_cases():
+    """Degenerate and seeded random two-column Jacobians, as parameters
+    (d_amplitude, d_rate, weights or None, factor)."""
+    t = np.linspace(4.0, 119.0, 50)
+    e = np.exp(-0.1 * t)
+    w = np.random.default_rng(8).uniform(0.5, 2.0, len(t))
+    # a unit vector orthogonal to e: tilting -3e by 1e-7 rad towards it
+    # leaves a smallest eigenvalue ~3e-15 of the largest, below the 1e-12 rule
+    r = np.sin(t) - (np.sin(t) @ e) / (e @ e) * e
+    tilt = 3e-7 * np.linalg.norm(e) * r / np.linalg.norm(r)
+    cases = [
+        pytest.param(np.zeros_like(t), -t * e, None, 0.7, id="zero amplitude column"),
+        pytest.param(e, np.zeros_like(t), w, 1.0, id="zero rate column"),
+        pytest.param(np.zeros_like(t), np.zeros_like(t), None, 2.5,
+                     id="both columns zero"),
+        pytest.param(e, -3.0 * e, w, 1.0, id="collinear"),
+        pytest.param(e, -3.0 * e + tilt, None, 1.0, id="nearly collinear"),
+        pytest.param(1e-3 * e, 1e3 * e, None, 0.3, id="collinear, unequal scales"),
+        pytest.param(e, -1e18 * t * e, w, 1.0, id="1e18 scale mismatch"),
+    ]
+    rng = np.random.default_rng(21)
+    for i in range(40):
+        columns = rng.normal(size=(2, len(t))) * 10.0 ** rng.uniform(-10, 10, (2, 1))
+        weights = rng.uniform(0.1, 3.0, len(t)) if i % 2 else None
+        cases.append(pytest.param(*columns, weights, float(rng.uniform(0.1, 10)),
+                                  id=f"random {i}"))
+    return cases
+
+
+@pytest.mark.parametrize("d_amplitude, d_rate, weights, factor",
+                         _two_column_cases())
+def test_window_covariance_matches_the_eigendecomposition(
+        d_amplitude, d_rate, weights, factor):
+    # the closed form against _covariance (eigh of the same column-scaled
+    # normal matrix, the same rank rule) as the oracle: the unbounded
+    # entries equal, all others within 1e-13 of their scale
+    (cov,) = estimate._window_covariances(
+        d_amplitude[None, :], d_rate[None, :],
+        None if weights is None else weights[None, :], [factor], 1, scale=True)
+    oracle = estimate._covariance(
+        np.array([d_amplitude, d_rate]).T,
+        np.ones(len(d_amplitude)) if weights is None else weights,
+        factor, 1, scale=True)
+    unbounded = np.abs(oracle) >= 1e200
+    assert (np.abs(cov) >= 1e200).tolist() == unbounded.tolist()
+    exact = np.abs(oracle) == estimate._HUGE_VARIANCE * factor
+    assert cov[exact].tolist() == oracle[exact].tolist()
+    root = np.sqrt(np.abs(oracle.diagonal()))
+    assert np.all(np.abs(cov - oracle) <= 1e-13 * np.outer(root, root))
+    assert cov[0, 1] == cov[1, 0]
+
+
+def _float_sqrt(q):
+    """The square root of a positive Fraction, to well under an ulp."""
+    root = math.isqrt(q.numerator * (1 << 400) // q.denominator)
+    return float(Fraction(root, 1 << 200))
+
+
+def _ulps(x, exact):
+    return abs(x - exact) / math.ulp(exact)
+
+
+def test_window_fit_sigma_matches_exact_rationals(monkeypatch):
+    # the sigmas of the 32 fits of criterion-5 seed 0 (uniform and Poisson
+    # weights) against those computed from the same Jacobian, weights and
+    # chi^2 factor in exact rationals: within 16 ulp, and no further off
+    # in median or max than _covariance's eigendecomposition of the same
+    seen = []
+    real = estimate._window_covariances
+
+    def spy(d_amplitude, d_rate, w, chi2, dof, scale):
+        seen.append((d_amplitude, d_rate, w, chi2[0] / dof if scale else 1.0))
+        return real(d_amplitude, d_rate, w, chi2, dof, scale)
+
+    monkeypatch.setattr(estimate, "_window_covariances", spy)
+    sigmas = [estimate.fit_exponential_window(trace, estimate.DEFAULT_WINDOW,
+                                              weights=weights).sigma
+              for weights in ("uniform", "poisson")
+              for trace in _criterion5_traces(0)]
+    closed_form, eigh = [], []
+    for sigma, (d_amplitude, d_rate, w, factor) in zip(sigmas, seen):
+        weights = np.ones(d_amplitude.shape[1]) if w is None else w[0]
+        exact_w = list(map(Fraction, weights.tolist()))
+        a, r = (list(map(Fraction, col[0].tolist())) for col in (d_amplitude, d_rate))
+        aa = sum(x * x * v for x, v in zip(a, exact_w))
+        ab = sum(x * y * v for x, y, v in zip(a, r, exact_w))
+        rr = sum(y * y * v for y, v in zip(r, exact_w))
+        scale = Fraction(factor) / (aa * rr - ab * ab)
+        exact = _float_sqrt(rr * scale), _float_sqrt(aa * scale)
+        oracle = estimate._covariance(np.array([d_amplitude[0], d_rate[0]]).T,
+                                      weights, factor, 1, scale=True)
+        for i in range(2):
+            closed_form.append(_ulps(float(sigma[i]), exact[i]))
+            eigh.append(_ulps(math.sqrt(oracle[i, i]), exact[i]))
+    assert len(closed_form) == 64
+    assert max(closed_form) <= 16
+    assert np.median(closed_form) <= np.median(eigh)
+    assert max(closed_form) <= max(eigh)
 
 
 @settings(max_examples=60, deadline=None)
