@@ -382,8 +382,9 @@ def _fit_windows(t, y, w, scheme, max_iter):
     weighting scheme ("array" for explicit weights); see
     `fit_exponential_window`. Every row runs through one `_windowed_rates`
     solve per pass, whose Newton steps and convergence each result
-    reports, and every row's covariance comes from one
-    `_window_covariances` call."""
+    reports. The covariances come from one `_window_covariances` call:
+    the closed-form inverse of each row's column-scaled 2x2 normal
+    matrix, batched over rows, under the rank rule of `_covariance`."""
     rates = None
     for refit in range(_passes(scheme)):
         if refit:  # reweight counts by the previous fit's expectation

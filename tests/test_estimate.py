@@ -457,7 +457,8 @@ def _two_column_cases():
     r = np.sin(t) - (np.sin(t) @ e) / (e @ e) * e
     tilt = 3e-7 * np.linalg.norm(e) * r / np.linalg.norm(r)
     cases = [
-        pytest.param(np.zeros_like(t), -t * e, None, 0.7, id="zero amplitude column"),
+        pytest.param(np.zeros_like(t), -t * e, None, 0.7,
+                     id="zero amplitude column"),
         pytest.param(e, np.zeros_like(t), w, 1.0, id="zero rate column"),
         pytest.param(np.zeros_like(t), np.zeros_like(t), None, 2.5,
                      id="both columns zero"),
@@ -529,7 +530,8 @@ def test_window_fit_sigma_matches_exact_rationals(monkeypatch):
     for sigma, (d_amplitude, d_rate, w, factor) in zip(sigmas, seen):
         weights = np.ones(d_amplitude.shape[1]) if w is None else w[0]
         exact_w = list(map(Fraction, weights.tolist()))
-        a, r = (list(map(Fraction, col[0].tolist())) for col in (d_amplitude, d_rate))
+        a, r = (list(map(Fraction, column[0].tolist()))
+                for column in (d_amplitude, d_rate))
         aa = sum(x * x * v for x, v in zip(a, exact_w))
         ab = sum(x * y * v for x, y, v in zip(a, r, exact_w))
         rr = sum(y * y * v for y, v in zip(r, exact_w))
