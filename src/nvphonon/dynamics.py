@@ -58,8 +58,6 @@ class IntegrationError(ValidationError):
 
 _LABELS_DEFAULT = ("g", "x", "y")
 _LABELS_SINK = ("g", "x", "dark")
-# DensityMatrix3.pure's level labels
-_LEVEL_INDEX = {"g": 0, "x": 1, "y": 2, "dark": 2}
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ class DensityMatrix3:
         """Pure state in level 0, 1 or 2 (an integer, not a bool) or label
         'g'/'x'/'y'/'dark'; anything else raises ValidationError."""
         if isinstance(level, str):
-            index = _LEVEL_INDEX.get(level)
+            index = {"g": 0, "x": 1, "y": 2, "dark": 2}.get(level)
         elif (isinstance(level, numbers.Integral) and not isinstance(level, bool)
                 and 0 <= level <= 2):
             index = int(level)

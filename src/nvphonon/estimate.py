@@ -64,6 +64,9 @@ from .core import AngularRate, ValidationError, rate_value, temperature_value
 
 _JACOBIAN_REL_STEP = 1e-6
 _HUGE_VARIANCE = 1e300
+# an eigenvalue of a column-scaled normal matrix at or below this share of
+# the largest is a rank-deficient direction, given _HUGE_VARIANCE
+_RANK_RTOL = 1e-12
 # projected Newton solve of the windowed forward model (_windowed_rates)
 _NEWTON_RTOL = 1e-9
 # a step lowering S1^2/S2 by less than this share is taken as rounding:
@@ -187,8 +190,8 @@ def _covariance(jac, weights, chi2, dof, scale):
     """Covariance of the parameters of a fit with Jacobian jac (points x
     parameters) under weights: the inverse of the normal matrix of the
     columns scaled to unit norm, with _HUGE_VARIANCE along each
-    eigenvector whose eigenvalue is at or below 1e-12 of the largest, then
-    unscaled, and times chi2/dof where scale is set."""
+    eigenvector whose eigenvalue is at or below _RANK_RTOL of the largest,
+    then unscaled, and times chi2/dof where scale is set."""
     # column-scale first so the rank test sees collinearity, not unit
     # mismatches between parameters (their scales differ by many decades)
     wjac = jac * np.sqrt(weights)[:, None]
@@ -198,7 +201,7 @@ def _covariance(jac, weights, chi2, dof, scale):
     normal = scaled.T @ scaled
     vals, vecs = np.linalg.eigh(normal)
     top = float(vals.max()) if len(vals) else 0.0
-    floor = max(top, 0.0) * 1e-12
+    floor = max(top, 0.0) * _RANK_RTOL
     inv_vals = np.array([1.0 / val if val > floor else _HUGE_VARIANCE
                          for val in vals.tolist()])
     cov = (vecs * inv_vals) @ vecs.T / (norms[:, None] * norms)
@@ -425,10 +428,11 @@ def _window_covariances(d_amplitude, d_rate, w, chi2, dof, scale):
     kept at 0) give [[a, b], [b, c]], whose eigenvalues are
     top = (a + c)/2 + hypot((a - c)/2, b) and det/top, det = ac - b^2
     (Golub & Van Loan, Matrix Computations, 8.5). Where det/top exceeds
-    1e-12 top, the matrix is inverted directly; otherwise the inverse is
-    v v^T / top along top's unit eigenvector v plus an unbounded variance
-    (_HUGE_VARIANCE) along the direction u orthogonal to it, and
-    _HUGE_VARIANCE in place of 1/top where top = 0 (two zero columns).
+    _RANK_RTOL top, the matrix is inverted directly; otherwise the
+    inverse is v v^T / top along top's unit eigenvector v plus an
+    unbounded variance (_HUGE_VARIANCE) along the direction u orthogonal
+    to it, and _HUGE_VARIANCE in place of 1/top where top = 0 (two zero
+    columns).
     """
     w_amplitude = _weighted(w, d_amplitude)
     sums = (np.vecdot(w_amplitude, d_amplitude).tolist(),
@@ -441,7 +445,7 @@ def _window_covariances(d_amplitude, d_rate, w, chi2, dof, scale):
         a, b, c = aa / (n0 * n0), ab / (n0 * n1), bb / (n1 * n1)
         top = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
         det = a * c - b * b
-        if det > 1e-12 * top * top:
+        if det > _RANK_RTOL * top * top:
             p00, p01, p11 = c / det, -b / det, a / det
         else:
             # top's eigenvector from the better conditioned of its two forms
