@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nvphonon import closedform, estimate, phonon, synth, verify
@@ -1252,9 +1252,11 @@ def test_gamma_a1_fit_warm_starts_forward_solves(monkeypatch):
     assert np.mean(steps) <= 2.3
 
 
-def _decrement_stop(fit):
+def _decrement_stop(fit, chi2_at=None):
     """Run fit(); where the Newton decrement ended its last descent, return
-    chi^2 there and at the Gauss-Newton step it declined, else None."""
+    chi^2 there and at the Gauss-Newton step it declined, else None.
+    chi2_at(theta, y, weights), where given, evaluates both chi^2 (exactly,
+    say) in place of the fit's floats."""
     runs = []
     minimize = estimate._minimize
 
@@ -1274,7 +1276,10 @@ def _decrement_stop(fit):
     decrement = estimate._decrement(normal, grad, np.diag(normal).copy())
     if not (converged and 0.0 <= decrement <= estimate._CHI2_RTOL * chi2):
         return None
-    residual = y - predict(theta + np.linalg.solve(normal, grad))
+    declined = theta + np.linalg.solve(normal, grad)
+    if chi2_at is not None:
+        return chi2_at(theta, y, weights), chi2_at(declined, y, weights)
+    residual = y - predict(declined)
     return chi2, float(np.sum(weights * residual * residual))
 
 
@@ -1298,13 +1303,31 @@ def test_gamma_a1_fit_decrement_declines_only_rounding(seed):
     assert chi2 - declined <= DECLINED_DROP_RTOL * chi2
 
 
+def _t5_chi2_exact(temps):
+    """chi^2 of a (T - t0)^5 + c at (a, t0, c) in exact rationals, on the
+    ascending temperatures temps."""
+    def chi2_at(theta, y, weights):
+        a, t0, c = map(Fraction, theta.tolist())
+        return sum(Fraction(w) * (Fraction(v) - a * (Fraction(temp) - t0) ** 5
+                                  - c) ** 2
+                   for temp, v, w in zip(temps, y.tolist(), weights.tolist()))
+    return chi2_at
+
+
+# seeds 809 and 34597: chi^2 evaluated in floats reads a drop 3.0e-12 and
+# 2.8e-12 of chi^2 at the declined step, where the exact drop is 9.9e-13
+# and 6.5e-13, the decrement's prediction; the polynomial model lets the
+# test take both chi^2 exactly, so rounding does not enter the comparison
 @settings(max_examples=30, deadline=None)
+@example(seed=809)
+@example(seed=34597)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_t5_fit_decrement_declines_only_rounding(seed):
     noise = np.random.default_rng(seed).normal(0.0, 0.05, size=6)
     points = [(temp, rate.value + rate_from_linear_mhz(dev, fitted=True).value,
                sigma) for (temp, rate, sigma), dev in zip(_t5_points(), noise)]
-    stop = _decrement_stop(lambda: estimate.fit_t5(points))
+    stop = _decrement_stop(lambda: estimate.fit_t5(points),
+                           _t5_chi2_exact([temp for temp, _, _ in points]))
     assume(stop is not None)
     chi2, declined = stop
     assert chi2 - declined <= DECLINED_DROP_RTOL * chi2
