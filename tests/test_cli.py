@@ -301,6 +301,26 @@ def test_background_overflow_is_one_line_input_error(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {signal} / {bg}: {message}\n"
 
 
+def test_fit_window_with_an_overflowing_amplitude_column_is_input_error(
+        tmp_path, capsys):
+    # fitted late in a rising trace, the rate -0.9 per ns puts the
+    # amplitude's Jacobian column exp(-rate t) beyond the float range
+    t = np.arange(1000.0)
+    y = np.exp(0.9 * (t - 800.0)) + 1.0
+    trace = _write(tmp_path / "rising.csv", "time_ns,intensity\n" + "".join(
+        f"{time!r},{value!r}\n" for time, value in zip(t.tolist(), y.tolist())))
+    cfg = _write(tmp_path / "fit.cfg",
+                 "window.start_ns = 800\nwindow.length_ns = 100\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["fit", "--procedure", "exp-window", "--config", cfg,
+                         trace])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "window starting at 800 ns" in err and "rate -0.9 rad/ns" in err
+
+
 def test_load_trace_multicolumn_needs_selection(tmp_path):
     path = _write(tmp_path / "two.csv",
                   "time_ns,intensity_a1,intensity_a2\n0.0,1.0,1.0\n")

@@ -446,6 +446,17 @@ def test_window_fit_with_an_underflowing_amplitude_column():
     assert 0.0 < cov[1, 1] < 1e-20
 
 
+def test_window_fit_refuses_an_overflowing_amplitude_column():
+    # a rising trace fitted late in its span: the fitted rate, -0.9 per ns,
+    # puts exp(-rate t), the amplitude's Jacobian column, beyond the float
+    # range from the window start t0 = 800 ns on
+    t = np.arange(1000.0)
+    trace = TimeTrace(t, np.exp(0.9 * (t - 800.0)) + 1.0)
+    with pytest.raises(ValidationError,
+                       match=r"window starting at 800 ns.* rate -0\.9 rad/ns"):
+        estimate.fit_exponential_window(trace, FitWindow(800.0, 100.0))
+
+
 def _two_column_cases():
     """Degenerate and seeded random two-column Jacobians, as parameters
     (d_amplitude, d_rate, weights or None, factor)."""
