@@ -406,7 +406,14 @@ def _fit_windows(t, y, w, scheme, max_iter):
     dof = len(t) - 2
     t0 = float(t[0])
     # the model's derivatives in the amplitude, exp(-rate t), and the rate
-    d_amplitude = decay * np.array([[math.exp(-rate * t0)] for rate in rates])
+    try:
+        d_amplitude = decay * np.array([[math.exp(-rate * t0)] for rate in rates])
+    except OverflowError:
+        rate = max(rates, key=lambda rate: -rate * t0)
+        raise ValidationError(
+            f"window starting at {t0:g} ns: the fitted rate {rate:.6g} rad/ns "
+            "puts the amplitude column exp(-rate t) beyond the float range"
+        ) from None
     covariances = _window_covariances(d_amplitude, -t * model, w, chi2, dof,
                                       scale=scheme == "uniform")
     return [FitResult(names=("amplitude", "rate"),
