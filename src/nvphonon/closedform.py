@@ -226,21 +226,14 @@ def _a12_modes(gamma_rad, gamma_mix, gamma_isc, crosses):
             np.array([0.5 - d_split, 0.5 + d_split]))
 
 
-def _a12_curves(modes, t, slopes=False):
+def _a12_curves(modes, t):
     """fluorescence_a12 for every curve of the modes `_a12_modes` returned,
-    at the times t: shape (*curves, *t.shape). With slopes=True, also its
-    Gamma_isc derivative, to which each exponential w exp(-k t)
-    contributes (dw - t w dk) exp(-k t)."""
+    at the times t: shape (*curves, *t.shape)."""
     t = np.asarray(t, dtype=float)
     along_t = (...,) + (None,) * t.ndim
     w, k = modes[0][along_t], modes[1][along_t]
     decays = np.exp(-k * t)
-    curves = w[0] * decays[0] + w[1] * decays[1]
-    if not slopes:
-        return curves
-    dw, dk = modes[2][along_t], modes[3][along_t]
-    return curves, ((dw[0] - w[0] * dk[0] * t) * decays[0]
-                    + (dw[1] - w[1] * dk[1] * t) * decays[1])
+    return w[0] * decays[0] + w[1] * decays[1]
 
 
 def fluorescence_a12(gamma_rad, gamma_mix, gamma_isc, branch, t):

@@ -334,10 +334,17 @@ def test_fluorescence_a12_matches_matrix_exponential():
             assert value[0] == pytest.approx(expected, rel=1e-9, abs=1e-13)
 
 
+def _modes_slope(modes, t):
+    """The Gamma_isc derivative of the curves of `_a12_modes`' modes at the
+    times t: each exponential w exp(-k t) contributes (dw - t w dk) exp(-k t)."""
+    w, k, dw, dk = (part[..., None] for part in modes)
+    return ((dw[0] - w[0] * dk[0] * t) * np.exp(-k[0] * t)
+            + (dw[1] - w[1] * dk[1] * t) * np.exp(-k[1] * t))
+
+
 def _a12_slope(gr, gm, gi, branch, t):
     """The Gamma_isc derivative of one fluorescence_a12 curve."""
-    return closedform._a12_curves(closedform._a12_modes(gr, gm, gi, branch == "A1"),
-                                  t, slopes=True)[1]
+    return _modes_slope(closedform._a12_modes(gr, gm, gi, branch == "A1"), t)
 
 
 def test_a12_isc_slope_matches_matrix_exponential():
@@ -454,11 +461,12 @@ def test_a12_array_evaluation_matches_single_curves(gr, gi, mixes, half):
         mixes = mixes + [0.5 * gi]
     t = np.linspace(0.0, 120.0, 97)
     mixes = np.array(mixes)
-    curves, slopes = closedform._a12_curves(closedform._a12_modes(
-        gr, mixes[:, None], gi, np.array([True, False])), t, slopes=True)
+    modes = closedform._a12_modes(gr, mixes[:, None], gi, np.array([True, False]))
+    curves, slopes = closedform._a12_curves(modes, t), _modes_slope(modes, t)
     branches = ["A1", "A2"] * len(mixes)
-    per_point = closedform._a12_curves(closedform._a12_modes(
-        gr, np.repeat(mixes, 2), gi, np.array(branches) == "A1"), t, slopes=True)
+    modes = closedform._a12_modes(gr, np.repeat(mixes, 2), gi,
+                                  np.array(branches) == "A1")
+    per_point = closedform._a12_curves(modes, t), _modes_slope(modes, t)
     assert curves.shape == slopes.shape == (len(mixes), 2, len(t))
     for i, (gm, branch) in enumerate(zip(np.repeat(mixes, 2), branches)):
         curve = closedform.fluorescence_a12(gr, gm, gi, branch, t)

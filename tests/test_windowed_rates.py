@@ -192,30 +192,3 @@ def test_wide_solves_match_the_array_oracle(weighted, warm):
             0.99, 1.01, 600)
     assert (_outcome(estimate._windowed_rates, y, t, weights, start=start)
             == _outcome(_windowed_rates, y, t, weights, start=start))
-
-
-# ---------------------------------------------------------------------------
-# slopes from the last profile
-
-
-@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
-def test_windowed_rate_slopes_match_central_difference(weighted):
-    # two-exponential curves y(p) and their derivatives dy/dp: the implicit
-    # slopes of the fitted rates against central differences of the solve
-    t = 4.0 + 0.25 * np.arange(461)
-
-    def curves(p):
-        return np.array([np.exp(-0.1 * t) + p * np.exp(-0.4 * t),
-                         np.exp(-0.2 * t) + p * p * np.exp(-0.05 * t)])
-
-    p, step = 0.3, 1e-5
-    dy = np.array([np.exp(-0.4 * t), 2.0 * p * np.exp(-0.05 * t)])
-    weights = (np.random.default_rng(1).uniform(0.5, 2.0, dy.shape)
-               if weighted else None)
-    _, _, converged, slopes = estimate._windowed_rates(curves(p), t, weights,
-                                                       dy=dy)
-    upper, lower = (estimate._windowed_rates(curves(p + sign * step), t,
-                                             weights)[0]
-                    for sign in (1.0, -1.0))
-    assert converged
-    np.testing.assert_allclose(slopes, (upper - lower) / (2.0 * step), rtol=1e-7)
