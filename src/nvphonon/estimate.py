@@ -11,14 +11,14 @@ effectively unbounded variances rather than being hidden.
 
 Windowed single-exponential fits, of measured traces
 (`fit_exponential_window`) and of the noiseless forward model
-(`effective_isc_rates`) alike, run through one variable-projection
-solve, `_windowed_rates`: the amplitude is eliminated and Newton steps
-act on the rate alone, for any number of curves at once. Its cost is one
-exp and two moment products over all curves a profile evaluation, plus a
-few float operations a curve for the step control, which runs on Python
+(`effective_isc_rates`) alike, are variable-projection solves: the
+amplitude is eliminated and Newton steps act on the rate alone, for any
+number of curves at once, under one step control (`_newton`) on Python
 floats (a one-row fit would otherwise pay ~30 numpy calls on length-1
-arrays a step). The data side's results (projected amplitude, Jacobian,
-covariance) come from `_fit_windows`, for one trace or for the many that
+arrays a step). The data side (`_windowed_rates`) evaluates its profile
+from the samples: one exp and two moment products over all curves. The
+data side's results (projected amplitude, Jacobian, covariance) come
+from `_fit_windows`, for one trace or for the many that
 `fit_gamma_a1_traces`, the lifetime analysis from traces to Gamma_a1,
 fits in one solve. Their covariances (`_window_covariances`) are the
 closed-form inverses of the column-scaled 2x2 normal matrices, from three
@@ -26,11 +26,16 @@ weighted sums over all rows, under the rank rule by which `_covariance`
 treats the p parameters of the other fits through an eigendecomposition.
 Both sides, and `fit_gamma_a1` between them, take the fit window as one
 `FitWindow` (`window=`), so data and model are fitted over the same
-window. The forward model builds all its curves in one
-array evaluation of the two-branch closed form (with their Gamma_a1
-derivatives when `slopes=True` asks for the rates' slopes, which come
-from the solve's last profile), and its solve can start from given rates
-(`start=`). `fit_gamma_a1` makes one forward call per trial Gamma_a1:
+window. The forward model samples nothing: its curves are two
+exponentials on a uniform grid, so every sum of its fit is a truncated
+geometric series, and `_forward_rates` evaluates the profile from their
+closed-form moments, ~40 array operations on one (3, curves) array
+whatever the window's length, within 5e-15 (|rate| + Gamma_rad) of the
+sampled solve on windows of 20 samples or more. It
+starts cold from the modes of the two-branch closed form, or from given
+rates (`start=`), and gives the rates' Gamma_a1 slopes from the moments
+of its last profile (`slopes=True`). `fit_gamma_a1` makes one forward
+call per trial Gamma_a1:
 its slopes are the fit's Jacobian and start the next trial from the
 first-order prediction of its rates. Every other fit runs through
 `_least_squares`: a damped Gauss-Newton iteration (Levenberg-style
@@ -961,24 +966,29 @@ def _forward_rates(modes, t0, n, start, slopes):
     Per curve, S1 = sum(y e), S2 = sum(e^2) and their means and variances
     of tau are mixtures of truncated geometric series in x = K_m + k and
     in 2k (`_geometric_moments`, on one (3, rows) array a profile
-    evaluation): with a_m = w_m exp(-K_m t0) and mass_m = a_m sum_m,
-    mean_ye = sum p_m mean_m and var_ye = sum p_m var_m + p_0 p_1
-    (mean_0 - mean_1)^2, p_m = mass_m/S1. A negative x is reflected
-    (j -> n - 1 - j), with e scaled to a maximum of 1 as the sampled solve
-    scales it. The cold start solves the stationarity of the fit for
-    continuous, untruncated samples, sum_m a_m (k - K_m)/(K_m + k)^2 = 0,
-    by two fixed-point steps k <- sum w_m K_m / sum w_m,
-    w_m = a_m/(K_m + k)^2, from the slow rate.
+    evaluation): with a_m = w_m exp(-K_m t0) and mass_m = a_m times the
+    sum of the series in x_m, S1 = sum mass_m, mean_ye = sum p_m mean_m
+    and var_ye = sum p_m var_m + p_0 p_1 (mean_0 - mean_1)^2,
+    p_m = mass_m/S1. A negative x is reflected (j -> n - 1 - j), with e
+    scaled to a maximum of 1 as the sampled solve scales it. The cold
+    start solves the stationarity of the fit for continuous, untruncated
+    samples, sum_m a_m (k - K_m)/(K_m + k)^2 = 0, by two fixed-point steps
+    k <- sum o_m K_m / sum o_m, o_m = a_m/(K_m + k)^2, from the slow
+    rate: 3 Newton steps on the criterion-5 designs.
 
     The slopes are the implicit derivatives dk = (d mean_ye)/h'' (at the
     optimum h' = mean_ee - mean_ye = 0), from the profile of the last
-    Newton step, one step within tolerance before the rates: with y's
-    derivative
-    (dw_m - w_m dK_m t) exp(-K_m t), d mean_ye = sum_m q_m (mean_m -
-    mean_ye) - dK_m p_m (var_m + mean_m (mean_m - mean_ye)), q_m the
-    mass of the first term over S1. At Gamma_isc = 0 and Gamma_mix -> 0
-    the weight derivatives are +/-1/(4 Gamma_mix) and cancel to ~1e-16
-    relative, so the slope's error grows like 1e-16/(Gamma_mix t) there.
+    Newton step, one step within tolerance before the rates. With y's
+    derivative sum_m (dw_m - w_m dK_m t) exp(-K_m t), d mean_ye =
+    sum_m q_m (mean_m - mean_ye) - dK_m p_m (var_m + mean_m (mean_m -
+    mean_ye)), q_m the mass of (dw_m - w_m dK_m t0) exp(-K_m t0) over S1.
+    At Gamma_isc = 0 and Gamma_mix -> 0 the weight derivatives are
+    +/-1/(4 Gamma_mix) and multiply the gap between two modes' moments
+    whose rates differ by 2 Gamma_mix, resolved to ~1e-16 relative, so the
+    slope's error grows like 1e-16/(Gamma_mix span): 1e-6 at
+    Gamma_mix = 1e-12, and 0.5 where the limit is 1 at 1e-90, as with
+    sampled curves. `fit_gamma_a1` takes slopes at Gamma_a1 > 0, where
+    the weights are well conditioned.
     """
     weight, rate, d_weight, d_rate = modes
     decay = np.exp(-t0 * rate)
@@ -1069,8 +1079,9 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix, window=DEFAULT_WINDOW,
     closed-form moments. A profile evaluation costs ~40 array operations
     on one (3, curves) array, whatever the window's length, and the
     step control ~1 us a curve on Python floats. The rates agree with the
-    sampled solve (`_windowed_rates` on `closedform._a12_curves`) to
-    ~1e-15 relative.
+    sampled solve (`_windowed_rates` on `closedform._a12_curves`) within
+    2.5e-15 (|rate| + Gamma_rad) on DEFAULT_WINDOW and 1.3e-13 on windows
+    of fewer than 20 samples, whose fit amplifies the moments' rounding.
 
     For a single mixing rate, returns (rate_a1_branch, rate_a2_branch)
     as fitted AngularRates. For a 1-d sequence of mixing rates, returns
