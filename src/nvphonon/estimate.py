@@ -993,8 +993,8 @@ def _forward_rates(modes, t0, n, start, slopes):
     weight, rate, d_weight, d_rate = modes
     decay = np.exp(-t0 * rate)
     amplitude = weight * decay
-    # the curves at their first two samples: decays, so positive at both
-    # or at fewer than two
+    # the curves decay, so the fit has the two positive samples it needs
+    # where a curve is positive at its first two
     second = (amplitude * np.exp(-_FORWARD_DT * rate)).sum(axis=0)
     if not (np.minimum(amplitude.sum(axis=0), second) > 0.0).all():
         raise ValidationError("need >= 2 positive samples to initialize the rate")
@@ -1098,8 +1098,9 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix, window=DEFAULT_WINDOW,
     mixing rate and as arrays otherwise: the implicit derivative of each
     windowed rate, taken at the solve's last profile, one Newton step
     within tolerance before the returned rates, so a rate's slope can
-    differ by ~1e-9 relative with the start. The rates are the same bits
-    either way.
+    differ by ~1e-9 relative with the start and with the other mixing
+    rates solved with it (a scalar call against a sequence call, say).
+    The rates are the same bits either way.
     """
     gr = rate_value(gamma_rad)
     ga1 = rate_value(gamma_a1)
@@ -1130,9 +1131,9 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix, window=DEFAULT_WINDOW,
     modes = _a12_modes(gr, np.repeat(mixes, 2), ga1,
                        np.resize(_BRANCHES_A1_A2, 2 * len(mixes)))
     rates, rate_slopes = _forward_rates(modes, window.start, n, start, slopes)
+    rows = (rates - gr,) if rate_slopes is None else (rates - gr, rate_slopes)
     # rates, then slopes: A1 and A2 alternate along each row
-    out = [row[branch::2] for row in (rates - gr, rate_slopes)[:1 + slopes]
-           for branch in (0, 1)]
+    out = [row[branch::2] for row in rows for branch in (0, 1)]
     if scalar:
         return (AngularRate(out[0][0], fitted=True),
                 AngularRate(out[1][0], fitted=True),
