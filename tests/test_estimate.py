@@ -1085,6 +1085,26 @@ def test_effective_rates_refuse_non_finite_start():
                                      start=start)
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 20, 461, 4000])
+def test_geometric_moments_match_summed_series(n):
+    # every z regime: 0, the Bernoulli series below n z = _SERIES_MAX and
+    # the closed form above it, either side of that switch, up to r^n
+    # underflowing; the oracle sums each term, exp(-z j) to half an ulp
+    z = np.concatenate([[0.0], np.geomspace(1e-9, 40.0, 60),
+                        estimate._SERIES_MAX / n * np.array([1 - 1e-9, 1 + 1e-9])])
+    sums, means, variances = estimate._geometric_moments(-z, n)
+    for z_i, got in zip(z.tolist(), zip(sums.tolist(), means.tolist(),
+                                         variances.tolist())):
+        terms = [math.exp(-z_i * j) for j in range(n)]
+        total = math.fsum(terms)
+        mean = math.fsum(j * term for j, term in enumerate(terms)) / total
+        var = math.fsum((j - mean) ** 2 * term
+                        for j, term in enumerate(terms)) / total
+        assert got[0] == pytest.approx(total, rel=1e-15)
+        assert got[1] == pytest.approx(mean, rel=1e-14)
+        assert got[2] == pytest.approx(var, rel=1e-12)
+
+
 def _sampled_forward_rates(gamma_rad, gamma_a1, mixes, window):
     """The forward model's (A1, A2) rates from sampled curves, the oracle of
     its closed-form moments: `_windowed_rates` on `_a12_curves` sampled
