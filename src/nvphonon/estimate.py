@@ -999,6 +999,8 @@ def _forward_rates(modes, t0, n, start, slopes):
     if not (np.minimum(amplitude.sum(axis=0), second) > 0.0).all():
         raise ValidationError("need >= 2 positive samples to initialize the rate")
     if start is None:
+        # two fixed-point steps from the slow rate towards the stationary
+        # rate of continuous, untruncated samples
         k = rate[0]
         for _ in range(2):
             shares = amplitude * (rate[::-1] + k) ** 2
