@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -1252,6 +1253,44 @@ def test_gamma_a1_traces_match_the_window_fit_chain():
                                    [p[2] for p in chain], rtol=1e-12)
         assert result.converged
         assert abs(result["gamma_a1"] - expected["gamma_a1"]) * TO_MHZ <= 1e-7
+
+
+def _gamma_a1_rows(result):
+    """(Gamma_A1, sigma, chi2, iterations, converged) of a fit_gamma_a1 result."""
+    return [(result["gamma_a1"], result.sigma_of("gamma_a1"), result.chi2,
+             result.iterations, result.converged)]
+
+
+# digests of the global fits of criterion-5 seeds 0-9: fit_gamma_a1 on the
+# points of one window fit per trace, and fit_gamma_a1_traces (the batched
+# window fits) with its derived (temperature, gamma_eff, sigma, branch) points
+GAMMA_A1_FIT_DIGESTS = {
+    "window-fit points":
+        "24aa31cccaba5602e8d6178011536c82be527dfe86f6738c6235f463513c0577",
+    "traces": "c6711895f3b6cb9c39b6c7ca1a3233f7ba5b36d52f56e68bb9d3d80a0e4ac7f8",
+}
+
+
+@pytest.mark.parametrize("path", list(GAMMA_A1_FIT_DIGESTS))
+def test_gamma_a1_fit_results_are_pinned(path):
+    rows = []
+    fits = _criterion5_window_fits("uniform")
+    for seed in range(10):
+        if path == "traces":
+            result = estimate.fit_gamma_a1_traces(
+                _criterion5_traces(seed), phonon.MIXING_FIT_DEFAULT,
+                CRITERION_GAMMA_RAD)
+            rows += _gamma_a1_rows(result) + result.derived["points"]
+            continue
+        points = [(float(temp), fit["rate"] - CRITERION_GAMMA_RAD,
+                   fit.sigma_of("rate"), branch)
+                  for fit, (temp, branch) in zip(
+                      fits[16 * seed:16 * seed + 16],
+                      itertools.product(CRITERION_TEMPERATURES.tolist(),
+                                        ("A1", "A2")))]
+        rows += _gamma_a1_rows(estimate.fit_gamma_a1(
+            points, phonon.MIXING_FIT_DEFAULT, CRITERION_GAMMA_RAD))
+    assert _hex_digest(rows) == GAMMA_A1_FIT_DIGESTS[path]
 
 
 def _labelled_traces(**changes):
