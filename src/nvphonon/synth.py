@@ -17,6 +17,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,9 +183,10 @@ class ExperimentSpec:
     convolved with to mimic finite excitation pulse edges; 0 disables it.
     total_counts is the expected total over the whole span (background
     excluded); background_rate is the expected background per bin. seed
-    seeds numpy's generator, so it is a non-negative integer. A spec whose
-    histogram would exceed MAX_SAMPLES samples or MAX_CONVOLUTION_TERMS
-    convolution terms is refused.
+    seeds numpy's generator, so it is a non-negative integer. bin_width is
+    a normal float: a subnormal one would round bin centres together. A
+    spec whose histogram would exceed MAX_SAMPLES samples or
+    MAX_CONVOLUTION_TERMS convolution terms is refused.
     """
 
     model: str
@@ -199,6 +201,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if not (0 < self.bin_width < math.inf and 0 < self.span < math.inf):
             raise ValidationError("bin_width and span must be finite and > 0")
+        if self.bin_width < sys.float_info.min:
+            # (j + 1/2) bin_width loses bits below the normal range, and
+            # neighbouring bin centres round to the same time
+            raise ValidationError(
+                f"bin_width must be at least {sys.float_info.min:.6g} ns (a "
+                f"normal float), got {self.bin_width!r}")
         if self.span < self.bin_width:
             raise ValidationError("span must cover at least one bin")
         if not (0 <= self.total_counts < math.inf

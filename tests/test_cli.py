@@ -1042,6 +1042,22 @@ synth.bin_ns = 1e-9
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_simulate_subnormal_bin_width_is_input_error(tmp_path, capsys):
+    # bin centres 5e-324 ns apart would round together; the refusal names
+    # the spec's field
+    out = str(tmp_path / "x.csv")
+    cfg = _write(tmp_path / "synth.cfg", """
+model.name = exponential
+model.rate_mhz = 29.2
+synth.total_counts = 1000
+synth.span_ns = 1e-322
+synth.bin_ns = 5e-324
+""")
+    _assert_sweep_input_error(["simulate", "--config", cfg, "--out", out],
+                              capsys, "bin_width must be at least")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sample_cap_boundary(monkeypatch):
     monkeypatch.setattr(cli, "MAX_SAMPLES", 5)
     assert len(cli._sweep_grid(1.0, 5.0, 1.0)) == 5

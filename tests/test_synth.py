@@ -285,6 +285,17 @@ def test_spec_validation():
     assert _spec(seed=np.int64(3)).seed == 3
 
 
+@pytest.mark.parametrize("bin_width", [5e-324, 1e-320, 2.0**-1023])
+def test_subnormal_bin_width_is_refused(bin_width):
+    # a subnormal width rounds neighbouring bin centres (j + 1/2) bin_width
+    # together; the spec names the field rather than leaving the trace to
+    # refuse times that are not strictly increasing
+    with pytest.raises(ValidationError, match=r"^bin_width must be at least "
+                       r"2\.22507e-308 ns \(a normal float\), got "):
+        _spec(bin_width=bin_width, span=20 * bin_width)
+    assert _spec(bin_width=2.0**-1022, span=2.0**-1018).bin_width == 2.0**-1022
+
+
 @pytest.mark.parametrize("generator", [synth.generate, synth.generate_background_pair])
 @pytest.mark.parametrize("fields, message", [
     # span / bin_width overflows to inf samples
