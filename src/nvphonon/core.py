@@ -322,8 +322,8 @@ class TimeTrace:
             raise ValidationError("window length must be > 0")
         # times are sorted, so the samples in the window are one slice
         stop = start + length
-        first = int(np.searchsorted(self.times, start, side="left"))
-        end = int(np.searchsorted(self.times, stop, side="right"))
+        first = int(self.times.searchsorted(start, side="left"))
+        end = int(self.times.searchsorted(stop, side="right"))
         if not (first < end and stop >= start):  # a NaN bound selects none
             raise ValidationError("window selects no samples")
         sigma = self.uncertainty

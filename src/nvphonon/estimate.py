@@ -79,6 +79,9 @@ _NEWTON_RTOL = 1e-9
 _PROFILE_RTOL = 1e-12
 _NEWTON_MAX_ITER = 30
 _WINDOW_FIT_MAX_ITER = 200         # Newton steps of a data-side window fit
+# a uniform-weight window fit takes chi^2 and its normal sums on rows
+# rescaled where their largest |y| is beyond 2^+-this (_fit_windows)
+_UNSCALED_EXPONENT = 256
 # a Gauss-Newton step raising chi^2 by less than this share ends the fit:
 # a model evaluated by iterative solves (fit_gamma_a1's forward model)
 # puts ~1e-13 relative rounding noise on chi^2
@@ -399,42 +402,71 @@ def _fit_windows(t, y, w, scheme, max_iter):
     solve per pass, whose Newton steps and convergence each result
     reports. The covariances come from one `_window_covariances` call:
     the closed-form inverse of each row's column-scaled 2x2 normal
-    matrix, batched over rows, under the rank rule of `_covariance`."""
-    rates = None
-    for refit in range(_passes(scheme)):
-        if refit:  # reweight counts by the previous fit's expectation
-            w = 1.0 / np.maximum(model, 1.0)
-        rates, iterations, converged = _windowed_rates(y, t, w, max_iter,
-                                                       start=rates)
-        decay = np.exp(-rates[:, None] * (t - t[0]))
-        w_decay = _weighted(w, decay)
-        model = decay * (np.vecdot(w_decay, y)
-                         / np.vecdot(w_decay, decay))[:, None]
-    with np.errstate(over="ignore"):
+    matrix, batched over rows, under the rank rule of `_covariance`.
+
+    The window's tau and (1, tau, tau^2) columns are built once, for
+    every pass and the result, and numpy's floating-point warnings are
+    silenced once for the whole fit. Under uniform weights the covariance
+    is unchanged where both Jacobian columns scale by c and chi^2 by c^2,
+    so a row whose largest |y|, m 2^e, lies beyond 2^+-_UNSCALED_EXPONENT
+    takes chi^2 and the normal sums on the row scaled by c = 2^-(e//2):
+    the sums, near |y| and 1/|y|, then stay in the float range for |y|
+    within ~1e+-300, where unscaled they leave it beyond ~1e+-150. Other
+    rows take c = 1, which keeps their bits, as any power of two would but
+    for the unbounded variance of an all-zero column, _HUGE_VARIANCE
+    times chi^2/dof in that column's own unit. The other weightings fix
+    their covariance's scale (c = 1)."""
+    tau, powers = _window_powers(t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rates = None
+        for refit in range(_passes(scheme)):
+            if refit:  # reweight counts by the previous fit's expectation
+                w = 1.0 / np.maximum(model, 1.0)
+            rates, iterations, converged = _window_rates(y, tau, powers, w,
+                                                         max_iter, rates)
+            decay = np.multiply.outer(-rates, tau)
+            np.exp(decay, out=decay)
+            w_decay = _weighted(w, decay)
+            model = decay * (np.vecdot(w_decay, y)
+                             / np.vecdot(w_decay, decay))[:, None]
         amplitudes = (model[:, 0] * np.exp(rates * t[0])).tolist()
-    residual = y - model
-    chi2 = np.vecdot(_weighted(w, residual), residual).tolist()
+        # the rows' powers of two c (see above), from the extent of each
+        # row's model, a single exponential; a column of them, or None
+        # where every c is 1
+        scale = [1.0] * len(y)
+        if w is None:
+            ends = zip(model[:, 0].tolist(), model[:, -1].tolist())
+            for row, (first, last) in enumerate(ends):
+                exponent = math.frexp(max(abs(first), abs(last)))[1]
+                if abs(exponent) > _UNSCALED_EXPONENT:
+                    scale[row] = math.ldexp(1.0, exponent // -2)
+        column = (None if scale.count(1.0) == len(scale)
+                  else np.array(scale)[:, None])
+        residual = _weighted(column, y - model)
+        scaled_chi2 = np.vecdot(_weighted(w, residual), residual).tolist()
+        d_rate = -t * _weighted(column, model)
     rates = rates.tolist()
     dof = len(t) - 2
     t0 = float(t[0])
     # the model's derivatives in the amplitude, exp(-rate t), and the rate
     try:
-        d_amplitude = decay * np.array([[math.exp(-rate * t0)] for rate in rates])
+        d_amplitude = decay * np.array([[math.exp(-rate * t0) * c]
+                                        for rate, c in zip(rates, scale)])
     except OverflowError:
         rate = max(rates, key=lambda rate: -rate * t0)
         raise ValidationError(
             f"window starting at {t0:g} ns: the fitted rate {rate:.6g} rad/ns "
             "puts the amplitude column exp(-rate t) beyond the float range"
         ) from None
-    covariances = _window_covariances(d_amplitude, -t * model, w, chi2, dof,
+    covariances = _window_covariances(d_amplitude, d_rate, w, scaled_chi2, dof,
                                       scale=scheme == "uniform")
     return [FitResult(names=("amplitude", "rate"),
                       values=np.array([amplitude, rate]),
                       sigma=np.sqrt(cov.diagonal()), covariance=cov,
-                      chi2=chi2_row, dof=dof, converged=converged,
+                      chi2=chi2 / c / c, dof=dof, converged=converged,
                       iterations=iterations)
-            for amplitude, rate, chi2_row, cov
-            in zip(amplitudes, rates, chi2, covariances)]
+            for amplitude, rate, chi2, c, cov
+            in zip(amplitudes, rates, scaled_chi2, scale, covariances)]
 
 
 def _window_covariances(d_amplitude, d_rate, w, chi2, dof, scale):
@@ -765,10 +797,13 @@ def fit_depolarization(traces, gamma_mix_cold, gamma_mix_warm, gamma_rad,
     return result.with_derived(bright_channel=bright_channel)
 
 
-def _decays(k, tau):
-    """exp(-k tau) for each rate k (rows), scaled to a maximum of 1."""
-    e = np.multiply(k[:, None], tau)
-    np.subtract(np.minimum(k, 0.0)[:, None] * tau[-1], e, out=e)
+def _decays(k, minus_tau):
+    """exp(-k tau) for each rate of the list k (rows), from -tau: exp((-k)
+    tau) where no rate is negative, and otherwise scaled to a maximum of 1
+    by exp(min(k, 0) tau_last), which leaves the other rows' bits."""
+    e = np.multiply.outer(k, minus_tau)
+    if min(k) < 0.0:
+        e += np.minimum(k, 0.0)[:, None] * -minus_tau[-1]
     return np.exp(e, out=e)
 
 
@@ -783,22 +818,37 @@ def _profile_terms(s_ye, f_ye, q_ye, s_ee, f_ee, q_ee):
 
 
 def _weighted(w, x):
-    """w x, or x itself for the uniform weights w = None."""
+    """w x, or x itself for w = None: the uniform weights, or the rows
+    that `_fit_windows` leaves unscaled."""
     return x if w is None else w * x
 
 
-def _profile(wy, w, k, tau, powers):
+def _profile(wy, w, k, minus_tau, powers):
     """S1^2/S2, h' and h'' of `_windowed_rates` at the rates of the list k,
     one float triple a rate, from the decays e and the sums of w y e and
     w e^2 times 1, tau and tau^2."""
-    e = _decays(np.array(k), tau)
+    e = _decays(k, minus_tau)
     ye = (wy * e) @ powers
     ee = (_weighted(w, e) * e) @ powers
     try:
-        return list(map(_profile_terms, *ye.T.tolist(), *ee.T.tolist()))
+        return [_profile_terms(*row_ye, *row_ee)
+                for row_ye, row_ee in zip(ye.tolist(), ee.tolist())]
     except ZeroDivisionError:  # numpy's inf or nan, as on arrays
         return list(zip(*(part.tolist()
                           for part in _profile_terms(*ye.T, *ee.T))))
+
+
+def _window_powers(t):
+    """tau = t - t[0] of a window's sample times t, and its powers 1, tau
+    and tau^2 as the columns of a (samples x 3) array; a window of fewer
+    than 3 samples is refused."""
+    if len(t) < 3:
+        raise ValidationError("window must contain at least 3 samples")
+    tau = t - t[0]
+    powers = np.ones((len(t), 3))
+    powers[:, 1] = tau
+    np.multiply(tau, tau, out=powers[:, 2])
+    return tau, powers
 
 
 def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
@@ -815,11 +865,18 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
     positive samples weighted by w y^2; h' and h'' are differences of
     means and variances of t under the weights w y e and w e^2. h is
     unchanged by shifting t or rescaling e, so t is measured from the
-    window start and e is scaled to a maximum of 1.
+    window start and e is scaled to a maximum of 1 where a rate is
+    negative.
 
-    Cost model: every evaluation of the profile is array work over all
-    rows at once, one exp and two (rows x samples) @ (samples x 3)
-    moment products; the step control is per row on Python floats.
+    Cost model: a fit pays once for the window's (1, tau, tau^2) columns
+    (`_window_powers`, which `_fit_windows` shares between its passes) and
+    for its start, ~15 array operations; then each evaluation of the
+    profile is array work over all rows at once, one exp and two
+    (rows x samples) @ (samples x 3) moment products, and each Newton
+    step one pass over the rows on Python floats (`_newton`). The two
+    products must stay two: one (2 rows x samples) @ (samples x 3) product
+    in their place sums in another order on OpenBLAS, which changed the
+    bits in 223 of 300 random cases, and so do 1-d decays inside them.
     The forward model (`effective_isc_rates`) takes the same steps on
     moments in closed form and samples nothing; this sampled solve stays
     its test oracle.
@@ -829,36 +886,43 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
     curve. A non-finite start or step (all-zero weights, say) raises
     ValidationError.
     """
-    if len(t) < 3:
-        raise ValidationError("window must contain at least 3 samples")
+    tau, powers = _window_powers(t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _window_rates(y, tau, powers, weights, max_iter, start)
+
+
+def _window_rates(y, tau, powers, w, max_iter, start):
+    """`_windowed_rates` on the window's tau and powers (`_window_powers`),
+    under the caller's np.errstate."""
     positive = y > 0
     if (positive.sum(axis=1) < 2).any():
         raise ValidationError("need >= 2 positive samples to initialize the rate")
-    tau = t - t[0]
-    w = weights
+    if start is None:
+        # log-linear regression weighted by w y^2: to first order in the
+        # relative residuals the same objective as the least squares
+        scaled = np.where(positive, y / y.max(axis=1, keepdims=True), 0.0)
+        start_weights = _weighted(w, scaled) * scaled
+        logs = np.log(np.where(positive, y, 1.0))
+        dtau = tau - (start_weights @ tau / start_weights.sum(axis=1))[:, None]
+        weighted_dtau = start_weights * dtau
+        try:
+            k = [-slope / curvature for slope, curvature
+                 in zip((weighted_dtau * logs).sum(axis=1).tolist(),
+                        (weighted_dtau * dtau).sum(axis=1).tolist())]
+        except ZeroDivisionError:  # numpy's inf or nan, as on arrays
+            k = [math.nan]
+    else:
+        k = np.asarray(start, dtype=float).tolist()
+    _require_finite_start(k)
     wy = _weighted(w, y)
-    powers = np.empty((len(tau), 3))  # columns 1, tau, tau^2
-    powers[:, 0], powers[:, 1], powers[:, 2] = 1.0, tau, tau * tau
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if start is None:
-            # log-linear regression weighted by w y^2: to first order in
-            # the relative residuals the same objective as the least squares
-            scaled = np.where(positive, y / np.max(y, axis=1, keepdims=True), 0.0)
-            start_weights = _weighted(w, scaled) * scaled
-            logs = np.log(np.where(positive, y, 1.0))
-            dtau = tau - (start_weights @ tau / start_weights.sum(axis=1))[:, None]
-            weighted_dtau = start_weights * dtau
-            k = (-(weighted_dtau * logs).sum(axis=1)
-                 / (weighted_dtau * dtau).sum(axis=1))
-        else:
-            k = np.asarray(start, dtype=float)
-        _require_finite_start(k)
-        return _newton(lambda rates: _profile(wy, w, rates, tau, powers),
-                       k.tolist(), 1.0 / float(tau[-1]), max_iter)
+    minus_tau = -tau
+    return _newton(lambda rates: _profile(wy, w, rates, minus_tau, powers),
+                   k, 1.0 / tau[-1].item(), max_iter)
 
 
 def _require_finite_start(k):
-    if not np.isfinite(k).all():
+    """Refuse a list of starting rates that holds a non-finite one."""
+    if not all(map(math.isfinite, k)):
         raise ValidationError("windowed fit has a non-finite starting rate")
 
 
@@ -869,51 +933,51 @@ def _newton(profile, k, inverse_span, max_iter):
     profile(rates) gives S1^2/S2, h' and h'' at a list of rates, one float
     triple a rate, and 1/inverse_span is the window's span.
 
-    A step that would lower S1^2/S2 beyond rounding is halved, and where h
-    is not concave the step goes uphill by the rate's own size plus
-    inverse_span. +, -, * and / give the same IEEE results on floats as
-    numpy's elementwise operations, so the steps have the bits they would
-    have on arrays. Returns (k, steps, converged) as `_windowed_rates`
-    does.
+    Each step is one pass over the rows: the step -h'/h'' where h is
+    concave, else a step uphill by the rate's own size plus inverse_span
+    (a zero h' is a stationary point even where e^2 underflows beyond the
+    first sample and h'' = 0); a non-finite step is refused, and the
+    trial rates are taken. A step that would lower S1^2/S2 beyond
+    rounding is halved. +, -, * and / give the same IEEE results on
+    floats as numpy's elementwise operations, so the steps have the bits
+    they would have on arrays. Returns (k, steps, converged) as
+    `_windowed_rates` does.
     """
     tolerance = [_NEWTON_RTOL * (abs(rate) + inverse_span) for rate in k]
     current = profile(k)
-    converged = False
     for steps in range(1, max_iter + 1):
-        step = [_newton_step(rate, slope, curvature, inverse_span)
-                for rate, (_, slope, curvature) in zip(k, current)]
-        if not all(map(math.isfinite, step)):
-            raise ValidationError("windowed fit took a non-finite Newton step")
-        if all(abs(d) <= tol for d, tol in zip(step, tolerance)):
-            k, converged = [rate + d for rate, d in zip(k, step)], True
-            break
+        step, trial_k, within = [], [], True
+        for rate, (_, slope, curvature), tol in zip(k, current, tolerance):
+            if curvature < 0.0 and slope != 0.0:
+                d = -slope / curvature
+            elif slope > 0.0:
+                d = abs(rate) + inverse_span
+            elif slope < 0.0:
+                d = -(abs(rate) + inverse_span)
+            else:  # a stationary point, or a NaN h'
+                d = 0.0 if slope == 0.0 else math.nan
+            if not abs(d) < math.inf:
+                raise ValidationError("windowed fit took a non-finite Newton step")
+            within = within and abs(d) <= tol
+            step.append(d)
+            trial_k.append(rate + d)
+        if within:
+            return np.array(trial_k), steps, True
         # halve the steps that would lower the objective
         while True:
-            trial_k = [rate + d for rate, d in zip(k, step)]
             trial = profile(trial_k)
-            lower = [not trial_row[0] >= row[0] * (1.0 - _PROFILE_RTOL)
-                     and abs(d) > tol
-                     for trial_row, row, d, tol
-                     in zip(trial, current, step, tolerance)]
-            if not any(lower):
+            halved = False
+            for i, (trial_row, row, tol) in enumerate(zip(trial, current,
+                                                          tolerance)):
+                d = step[i]
+                if not trial_row[0] >= row[0] * (1.0 - _PROFILE_RTOL) and abs(d) > tol:
+                    step[i] = d = 0.5 * d
+                    trial_k[i] = k[i] + d
+                    halved = True
+            if not halved:
                 break
-            step = [0.5 * d if halve else d for d, halve in zip(step, lower)]
         k, current = trial_k, trial
-    return np.array(k), steps if converged else max_iter, converged
-
-
-def _newton_step(rate, slope, curvature, inverse_span):
-    """Newton ascent -h'/h'' where h is concave, else a step the size of
-    the rate uphill; a zero h' is a stationary point even where e^2
-    underflows beyond the first sample and h'' = 0, and a NaN h' gives a
-    NaN step."""
-    if curvature < 0.0 and slope != 0.0:
-        return -slope / curvature
-    if slope > 0.0:
-        return abs(rate) + inverse_span
-    if slope < 0.0:
-        return -(abs(rate) + inverse_span)
-    return 0.0 if slope == 0.0 else math.nan
+    return np.array(k), max_iter, False
 
 
 def _series(coefficients, y2):
@@ -1009,6 +1073,7 @@ def _forward_rates(modes, t0, n, start, slopes):
                                     out=np.zeros_like(total), where=total != 0.0)
     else:
         k = start
+    k = k.tolist()
     _require_finite_start(k)
     rate_dt = _FORWARD_DT * rate
     x = np.empty((3, rate.shape[1]))
@@ -1036,7 +1101,7 @@ def _forward_rates(modes, t0, n, start, slopes):
                         (_FORWARD_DT * (mean[2] - mean_ye)).tolist(),
                         curvature.tolist()))
 
-    k, _, converged = _newton(profile, k.tolist(), 1.0 / ((n - 1) * _FORWARD_DT),
+    k, _, converged = _newton(profile, k, 1.0 / ((n - 1) * _FORWARD_DT),
                               _NEWTON_MAX_ITER)
     if not converged:
         raise ValidationError(

@@ -560,16 +560,24 @@ def test_window_fit_sigma_matches_exact_rationals(monkeypatch):
     assert max(closed_form) <= max(eigh)
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=60, deadline=None)
 @given(tail=st.floats(30.0, 1e3), decays=st.floats(0.3, 8.0),
        scale=st.floats(0.05, 20.0), seed=st.integers(0, 2**32 - 1),
        weights=st.sampled_from(["uniform", "poisson"]))
+# counts far outside 1e+-150, whose squares overflow or underflow unless
+# the sums are taken on rescaled rows
+@example(tail=30.0, decays=8.0, scale=2.0**500, seed=0, weights="uniform")
+@example(tail=30.0, decays=8.0, scale=1e152, seed=0, weights="uniform")
+@example(tail=30.0, decays=8.0, scale=1e-160, seed=0, weights="uniform")
+@example(tail=30.0, decays=8.0, scale=1e-200, seed=0, weights="uniform")
 def test_window_fit_is_invariant_under_count_rescaling(tail, decays, scale, seed,
                                                        weights):
     # counts c y: the rate stays. Uniform weights scale chi^2 by c^2 and
     # the rate column of the Jacobian by c, so sigma_rate stays; Poisson
     # weights 1/max(y, 1) scale by 1/c where every bin is >= 1, so
-    # sigma_rate scales by 1/sqrt(c). The amplitude scales by c.
+    # sigma_rate scales by 1/sqrt(c). The amplitude scales by c. No
+    # floating-point warning is raised.
     window = FitWindow(4.0, 115.0)
     t = 0.25 * np.arange(480) + 0.125
     rate = decays / window.length
