@@ -219,9 +219,10 @@ def _a12_modes(gamma_rad, gamma_mix, gamma_isc, crosses):
     # m = Gamma_rad + Gamma_mix + Gamma_isc/2, move by 1/2 -/+ d_split
     d_weight = 0.5 * sign * (two_gm * (two_gm + g) / (gp * gp * gp))
     mid = gamma_rad + gamma_mix + 0.5 * gamma_isc
+    half = 0.5 * gamma_prime
     d_split = 0.5 * gi / gp
     return (np.where(two_gm >= g, weights, weights[::-1]),
-            np.array([mid - 0.5 * gamma_prime, mid + 0.5 * gamma_prime]),
+            np.array([mid - half, mid + half]),
             np.array([-d_weight, d_weight]),
             np.array([0.5 - d_split, 0.5 + d_split]))
 

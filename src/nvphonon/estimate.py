@@ -96,8 +96,6 @@ _PHI_SERIES = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
                -691 / 1307674368000)
 _PSI_SERIES = (-1 / 12, 1 / 240, -1 / 6048, 1 / 172800, -1 / 5322240,
                7601 / 1307674368000)
-# the `crosses` flags of `_a12_modes` for the branches "A1" and "A2"
-_BRANCHES_A1_A2 = np.array([True, False])
 
 
 @dataclass(frozen=True)
@@ -649,17 +647,27 @@ def fit_rabi_trace(trace, init=None, gamma_rad=None, weights="uniform",
 def _rate_points(points):
     """Temperatures, rates, 1/sigma^2 weights and the remaining fields of
     (temperature_K, rate, sigma, *rest) points; rates and sigmas in rad/ns
-    (AngularRate accepted) must be finite, and sigmas > 0."""
+    (AngularRate accepted) must be finite, and sigmas > 0. The fields
+    convert by float() and are tested as arrays; a refused point goes
+    through temperature_value and rate_value, for their message."""
     temps, rates, sigmas, rest = [], [], [], []
     for temperature, rate, sigma, *more in points:
-        temps.append(temperature_value(temperature))
-        rates.append(rate_value(rate))
-        sigmas.append(rate_value(sigma))
+        temps.append(temperature)
+        rates.append(rate)
+        sigmas.append(sigma)
         rest.append(tuple(more))
-    sigmas = np.array(sigmas)
+    temps, rates, sigmas = (np.fromiter(map(float, column), float, len(column))
+                            for column in (temps, rates, sigmas))
+    if not (np.isfinite(rates).all() and np.isfinite(sigmas).all()
+            and np.isfinite(temps).all() and temps.min(initial=0.0) >= 0.0):
+        for temperature, rate, sigma in zip(temps.tolist(), rates.tolist(),
+                                            sigmas.tolist()):
+            temperature_value(temperature)
+            rate_value(rate)
+            rate_value(sigma)
     if np.any(sigmas <= 0):
         raise ValidationError("point sigmas must be > 0")
-    return np.array(temps), np.array(rates), 1.0 / sigmas**2, rest
+    return temps, rates, 1.0 / sigmas**2, rest
 
 
 def _t5_gradient(temps, a, t0):
@@ -1171,13 +1179,18 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix, window=DEFAULT_WINDOW,
     """
     gr = rate_value(gamma_rad)
     ga1 = rate_value(gamma_a1)
-    scalar = isinstance(gamma_mix, AngularRate) or np.ndim(gamma_mix) == 0
-    if not scalar and np.ndim(gamma_mix) != 1:
+    # one conversion and one finiteness test for every mixing rate (an
+    # AngularRate converts by its __float__)
+    mixes = np.array(gamma_mix, dtype=float)
+    scalar = mixes.ndim == 0
+    if mixes.ndim > 1:
         raise ValidationError("gamma_mix must be a rate or a 1-d sequence of rates")
-    mixes = np.array([rate_value(gamma_mix)] if scalar
-                     else [rate_value(g) for g in gamma_mix])
+    mixes = mixes.reshape(-1)
     if not mixes.size:
         raise ValidationError("gamma_mix sequence is empty")
+    if not np.isfinite(mixes).all():
+        for mix in mixes.tolist():  # refused as rate_value refuses it
+            rate_value(mix)
     n = _forward_samples(window)
     if start is not None:
         shape = (2,) if scalar else (2, len(mixes))
@@ -1194,13 +1207,14 @@ def effective_isc_rates(gamma_rad, gamma_a1, gamma_mix, window=DEFAULT_WINDOW,
         start = start.reshape(2, -1).T.ravel() + gr
     if n < 3:
         raise ValidationError("window must contain at least 3 samples")
-    # curves ordered (mixing rate, branch): A1 then A2 for each rate
-    modes = _a12_modes(gr, np.repeat(mixes, 2), ga1,
-                       np.resize(_BRANCHES_A1_A2, 2 * len(mixes)))
+    # curves ordered (mixing rate, branch): A1 (crossing) then A2 for each
+    crosses = np.zeros(2 * len(mixes), dtype=bool)
+    crosses[::2] = True
+    modes = _a12_modes(gr, np.repeat(mixes, 2), ga1, crosses)
     rates, rate_slopes = _forward_rates(modes, window.start, n, start, slopes)
     rows = (rates - gr,) if rate_slopes is None else (rates - gr, rate_slopes)
-    # rates, then slopes: A1 and A2 alternate along each row
-    out = [row[branch::2] for row in rows for branch in (0, 1)]
+    # rates, then slopes, each as its A1 and A2 entries
+    out = [branch for row in rows for branch in row.reshape(-1, 2).T]
     if scalar:
         return (AngularRate(out[0][0], fitted=True),
                 AngularRate(out[1][0], fitted=True),
@@ -1234,11 +1248,15 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window=DEFAULT_WINDOW, init=None,
     if len(branches) < 2:
         raise ValidationError("gamma_a1 fit needs at least 2 points")
     gr = rate_value(gamma_rad)
-    unique_temps, temp_index = np.unique(temps, return_inverse=True)
+    # each point's temperature as an index into the sorted distinct ones
+    unique_temps = sorted(set(temps.tolist()))
+    index = {temperature: i for i, temperature in enumerate(unique_temps)}
+    temp_index = np.array([index[temperature] for temperature in temps.tolist()])
     branch_index = np.array([0 if branch == "A1" else 1 for branch in branches])
     # accept either a callable T -> rate or a fit-form bundle
     mix_fn = getattr(mix_model, "clamped", mix_model)
-    mixes = [rate_value(mix_fn(T)) for T in unique_temps.tolist()]
+    # checked once here: each forward call takes the array in one test
+    mixes = np.array([rate_value(mix_fn(T)) for T in unique_temps])
     # the last forward call: its Gamma_a1, then (a1, a2) rates and slopes
     last = None
 

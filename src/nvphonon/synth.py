@@ -275,7 +275,8 @@ def _expected_signal(spec):
         values = smooth[pad:len(smooth) - pad]
     else:
         values = intensity(centers)
-    values = np.clip(values, 0.0, None)
+    # the intensity is clipped at 0, and its convolution with a positive
+    # kernel sums products >= 0, so values need no second clip
     total = values.sum()
     if spec.total_counts > 0 and total <= 0:
         raise ModelError("model intensity vanishes over the whole span")
