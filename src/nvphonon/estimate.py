@@ -80,7 +80,7 @@ _PROFILE_RTOL = 1e-12
 _NEWTON_MAX_ITER = 30
 _WINDOW_FIT_MAX_ITER = 200         # Newton steps of a data-side window fit
 # a uniform-weight window fit takes chi^2 and its normal sums on rows
-# rescaled where their largest |y| is beyond 2^+-this (_fit_windows)
+# rescaled where their model reaches beyond 2^+-this (_fit_windows)
 _UNSCALED_EXPONENT = 256
 # a Gauss-Newton step raising chi^2 by less than this share ends the fit:
 # a model evaluated by iterative solves (fit_gamma_a1's forward model)
@@ -406,14 +406,15 @@ def _fit_windows(t, y, w, scheme, max_iter):
     every pass and the result, and numpy's floating-point warnings are
     silenced once for the whole fit. Under uniform weights the covariance
     is unchanged where both Jacobian columns scale by c and chi^2 by c^2,
-    so a row whose largest |y|, m 2^e, lies beyond 2^+-_UNSCALED_EXPONENT
-    takes chi^2 and the normal sums on the row scaled by c = 2^-(e//2):
-    the sums, near |y| and 1/|y|, then stay in the float range for |y|
-    within ~1e+-300, where unscaled they leave it beyond ~1e+-150. Other
-    rows take c = 1, which keeps their bits, as any power of two would but
-    for the unbounded variance of an all-zero column, _HUGE_VARIANCE
-    times chi^2/dof in that column's own unit. The other weightings fix
-    their covariance's scale (c = 1)."""
+    so a row whose fitted model, a single exponential and so largest in
+    magnitude at one end, m 2^e there, reaches beyond
+    2^+-_UNSCALED_EXPONENT takes chi^2 and the normal sums on the row
+    scaled by c = 2^-(e//2): the sums, near |y| and 1/|y|, then stay in
+    the float range for |y| within ~1e+-300, where unscaled they leave it
+    beyond ~1e+-150. Other rows take c = 1, which keeps their bits, as
+    any power of two would but for the unbounded variance of an all-zero
+    column, _HUGE_VARIANCE times chi^2/dof in that column's own unit. The
+    other weightings fix their covariance's scale (c = 1)."""
     tau, powers = _window_powers(t)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rates = None
@@ -853,7 +854,8 @@ def _window_powers(t):
     if len(t) < 3:
         raise ValidationError("window must contain at least 3 samples")
     tau = t - t[0]
-    powers = np.ones((len(t), 3))
+    powers = np.empty((len(t), 3))
+    powers[:, 0] = 1.0
     powers[:, 1] = tau
     np.multiply(tau, tau, out=powers[:, 2])
     return tau, powers
@@ -914,7 +916,7 @@ def _window_rates(y, tau, powers, w, max_iter, start):
         dtau = tau - (start_weights @ tau / start_weights.sum(axis=1))[:, None]
         weighted_dtau = start_weights * dtau
         try:
-            k = [-slope / curvature for slope, curvature
+            k = [-covariance / variance for covariance, variance
                  in zip((weighted_dtau * logs).sum(axis=1).tolist(),
                         (weighted_dtau * dtau).sum(axis=1).tolist())]
         except ZeroDivisionError:  # numpy's inf or nan, as on arrays
@@ -978,7 +980,8 @@ def _newton(profile, k, inverse_span, max_iter):
             for i, (trial_row, row, tol) in enumerate(zip(trial, current,
                                                           tolerance)):
                 d = step[i]
-                if not trial_row[0] >= row[0] * (1.0 - _PROFILE_RTOL) and abs(d) > tol:
+                if (not trial_row[0] >= row[0] * (1.0 - _PROFILE_RTOL)
+                        and abs(d) > tol):
                     step[i] = d = 0.5 * d
                     trial_k[i] = k[i] + d
                     halved = True
