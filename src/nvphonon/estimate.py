@@ -15,8 +15,9 @@ Windowed single-exponential fits, of measured traces
 amplitude is eliminated and Newton steps act on the rate alone, for any
 number of curves at once, under one step control (`_newton`) on Python
 floats (a one-row fit would otherwise pay ~30 numpy calls on length-1
-arrays a step). The data side (`_windowed_rates`) evaluates its profile
-from the samples: one exp and two moment products over all curves. The
+arrays a step), one pass over the rows a step. The data side
+(`_windowed_rates`) evaluates its profile from the samples: one exp and
+two moment products over all curves. The
 data side's results (projected amplitude, Jacobian, covariance) come
 from `_fit_windows`, for one trace or for the many that
 `fit_gamma_a1_traces`, the lifetime analysis from traces to Gamma_a1,
@@ -47,6 +48,17 @@ rates), `fit_rabi_trace` (the closed form `rabi_fit_model_jacobian`) and
 Newton decrement shows it could lower chi^2 by rounding only; `nlls`,
 for user models, and `fit_depolarization`, whose model has a kink at the
 pulse, take forward differences.
+
+Cost. What is left of the lifetime chain is per-call overhead, which the
+window fit keeps to one build of its window's (1, tau, tau^2) columns and
+one np.errstate for all its passes and its result, ~15 array operations
+for the log-linear start, one exp and two moment products a profile
+evaluation (3.1 a criterion-5 fit) and one pass over the rows a Newton
+step (`_windowed_rates`' cost model). In a traced `gamma_a1_recovery`
+item of the benchmark (16 histograms, 16 window fits, one `fit_gamma_a1`
+with 3 forward calls; ~6.1 ms on a 2-CPU virtual machine) the window
+fits take ~40% of the time, `synth.generate` ~30%, the forward calls
+~12% and `fit_gamma_a1`'s own Gauss-Newton steps ~8%.
 """
 
 from __future__ import annotations
@@ -527,6 +539,15 @@ def fit_exponential_window(trace, window, weights="uniform",
     converged=False. Times are absolute (not window-relative), so `rate`
     is directly comparable across windows. A cap that is not an integer
     >= 1 raises ValidationError.
+
+    weights: "uniform", "poisson", "provided" (from the trace's
+    uncertainty inside the window) or an explicit array with one finite
+    entry >= 0 per sample inside the window, start <= t <= start +
+    length, not per sample of the trace. Under uniform weights the rate's
+    sigma holds for counts scaled anywhere within ~1e+-300
+    (`_fit_windows`); chi2 and the amplitude's variance, which scale with
+    the counts squared, overflow to inf or underflow to 0 where their own
+    values leave the float range.
     """
     _require_max_iter(max_iter)
     sub = trace.window(window.start, window.length)
@@ -879,14 +900,16 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
     negative.
 
     Cost model: a fit pays once for the window's (1, tau, tau^2) columns
-    (`_window_powers`, which `_fit_windows` shares between its passes) and
-    for its start, ~15 array operations; then each evaluation of the
-    profile is array work over all rows at once, one exp and two
-    (rows x samples) @ (samples x 3) moment products, and each Newton
-    step one pass over the rows on Python floats (`_newton`). The two
-    products must stay two: one (2 rows x samples) @ (samples x 3) product
-    in their place sums in another order on OpenBLAS, which changed the
-    bits in 223 of 300 random cases, and so do 1-d decays inside them.
+    (`_window_powers`, which `_fit_windows` shares between its passes and
+    its result) and for its start, ~15 array operations; then each
+    evaluation of the profile is array work over all rows at once, one
+    exp and two (rows x samples) @ (samples x 3) moment products, and
+    each Newton step one pass over the rows on Python floats (`_newton`).
+    A criterion-5 window fit takes 3.1 evaluations, and the 16 of a
+    `gamma_a1_recovery` item ~40% of its time (module docstring). The two
+    products must stay two: one (2 rows x samples) @ (samples x 3)
+    product in their place sums in another order on OpenBLAS, which
+    changed the bits in 300 of 300 random windows of 20-500 samples.
     The forward model (`effective_isc_rates`) takes the same steps on
     moments in closed form and samples nothing; this sampled solve stays
     its test oracle.
