@@ -287,9 +287,8 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("bin_width", [5e-324, 1e-320, 2.0**-1023])
 def test_subnormal_bin_width_is_refused(bin_width):
-    # a subnormal width rounds neighbouring bin centres (j + 1/2) bin_width
-    # together; the spec names the field rather than leaving the trace to
-    # refuse times that are not strictly increasing
+    # a subnormal width would round neighbouring bin centres
+    # (j + 1/2) bin_width together: the spec refuses it by the field's name
     with pytest.raises(ValidationError, match=r"^bin_width must be at least "
                        r"2\.22507e-308 ns \(a normal float\), got "):
         _spec(bin_width=bin_width, span=20 * bin_width)
