@@ -20,8 +20,6 @@ a12 branch (A1), the lindblad y-branch rates (those of x) and
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import dataclasses
 import functools
 import math
@@ -30,8 +28,10 @@ import sys
 import numpy as np
 
 from . import dynamics, estimate, phonon, synth, verify
-from .core import (CONSTANTS, AngularRate, TimeTrace, ValidationError,
-                   rate_from_linear_mhz, read_plain_csv, to_linear_mhz)
+from .core import (CONSTANTS, AngularRate, CsvFormatError, TimeTrace,
+                   ValidationError, csv_columns, rate_from_linear_mhz,
+                   read_csv_rows, read_plain_csv, to_linear_mhz,
+                   write_csv_columns)
 from .synth import MAX_SAMPLES
 
 EXIT_OK = 0
@@ -44,14 +44,6 @@ EXIT_INTERNAL = 5
 
 class ConfigError(ValidationError):
     """Malformed config file or rejected key/value."""
-
-
-class TraceFormatError(ValidationError):
-    """Malformed trace or points CSV."""
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _grid(start, span, step, what):
@@ -240,42 +232,22 @@ def _options(cfg, **keys):
 # ---------------------------------------------------------------------------
 # trace CSV I/O
 
-def _read_csv_rows(path):
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                raw_rows = list(reader)
-            except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
-                raise TraceFormatError(f"{path}:{reader.line_num}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TraceFormatError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    for lineno, row in enumerate(raw_rows, start=1):
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        rows.append((lineno, [cell.strip() for cell in row]))
-    if not rows:
-        raise TraceFormatError(f"{path}: no data rows")
-    return rows
-
-
 def _trace_layout(path, header_line, header, column):
     """Check a trace header; returns (index of the value column, is_counts)."""
     if not header or header[0] != "time_ns":
-        raise TraceFormatError(
+        raise CsvFormatError(
             f"{path}:{header_line}: first column must be 'time_ns'")
     value_names = header[1:]
     if not value_names:
-        raise TraceFormatError(f"{path}:{header_line}: no value column")
+        raise CsvFormatError(f"{path}:{header_line}: no value column")
     if column is None:
         if len(value_names) > 1:
-            raise TraceFormatError(
+            raise CsvFormatError(
                 f"{path}:{header_line}: {len(value_names)} value columns; "
                 f"pick one with trace.column (available: {', '.join(value_names)})")
         column = value_names[0]
     if column not in value_names:
-        raise TraceFormatError(
+        raise CsvFormatError(
             f"{path}:{header_line}: no column {column!r} "
             f"(available: {', '.join(value_names)})")
     return 1 + value_names.index(column), _is_counts(column)
@@ -288,6 +260,14 @@ def _is_counts(name):
 _INT64 = np.iinfo(np.int64)
 
 
+def _count(cell):
+    """A counts cell as an int64 count."""
+    value = int(cell)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError("outside the int64 range")
+    return value
+
+
 def _parse_trace_rows(path, column=None):
     """Parse a trace CSV one row at a time; returns (times, values, is_counts).
 
@@ -296,31 +276,10 @@ def _parse_trace_rows(path, column=None):
     digits. Only the time and the selected column are converted. The
     first bad row is named by its line.
     """
-    rows = _read_csv_rows(path)
-    header_line, header = rows[0]
-    index, is_counts = _trace_layout(path, header_line, header, column)
-    times = []
-    values = []
-    for lineno, row in rows[1:]:
-        if len(row) != len(header):
-            raise TraceFormatError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        try:
-            times.append(float(row[0]))
-        except ValueError as exc:
-            raise TraceFormatError(f"{path}:{lineno}: bad time {row[0]!r}") from exc
-        try:
-            value = int(row[index]) if is_counts else float(row[index])
-        except ValueError as exc:
-            raise TraceFormatError(
-                f"{path}:{lineno}: bad {'count' if is_counts else 'value'} "
-                f"{row[index]!r}") from exc
-        if is_counts and not _INT64.min <= value <= _INT64.max:
-            raise TraceFormatError(
-                f"{path}:{lineno}: count {row[index]!r} outside the int64 range")
-        values.append(value)
-    if len(times) < 1:
-        raise TraceFormatError(f"{path}: header only, no samples")
+    rows = read_csv_rows(path)
+    index, is_counts = _trace_layout(path, *rows[0], column)
+    times, values = csv_columns(path, rows,
+                                {0: float, index: _count if is_counts else float})
     dtype = np.int64 if is_counts else float
     return np.asarray(times, dtype=float), np.asarray(values, dtype=dtype), is_counts
 
@@ -360,9 +319,11 @@ def load_trace(path, background_path=None, reject_before=None, column=None,
     as int64 and any other column as float64. A plain file (header on the
     first line, one number per column on every row) is parsed in one
     np.loadtxt call; other files (comment or blank rows, quoted cells,
-    numbers only float()/int() read) are read row by row, and a malformed
-    file is a TraceFormatError naming its line. Files write_trace_csv
-    wrote come back bit for bit.
+    numbers only float()/int() read) are read row by row under the CSV
+    rules of `core`, and an unreadable or malformed file is a
+    CsvFormatError naming it and, for a bad row, its line. A trace the
+    TimeTrace constructor refuses is a ValidationError naming the file.
+    Files write_trace_csv wrote come back bit for bit.
 
     An optional background trace (same binning) is subtracted with
     clamping at zero; a warning with the clamped-bin count goes to
@@ -372,18 +333,18 @@ def load_trace(path, background_path=None, reject_before=None, column=None,
     try:
         trace = TimeTrace(times, values, temperature=temperature, channel=channel)
     except ValidationError as exc:
-        raise TraceFormatError(f"{path}: {exc}") from exc
+        raise ValidationError(f"{path}: {exc}") from exc
     if background_path is not None:
         bg_times, bg_values, bg_counts = _read_trace_file(background_path,
                                                           column=column)
         if bg_counts != is_counts:
-            raise TraceFormatError(
+            raise ValidationError(
                 f"{background_path}: column type differs from {path}")
         try:
             background = TimeTrace(bg_times, bg_values)
             trace = synth.subtract_background(trace, background)
         except ValidationError as exc:
-            raise TraceFormatError(
+            raise ValidationError(
                 f"{path} / {background_path}: {exc}") from exc
         if trace.clamped_bins:
             print(f"warning: background subtraction clamped "
@@ -392,46 +353,8 @@ def load_trace(path, background_path=None, reject_before=None, column=None,
         try:
             trace = synth.reject_before(trace, reject_before)
         except ValidationError as exc:
-            raise TraceFormatError(f"{path}: {exc}") from exc
+            raise ValidationError(f"{path}: {exc}") from exc
     return trace
-
-
-@contextlib.contextmanager
-def _csv_output(path):
-    """A new output file opened for CSV; failing to open or write it is an
-    input error naming the path."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            yield handle
-    except OSError as exc:
-        raise ValidationError(
-            f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-# Rows formatted per write, so a table at the MAX_SAMPLES cap is written in
-# bounded memory rather than as one string.
-_ROWS_PER_WRITE = 1 << 16
-
-
-def _write_columns(path, header, columns, formats):
-    """Write equal-length columns as a CSV: the header row as csv.writer
-    writes it, then the rows in blocks of _ROWS_PER_WRITE, each block one
-    %-format of the row format repeated over its cells in row order
-    ('%.17g' for floats, '%d' for counts, csv.writer's CRLF line end): the
-    same format applied to each cell as one % per row would."""
-    columns = [np.asarray(column) for column in columns]
-    if any(len(column) != len(columns[0]) for column in columns):
-        raise ValueError("columns differ in length")
-    line = ",".join(formats) + "\r\n"
-    width = len(columns)
-    with _csv_output(path) as handle:
-        csv.writer(handle).writerow(header)
-        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            rows = min(_ROWS_PER_WRITE, len(columns[0]) - start)
-            cells = [None] * (rows * width)
-            for j, column in enumerate(columns):
-                cells[j::width] = column[start:start + rows].tolist()
-            handle.write((line * rows) % tuple(cells))
 
 
 def write_trace_csv(path, times, columns, counts=False):
@@ -442,43 +365,32 @@ def write_trace_csv(path, times, columns, counts=False):
     in CRLF. An unwritable path is a ValidationError naming it.
     """
     names = list(columns)
-    _write_columns(path, ["time_ns"] + names,
-                   [times] + [columns[name] for name in names],
-                   ["%.17g"] + ["%d" if counts else "%.17g"] * len(names))
+    write_csv_columns(path, ["time_ns"] + names,
+                      [times] + [columns[name] for name in names],
+                      ["%.17g"] + ["%d" if counts else "%.17g"] * len(names))
 
 
-def _read_points_file(path, expected_header):
-    """Parse a small points CSV with an exact header; `*_mhz` columns become
-    fitted AngularRates."""
-    rows = _read_csv_rows(path)
-    header_line, header = rows[0]
-    if header != list(expected_header):
-        raise TraceFormatError(
-            f"{path}:{header_line}: expected header "
-            f"{','.join(expected_header)}, got {','.join(header)}")
-    points = []
-    for lineno, row in rows[1:]:
-        if len(row) != len(header):
-            raise TraceFormatError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        parsed = []
-        for name, cell in zip(header, row):
-            if name == "branch":
-                if cell not in ("A1", "A2"):
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: branch must be A1 or A2, got {cell!r}")
-                parsed.append(cell)
-            else:
-                try:
-                    value = float(cell)
-                    parsed.append(rate_from_linear_mhz(value, fitted=True)
-                                  if name.endswith("_mhz") else value)
-                except (ValueError, ValidationError) as exc:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: bad value {cell!r} for {name}") from exc
-        points.append(tuple(parsed))
+def _branch(cell):
+    if cell not in ("A1", "A2"):
+        raise ValueError("must be A1 or A2")
+    return cell
+
+
+def _fitted_rate_mhz(cell):
+    return rate_from_linear_mhz(float(cell), fitted=True)
+
+
+def _read_points_file(path, header):
+    """Parse a small points CSV with an exact header into one tuple a row;
+    `*_mhz` columns become fitted AngularRates and a `branch` column holds
+    A1 or A2."""
+    rows = read_csv_rows(path)
+    converters = {j: _branch if name == "branch" else
+                  _fitted_rate_mhz if name.endswith("_mhz") else float
+                  for j, name in enumerate(header)}
+    points = list(zip(*csv_columns(path, rows, converters, header)))
     if not points:
-        raise TraceFormatError(f"{path}: header only, no points")
+        raise CsvFormatError(f"{path}:{rows[0][0]}: header only, no points")
     return points
 
 
@@ -608,13 +520,12 @@ def _print_fit_report(procedure, result, units):
 
 
 def _write_fit_csv(path, result, units):
-    with _csv_output(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["parameter", "value", "sigma", "ci95_lo", "ci95_hi",
-                         "unit", "converged"])
-        flag = "true" if result.converged else "false"
-        for name, *numbers, unit in _report_rows(result, units):
-            writer.writerow([name, *map(_fmt, numbers), unit or "1", flag])
+    flag = "true" if result.converged else "false"
+    rows = [(name, *numbers, unit or "1", flag)
+            for name, *numbers, unit in _report_rows(result, units)]
+    write_csv_columns(path, ["parameter", "value", "sigma", "ci95_lo", "ci95_hi",
+                             "unit", "converged"],
+                      list(zip(*rows)), ["%s"] + ["%.17g"] * 4 + ["%s", "%s"])
 
 
 def _t5_form(cfg, context):
@@ -819,8 +730,8 @@ def _sweep_delta(cfg, grid, out):
 
 
 def _write_table(path, axis_name, axis, rows):
-    _write_columns(path, [axis_name] + list(rows), [axis] + list(rows.values()),
-                   ["%.17g"] * (1 + len(rows)))
+    write_csv_columns(path, [axis_name] + list(rows), [axis] + list(rows.values()),
+                      ["%.17g"] * (1 + len(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -890,9 +801,6 @@ def main(argv=None):
     args = _session_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (synth.ModelError, phonon.OverlapSupportError,
             dynamics.IntegrationError) as exc:
         print(f"model error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Canonical units, physical constants, the photon-count trace container,
-and the one-call reader of plain CSV tables (traces, overlap tables).
+and the CSV layer every table file goes through (traces, points, overlap
+tables, sweep tables and fit reports).
 
 Unit conventions used throughout the package:
 
@@ -11,10 +12,26 @@ Unit conventions used throughout the package:
 * time: ns
 * energy: meV
 * temperature: K
+
+CSV rules shared by every table, read or written (each caller keeps only
+its header and its column converters):
+
+* reading: UTF-8, `csv.reader` (quoted cells; LF, CR or CRLF line ends),
+  blank rows and rows whose first cell starts with `#` skipped, cells
+  stripped of whitespace, the first row left the header
+  (`read_csv_rows`); then every data row as wide as the header, each kept
+  column through its converter (`csv_columns`). A plain file takes one
+  np.loadtxt call instead (`read_plain_csv`) and falls back to the rows.
+* errors: one `CsvFormatError`, worded ``path:line: ...`` (line the
+  physical line, as csv.reader counts it) or ``cannot read path: ...``.
+* writing: the header through csv.writer, then the rows in blocks of one
+  %-format each ('%.17g' floats round-trip bit for bit), CRLF line ends
+  (`write_csv_columns`); an unwritable path is a ValidationError naming it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -34,6 +51,11 @@ class NvphononError(Exception):
 
 class ValidationError(NvphononError):
     """A value violates a physical or structural precondition."""
+
+
+class CsvFormatError(ValidationError):
+    """A CSV file that cannot be read, or a row or cell that breaks its
+    table's format."""
 
 
 @dataclass(frozen=True)
@@ -210,6 +232,95 @@ def read_plain_csv(path, dtypes):
     except (ValueError, Warning):
         return None
     return header, table
+
+
+def read_csv_rows(path):
+    """The rows of a CSV table, one (line, stripped cells) pair each, the
+    header first: csv.reader over the UTF-8 text, blank rows and rows whose
+    first cell starts with '#' skipped, line the physical line a row ends
+    on. A file that cannot be opened or decoded, a row csv.reader refuses
+    (a cell over csv.field_size_limit(), say) and a file with no header
+    row raise CsvFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            try:
+                rows = [(reader.line_num, [cell.strip() for cell in row])
+                        for row in reader
+                        if row and not row[0].lstrip().startswith("#")]
+            except csv.Error as exc:
+                raise CsvFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise CsvFormatError(f"cannot read {path}: {reason}") from exc
+    if not rows:
+        raise CsvFormatError(f"{path}:{reader.line_num + 1}: no header row")
+    return rows
+
+
+def csv_columns(path, rows, converters, header=None):
+    """The columns of the data rows below rows[0], the header, as
+    read_csv_rows gives them: one list for each column index of
+    `converters`, {index: converter}, in that order, each cell converted by
+    its column's converter. With `header` given, the header must be that
+    list. A header that is not, a row of another width than the header
+    and a cell its converter refuses (ValueError or ValidationError) raise
+    CsvFormatError naming the line; no data rows give empty columns."""
+    header_line, names = rows[0]
+    if header is not None and names != list(header):
+        raise CsvFormatError(f"{path}:{header_line}: expected header "
+                             f"{','.join(header)}, got {','.join(names)}")
+    columns = {index: [] for index in converters}
+    for line, row in rows[1:]:
+        if len(row) != len(names):
+            raise CsvFormatError(
+                f"{path}:{line}: expected {len(names)} fields, got {len(row)}")
+        for index, convert in converters.items():
+            try:
+                columns[index].append(convert(row[index]))
+            except (ValueError, ValidationError) as exc:
+                raise CsvFormatError(f"{path}:{line}: bad {names[index]} "
+                                     f"{row[index]!r}: {exc}") from exc
+    return list(columns.values())
+
+
+@contextlib.contextmanager
+def _csv_output(path):
+    """A new output file opened for CSV; failing to open or write it is an
+    input error naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+# Rows formatted per write, so a table at the synth.MAX_SAMPLES cap is
+# written in bounded memory rather than as one string.
+_ROWS_PER_WRITE = 1 << 16
+
+
+def write_csv_columns(path, header, columns, formats):
+    """Write equal-length columns as a CSV: the header row as csv.writer
+    writes it, then the rows in blocks of _ROWS_PER_WRITE, each block one
+    %-format of the row format repeated over its cells in row order
+    ('%.17g' for floats, '%d' for counts, '%s' for text, csv.writer's CRLF
+    line end): the same format applied to each cell as one % per row
+    would. Text cells are written as they are, unquoted."""
+    columns = [np.asarray(column) for column in columns]
+    if any(len(column) != len(columns[0]) for column in columns):
+        raise ValueError("columns differ in length")
+    line = ",".join(formats) + "\r\n"
+    width = len(columns)
+    with _csv_output(path) as handle:
+        csv.writer(handle).writerow(header)
+        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            rows = min(_ROWS_PER_WRITE, len(columns[0]) - start)
+            cells = [None] * (rows * width)
+            for j, column in enumerate(columns):
+                cells[j::width] = column[start:start + rows].tolist()
+            handle.write((line * rows) % tuple(cells))
 
 
 def _read_only(arr):

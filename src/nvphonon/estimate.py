@@ -180,8 +180,10 @@ class FitResult:
         return replace(self, derived={**self.derived, **extra})
 
 
-def _resolve_weights(weights, values, uncertainty):
-    """Weight array of a weighting scheme (see the module docstring)."""
+def _resolve_weights(weights, values, uncertainty, samples="data points"):
+    """Weight array of a weighting scheme (see the module docstring); an
+    explicit array of another shape than values is refused naming both
+    counts, values' as `samples`."""
     if isinstance(weights, str):
         if weights == "uniform":
             return np.ones_like(values)
@@ -196,8 +198,12 @@ def _resolve_weights(weights, values, uncertainty):
             return 1.0 / sigma**2
         raise ValidationError(f"unknown weighting scheme {weights!r}")
     w = np.asarray(weights, dtype=float)
-    if w.shape != np.shape(values) or np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValidationError("weight array must be finite, >= 0, matching data length")
+    if w.shape != np.shape(values):
+        given = f"{w.size} weights" if w.ndim == 1 else f"weights of shape {w.shape}"
+        raise ValidationError(f"{given} for {len(values)} {samples}; an explicit "
+                              "weight array needs one weight per sample")
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ValidationError("weight array must be finite and >= 0")
     return w
 
 
@@ -555,7 +561,9 @@ def fit_exponential_window(trace, window, weights="uniform",
     scheme = weights if isinstance(weights, str) else "array"
     # unit weights multiply nothing: the fit takes them as None
     w = (None if scheme == "uniform"
-         else _resolve_weights(weights, y[0], sub.uncertainty)[None, :])
+         else _resolve_weights(weights, y[0], sub.uncertainty,
+                               f"samples in the window {window.start:g} <= t <= "
+                               f"{window.stop:g} ns")[None, :])
     return _fit_windows(sub.times, y, w, scheme, max_iter)[0]
 
 

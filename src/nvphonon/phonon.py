@@ -22,7 +22,6 @@ the integral is evaluated exactly, for every gap of a scan in one pass.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -33,10 +32,13 @@ from .core import (
     AngularRate,
     EnergyMeV,
     ValidationError,
+    csv_columns,
     energy_value,
     rate_value,
+    read_csv_rows,
     read_plain_csv,
     temperature_value,
+    write_csv_columns,
 )
 
 # The windowed forward model lives in `estimate`, beside the fit that inverts
@@ -169,7 +171,6 @@ class SpinOrbit:
 
     lambda_par: AngularRate = AngularRate.from_linear_mhz(5330.0)
     perp_ratio: float = 1.2
-    perp_ratio_sigma: float = 0.2
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_par", AngularRate(rate_value(self.lambda_par)))
@@ -179,6 +180,13 @@ class SpinOrbit:
     @property
     def lambda_perp(self):
         return AngularRate(self.lambda_par.value * self.perp_ratio)
+
+
+_OVERLAP_HEADER = ["energy_mev", "f_per_mev"]
+# the synthetic sideband's mean phonon number, peak count and grid step (meV)
+_SIDEBAND_WEIGHT = 3.5
+_SIDEBAND_PEAKS = 9
+_SIDEBAND_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -242,10 +250,10 @@ class OverlapTable:
 
         A plain file (the header on the first line, two numbers on every
         other; see core.read_plain_csv) is read in one np.loadtxt call.
-        Any other file is read row by row, skipping blank and `#` rows; a
-        bad row raises ValidationError naming the path and its line. A
-        table the constructor refuses raises ValidationError naming the
-        path too.
+        Any other file is read row by row under the CSV rules of `core`,
+        as a trace is: an unreadable file or a bad row raises
+        CsvFormatError naming the path and, for a row, its line. A table
+        the constructor refuses raises ValidationError naming the path.
         """
         energies, values = _read_overlap_file(path)
         try:
@@ -255,64 +263,37 @@ class OverlapTable:
             raise ValidationError(f"{path}: {exc}") from exc
 
     def to_csv(self, path):
-        """Write the table as `energy_mev,f_per_mev` rows (%.17g, LF line
-        ends); failing to open or write the file raises ValidationError
-        naming the path, as the CLI's writers do."""
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write("energy_mev,f_per_mev\n")
-                for e, f in zip(self.energies, self.values):
-                    handle.write(f"{e:.17g},{f:.17g}\n")
-        except OSError as exc:
-            raise ValidationError(
-                f"cannot write {path}: {exc.strerror or exc}") from exc
+        """Write the table as `energy_mev,f_per_mev` rows through
+        core.write_csv_columns (%.17g, CRLF line ends), so from_csv reads
+        back the same bits; an unwritable path raises ValidationError
+        naming it."""
+        write_csv_columns(path, _OVERLAP_HEADER, [self.energies, self.values],
+                          ["%.17g", "%.17g"])
 
     @classmethod
-    def synthetic_default(cls, mode_energy=64.0, width=25.0, weight=3.5,
-                          n_peaks=9, grid_step=0.5):
-        """Qualitative stand-in sideband: a Poisson-weighted progression of
-        Gaussian peaks at multiples of a quasi-local mode energy,
-        normalized to unit integral. Clearly labeled synthetic; not a
-        measured overlap function.
+    def synthetic_default(cls, mode_energy=64.0, width=25.0):
+        """Qualitative stand-in sideband: a progression of Gaussian peaks at
+        the first _SIDEBAND_PEAKS multiples of a quasi-local mode energy,
+        Poisson-weighted with mean _SIDEBAND_WEIGHT, sampled every
+        _SIDEBAND_STEP meV and normalized to unit integral. Clearly labeled
+        synthetic; not a measured overlap function.
         """
-        top = (n_peaks - 1) * mode_energy + 4.0 * width
-        energies = np.arange(0.0, top + grid_step / 2, grid_step)
+        top = (_SIDEBAND_PEAKS - 1) * mode_energy + 4.0 * width
+        energies = np.arange(0.0, top + _SIDEBAND_STEP / 2, _SIDEBAND_STEP)
         values = np.zeros_like(energies)
-        for n in range(n_peaks):
-            w = math.exp(-weight) * weight**n / math.factorial(n)
+        for n in range(_SIDEBAND_PEAKS):
+            w = (math.exp(-_SIDEBAND_WEIGHT) * _SIDEBAND_WEIGHT**n
+                 / math.factorial(n))
             values += w * np.exp(-((energies - n * mode_energy) ** 2) / (2.0 * width**2))
         norm = np.trapezoid(values, energies)
         return cls(energies, values / norm, provenance="synthetic-default")
 
 
-_OVERLAP_HEADER = ["energy_mev", "f_per_mev"]
-
-
 def _read_overlap_rows(path):
     """(energies, values) of an overlap table CSV, read one row at a time
-    with csv.reader; read errors and bad rows raise ValidationError naming
-    the path."""
-    energies, values = [], []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            rows = (row for row in reader
-                    if row and not row[0].lstrip().startswith("#"))
-            if [h.strip() for h in next(rows, [])] != _OVERLAP_HEADER:
-                raise ValidationError(f"{path}: expected header 'energy_mev,f_per_mev'")
-            for row in rows:
-                try:
-                    energy, value = (float(cell) for cell in row)
-                except ValueError as exc:
-                    raise ValidationError(f"{path}, line {reader.line_num}: expected "
-                                          f"2 numbers, got {row!r}") from exc
-                energies.append(energy)
-                values.append(value)
-    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
-        raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ValidationError(f"cannot read overlap table {path}: {reason}") from exc
+    (core.read_csv_rows)."""
+    energies, values = csv_columns(path, read_csv_rows(path), {0: float, 1: float},
+                                   _OVERLAP_HEADER)
     return np.array(energies), np.array(values)
 
 

@@ -19,12 +19,12 @@ from nvphonon.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     ConfigError,
-    TraceFormatError,
     load_trace,
     parse_config,
     write_trace_csv,
 )
-from nvphonon.core import EnergyMeV, TimeTrace, rate_from_linear_mhz, to_linear_mhz
+from nvphonon.core import (CsvFormatError, EnergyMeV, TimeTrace, rate_from_linear_mhz,
+                           to_linear_mhz)
 
 GAMMA_RAD = rate_from_linear_mhz(13.2)
 GAMMA_MIX_WARM = rate_from_linear_mhz(18.5)
@@ -234,14 +234,14 @@ def test_trace_csv_round_trip(tmp_path):
 
 def test_load_trace_checks_header(tmp_path):
     path = _write(tmp_path / "bad.csv", "t,counts\n0.0,1\n")
-    with pytest.raises(TraceFormatError):
+    with pytest.raises(CsvFormatError):
         load_trace(str(path))
 
 
 def test_load_trace_cites_bad_row(tmp_path):
     path = _write(tmp_path / "bad.csv",
                   "time_ns,counts\n0.0,1\n0.5,oops\n")
-    with pytest.raises(TraceFormatError) as err:
+    with pytest.raises(CsvFormatError) as err:
         load_trace(str(path))
     assert ":3" in str(err.value)
 
@@ -251,7 +251,7 @@ def test_fit_count_beyond_int64_cites_line(tmp_path, capsys, cell):
     path = _write(tmp_path / "big.csv", f"time_ns,counts\n0.5,5\n1.5,{cell}\n")
     assert cli.main(["fit", "--procedure", "exp-window", path]) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert err == f"error: {path}:3: count {cell!r} outside the int64 range\n"
+    assert err == f"error: {path}:3: bad counts {cell!r}: outside the int64 range\n"
 
 
 # a byte that is not UTF-8, in a trace, a points file and a config file
@@ -324,7 +324,7 @@ def test_fit_window_with_an_overflowing_amplitude_column_is_input_error(
 def test_load_trace_multicolumn_needs_selection(tmp_path):
     path = _write(tmp_path / "two.csv",
                   "time_ns,intensity_a1,intensity_a2\n0.0,1.0,1.0\n")
-    with pytest.raises(TraceFormatError):
+    with pytest.raises(CsvFormatError):
         load_trace(str(path))
     trace = load_trace(str(path), column="intensity_a2")
     assert trace.values[0] == 1.0
@@ -978,7 +978,7 @@ def test_sweep_bad_overlap_cell_is_input_error(tmp_path, capsys):
     cfg = _write(tmp_path / "sweep.cfg", f"files.overlap_table = {table}\n")
     _assert_sweep_input_error(
         ["sweep", "--config", cfg, "--sweep", "delta:100:200:50",
-         "--out", str(tmp_path / "x.csv")], capsys, f"{table}, line 2")
+         "--out", str(tmp_path / "x.csv")], capsys, f"{table}:2: bad f_per_mev 'abc'")
 
 
 def test_sweep_oversized_overlap_cell_is_input_error(tmp_path, capsys):
@@ -988,7 +988,7 @@ def test_sweep_oversized_overlap_cell_is_input_error(tmp_path, capsys):
     _assert_sweep_input_error(
         ["sweep", "--config", cfg, "--sweep", "delta:100:200:50",
          "--out", str(tmp_path / "x.csv")], capsys,
-        f"{table}, line 2: field larger than field limit")
+        f"{table}:2: field larger than field limit")
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -94,6 +94,25 @@ def test_nlls_weight_validation():
         estimate.nlls(model, trace, {"a": 1.0}, weights=np.ones(3))
 
 
+def test_weight_array_of_the_wrong_length_names_both_counts():
+    # one weight per trace sample, where the window fit needs one per sample
+    # inside its window
+    trace = TimeTrace(0.25 * np.arange(480) + 0.125, np.exp(-0.08 * np.arange(480.0)))
+    with pytest.raises(ValidationError) as err:
+        estimate.fit_exponential_window(trace, estimate.DEFAULT_WINDOW,
+                                        weights=np.ones(480))
+    assert str(err.value) == (
+        "480 weights for 460 samples in the window 4 <= t <= 119 ns; an "
+        "explicit weight array needs one weight per sample")
+    model = lambda t, a: a * np.ones_like(t)
+    with pytest.raises(ValidationError) as err:
+        estimate.nlls(model, trace, {"a": 1.0}, weights=np.ones(460))
+    assert str(err.value).startswith("460 weights for 480 data points; ")
+    with pytest.raises(ValidationError) as err:
+        estimate.nlls(model, trace, {"a": 1.0}, weights=np.ones((480, 1)))
+    assert str(err.value).startswith("weights of shape (480, 1) for 480 data points; ")
+
+
 def test_nlls_accepts_explicit_weight_array():
     trace = _exp_trace()
     model = lambda t, amplitude, rate: amplitude * np.exp(-rate * t)

@@ -5,6 +5,7 @@ CLI writes."""
 
 import csv
 import hashlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -13,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nvphonon import cli, phonon
-from nvphonon.cli import EXIT_OK, load_trace, write_trace_csv
-from nvphonon.core import ValidationError
+from nvphonon import cli, core, phonon
+from nvphonon.cli import EXIT_INPUT, EXIT_OK, load_trace, write_trace_csv
+from nvphonon.core import CsvFormatError, ValidationError
 
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
@@ -136,7 +137,7 @@ def _arrays(times, values, counts):
 def _outcome(read, path, column):
     try:
         return _arrays(*read(path, column))
-    except (cli.TraceFormatError, csv.Error) as exc:
+    except (CsvFormatError, csv.Error) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -178,10 +179,10 @@ def _per_row_write_columns(path, header, columns, formats):
     if any(len(column) != len(columns[0]) for column in columns):
         raise ValueError("columns differ in length")
     line = ",".join(formats) + "\r\n"
-    with cli._csv_output(path) as handle:
+    with core._csv_output(path) as handle:
         csv.writer(handle).writerow(header)
-        for start in range(0, len(columns[0]), cli._ROWS_PER_WRITE):
-            cells = [column[start:start + cli._ROWS_PER_WRITE].tolist()
+        for start in range(0, len(columns[0]), core._ROWS_PER_WRITE):
+            cells = [column[start:start + core._ROWS_PER_WRITE].tolist()
                      for column in columns]
             handle.write("".join([line % row for row in zip(*cells)]))
 
@@ -211,8 +212,8 @@ def write_tables(draw):
 def test_block_writer_matches_per_row_writer(scratch, table, block):
     columns, formats = table
     header = [f"c{j}" for j in range(len(columns))]
-    with mock.patch.object(cli, "_ROWS_PER_WRITE", block):
-        cli._write_columns(scratch / "block.csv", header, columns, formats)
+    with mock.patch.object(core, "_ROWS_PER_WRITE", block):
+        core.write_csv_columns(scratch / "block.csv", header, columns, formats)
         _per_row_write_columns(scratch / "per_row.csv", header, columns, formats)
     assert ((scratch / "block.csv").read_bytes()
             == (scratch / "per_row.csv").read_bytes())
@@ -220,7 +221,10 @@ def test_block_writer_matches_per_row_writer(scratch, table, block):
 
 # Differential test: generated overlap tables, read through from_csv and by
 # the row parser from_csv had before its bulk path (kept verbatim as the
-# oracle, returning its arrays), must give the same arrays or the same error.
+# oracle, returning its arrays), must give the same arrays, or both refuse
+# the file. Read errors are compared as refusals only, since their wording
+# is now that of every CSV (test_every_table_refuses_with_one_wording);
+# the constructor's errors keep their text.
 
 def _overlap_rows_oracle(path):
     energies, values = [], []
@@ -288,20 +292,23 @@ def overlap_texts(draw):
     return bom + ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
+_REFUSED = "refused"
+
+
 def _overlap_outcome(read, path):
     try:
         return tuple(map(_bits, read(path)))
-    except ValidationError as exc:
-        return str(exc)
+    except ValidationError:
+        return _REFUSED
 
 
 def _table_outcome(path, read):
     """What from_csv gives when the arrays come from read: the table's bits,
-    or the error, a constructor error prefixed with the path."""
+    a refused read, or a constructor error prefixed with the path."""
     try:
         energies, values = read(path)
-    except ValidationError as exc:
-        return str(exc)
+    except ValidationError:
+        return _REFUSED
     try:
         table = phonon.OverlapTable(energies, values)
     except ValidationError as exc:
@@ -332,6 +339,8 @@ def test_overlap_reader_matches_row_parser(scratch, text):
     try:
         table = phonon.OverlapTable.from_csv(path)
         outcome = _bits(table.energies), _bits(table.values)
+    except CsvFormatError:
+        outcome = _REFUSED
     except ValidationError as exc:
         outcome = str(exc)
     assert outcome == _table_outcome(path, _overlap_rows_oracle)
@@ -350,6 +359,81 @@ def test_overlap_bulk_reader_takes_plain_files(scratch, text):
                            side_effect=AssertionError("read row by row")):
         bulk = _overlap_outcome(phonon._read_overlap_file, path)
     assert bulk == _overlap_outcome(_overlap_rows_oracle, path)
+
+
+# One wording for every table: a trace (load_trace), a t5 points file (the
+# CLI's fit) and an overlap table (OverlapTable.from_csv), each broken at
+# its second data row, line 3, in the same four ways; and each read the
+# same with comment rows, blank rows and CR line ends as without.
+
+_TABLES = {
+    "trace": ("time_ns,intensity", ["0.5,3", "1.5,2", "2.5,1.5", "3.5,1"]),
+    # the T^5 law a (T - t0)^5 + c at five temperatures
+    "points": ("temperature_k,gamma_add_mhz,sigma_mhz",
+               [f"{t},{2e-5 * (t - 4.4) ** 5 + 0.08!r},0.05"
+                for t in (6, 9, 12, 15, 18)]),
+    "overlap": ("energy_mev,f_per_mev", ["0,0.5", "10,1", "20,0.25", "30,0"]),
+}
+# case: (the broken second data row, made from the good one; the message)
+_BROKEN = {
+    "width": (lambda row: row.split(",")[0],
+              "{path}:3: expected {width} fields, got 1"),
+    "cell": (lambda row: "x" + row[row.index(","):],
+             "{path}:3: bad {first} 'x': could not convert string to float: 'x'"),
+    "field limit": (lambda row: "1" * (csv.field_size_limit() + 1),
+                    "{path}:3: field larger than field limit ({limit})"),
+}
+
+
+def _read_table(kind, path, capsys):
+    """The table read through its public path: its arrays (the fit's report
+    for points), or the message of the input error that refused it."""
+    if kind == "points":
+        code = cli.main(["fit", "--procedure", "t5", path])
+        out, err = capsys.readouterr()
+        if code != EXIT_INPUT:
+            return code, out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err[len("error: "):-1]
+    try:
+        if kind == "trace":
+            trace = load_trace(path)
+            return _bits(trace.times), _bits(trace.values)
+        table = phonon.OverlapTable.from_csv(path)
+        return _bits(table.energies), _bits(table.values)
+    except CsvFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", ["non-UTF-8", "width", "cell", "field limit",
+                                  "comments, blanks and CR"])
+@pytest.mark.parametrize("kind", sorted(_TABLES))
+def test_every_table_refuses_with_one_wording(tmp_path, capsys, kind, case):
+    header, rows = _TABLES[kind]
+    path = str(tmp_path / f"{kind}.csv")
+    lines = [header] + rows
+    if case == "comments, blanks and CR":
+        (tmp_path / f"{kind}.csv").write_text("\n".join(lines) + "\n")
+        plain = _read_table(kind, path, capsys)
+        assert isinstance(plain, tuple)
+        text = "\r".join(["# note", "", header, rows[0], "", " # a, b"] + rows[1:])
+        (tmp_path / f"{kind}.csv").write_bytes(text.encode("utf-8"))
+        assert _read_table(kind, path, capsys) == plain
+        return
+    if case == "non-UTF-8":
+        lines[2] = rows[1] + "\udcff"
+        (tmp_path / f"{kind}.csv").write_bytes(
+            "\n".join(lines).encode("utf-8", "surrogateescape"))
+        assert re.fullmatch(rf"cannot read {re.escape(path)}: 'utf-8' codec can't "
+                            r"decode byte 0xff in position \d+: invalid start byte",
+                            _read_table(kind, path, capsys))
+        return
+    broken, message = _BROKEN[case]
+    lines[2] = broken(rows[1])
+    (tmp_path / f"{kind}.csv").write_text("\n".join(lines) + "\n")
+    assert _read_table(kind, path, capsys) == message.format(
+        path=path, width=header.count(",") + 1, first=header.split(",")[0],
+        limit=csv.field_size_limit())
 
 
 # Golden bytes: SHA-256 of what seeded CLI runs write, recorded before the
