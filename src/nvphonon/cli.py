@@ -271,8 +271,8 @@ def _count(cell):
 def _parse_trace_rows(path, column=None):
     """Parse a trace CSV one row at a time; returns (times, values, is_counts).
 
-    Reads every form csv.reader and float()/int() accept: comment and
-    blank rows, a header below them, quoted cells, '1_0' and Unicode
+    Reads every form core.read_csv_rows and float()/int() accept: comment
+    and blank rows, a header below them, quoted cells, '1_0' and Unicode
     digits. Only the time and the selected column are converted. The
     first bad row is named by its line.
     """
