@@ -426,24 +426,36 @@ def test_wide_grid_builds_no_span_sized_lattice(monkeypatch, times):
 
 # on the lattice (every r_i = 0, from t = 0 and from a later start), near
 # it (arange's last-bit offsets) and far off it (every remainder distinct)
-_PINNED_GRIDS = (np.arange(0.0, 200.1, 2.0), np.arange(3.0, 203.0, 2.0),
-                 np.arange(0.0, 40.0, 0.05), np.geomspace(0.01, 200.0, 50))
+_PINNED_GRIDS = {
+    "on-lattice": np.arange(0.0, 200.1, 2.0),
+    "late-start": np.arange(3.0, 203.0, 2.0),
+    "arange": np.arange(0.0, 40.0, 0.05),
+    "geomspace": np.geomspace(0.01, 200.0, 50),
+}
+
+# sha256 of the states, as float.hex, of a rate and a Lindblad generator
+_PROPAGATED_STATE_DIGESTS = {
+    "on-lattice": "01700ef36519c116c039816cc42f55c84e2d92f9d7a7eace6e22af73cd37a489",
+    "late-start": "7014e01ae49a8ea0ff2f94eb91b6e1b018b11527f350747c74082ea4dd6b440d",
+    "arange": "cc237d345783ffcefaa59e00e0190718c4890c2e5d5e7de076548c1500479a06",
+    "geomspace": "a98c6ddbfb3583eee69bcff4d6287967b498b5b337640f94e995425c20700b58",
+}
 
 
-def test_propagated_states_are_pinned():
+@pytest.mark.parametrize("grid", list(_PINNED_GRIDS))
+def test_propagated_states_are_pinned(grid):
     # recorded before _propagate read remainder-free grids straight off the
-    # lattice: the states, as float.hex, of a rate and a Lindblad generator
+    # lattice, one digest per grid so that a change to one way of moving a
+    # sample shows which grids it touches
     digest = hashlib.sha256()
     rates = build_a12_model(GAMMA_RAD, GAMMA_MIX_WARM, GAMMA_ISC).matrix
     lindblad = dynamics._lindblad_superoperator(_LINDBLAD_MODELS["driven"])
     for matrix, y0 in ((rates, np.array([0.3, 0.7])),
                        (lindblad, DensityMatrix3.pure("g").matrix.reshape(9))):
-        for times in _PINNED_GRIDS:
-            states = dynamics._propagate(matrix, y0, times)
-            digest.update(" ".join(map(float.hex, states.view(float).ravel().tolist()))
-                          .encode())
-    assert digest.hexdigest() == (
-        "7d323435fa62d79254a68dcf383995e02ae113d0a799d94f69a03d6211d597ca")
+        states = dynamics._propagate(matrix, y0, _PINNED_GRIDS[grid])
+        digest.update(" ".join(map(float.hex, states.view(float).ravel().tolist()))
+                      .encode())
+    assert digest.hexdigest() == _PROPAGATED_STATE_DIGESTS[grid]
 
 
 @pytest.mark.parametrize("kind", ["rate", "lindblad"])
@@ -636,7 +648,16 @@ def test_result_times_are_the_traces_read_only_copy():
     assert result.times is result.populations["x"].times
 
 
-def test_evolved_traces_are_pinned():
+_EVOLVED_TRACE_DIGESTS = {
+    "on-lattice": "59545f9661cd604c5c2a0056abc3e4ae4ea24ec8734c91bae84546607be6da49",
+    "late-start": "03f1abe9645763d8663bc2a70e5258ca84a567e8697d53f74c174f7e0f8e33f6",
+    "arange": "a8af385d13d45cf59fd167ba9310155dfc76caf4ae6c5ed7853aa22a8e93ef38",
+    "geomspace": "3a85758ab41e803bfc063456a179bdeb133684048051fd866ff444cb396aeeb5",
+}
+
+
+@pytest.mark.parametrize("grid", list(_PINNED_GRIDS))
+def test_evolved_traces_are_pinned(grid):
     # the population and coherence traces, times and values as float.hex,
     # of the models and grids of test_propagated_states_are_pinned
     digest = hashlib.sha256()
@@ -646,17 +667,16 @@ def test_evolved_traces_are_pinned():
             digest.update(" ".join(map(float.hex, array.tolist())).encode())
 
     rates = build_a12_model(GAMMA_RAD, GAMMA_MIX_WARM, GAMMA_ISC)
-    for times in _PINNED_GRIDS:
-        pops = evolve_rates(rates, np.array([0.3, 0.7]), times)
-        for label in rates.labels:
-            update(pops[label])
-        model = _LINDBLAD_MODELS["driven"]
-        result = evolve_lindblad(model, DensityMatrix3.pure("g"), times)
-        for label in model.labels:
-            update(result.populations[label])
-        update(result.coherence)
-    assert digest.hexdigest() == (
-        "3006e0dc1b3d79779bea1c5f5dc595534865d76fbcbc755501f92e4d82c52972")
+    times = _PINNED_GRIDS[grid]
+    pops = evolve_rates(rates, np.array([0.3, 0.7]), times)
+    for label in rates.labels:
+        update(pops[label])
+    model = _LINDBLAD_MODELS["driven"]
+    result = evolve_lindblad(model, DensityMatrix3.pure("g"), times)
+    for label in model.labels:
+        update(result.populations[label])
+    update(result.coherence)
+    assert digest.hexdigest() == _EVOLVED_TRACE_DIGESTS[grid]
 
 
 def test_rate_evolution_conserves_without_loss():
