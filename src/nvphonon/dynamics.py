@@ -23,15 +23,16 @@ exp(k delta M) y(t_0) come from O(log n) block products of propagator
 powers; a sample off the lattice is moved on from a lattice state by
 its remainder (see _propagate). _taylor computes every exponential:
 applied to the identity and squared for a propagator (_propagator), or
-to the states for a short remainder. A call builds one propagator for
-the lattice step, one more when the grid starts after 0, and one per
-distinct long remainder of an off-lattice sample; one takes 40-90 us
-(9x9 Lindblad) or 35-55 us (2x2 rates), rising with h ||M||_1, on one
-core of a 2-CPU virtual machine. A uniform grid, arange's last-bit
-spacing differences included, therefore costs one or two propagators
-and O(log n) interpreted steps whatever its length; an irregular grid
-still pays about one propagator per sample. The propagation never uses
-the closed forms, so it is an independent check on them.
+to the states for what is left of a remainder. A call builds one
+propagator for the lattice step and one more when the grid starts after
+0, whatever the grid; one takes 40-90 us (9x9 Lindblad) or 35-55 us (2x2
+rates), rising with h ||M||_1, on one core of a 2-CPU virtual machine.
+An off-lattice sample takes one masked batched product per squaring
+level of the step that its remainder needs, and then one Taylor call
+moves every such sample at once. Any grid therefore costs one or two
+propagators and O(log n) interpreted steps, plus one per squaring level
+off the lattice, whatever its length. The propagation never uses the
+closed forms, so it is an independent check on them.
 
 Each array is checked once, where it is made: _validate_times checks and
 copies the sample times, _populations checks every level's populations
@@ -177,18 +178,20 @@ _TAYLOR_REACH = 2.0**-10
 
 
 def _propagator(matrix, h, norm1):
-    """exp(hM) by _taylor at h' = h / 2^s, with s the fewest squarings
-    that bring h' ||M||_1 below 1, where at most 18 terms, falling
-    factorially, keep it within a few ulp; then s squarings."""
+    """The squaring chain [exp((h/2^s) M), ..., exp((h/2) M), exp(hM)]:
+    its first entry by _taylor, with s the fewest squarings that bring
+    h ||M||_1 / 2^s below 1, where at most 18 terms, falling factorially,
+    keep it within a few ulp; each later entry the square of the one
+    before."""
     reach = float(h) * norm1
     if not math.isfinite(reach):
         raise ValidationError("t ||M||_1 overflows: times too long for the rates")
     squarings = max(0, math.frexp(reach)[1])
     identity = np.eye(len(matrix), dtype=matrix.dtype)
-    prop = _taylor(matrix, math.ldexp(h, -squarings), identity, norm1).T
+    chain = [_taylor(matrix, math.ldexp(h, -squarings), identity, norm1).T]
     for _ in range(squarings):
-        prop = prop @ prop
-    return prop
+        chain.append(chain[-1] @ chain[-1])
+    return chain
 
 
 def _lattice(start, step, count):
@@ -233,12 +236,17 @@ def _propagate(matrix, y0, times):
     The lattice starts at y(t_0) = exp(t_0 M) y0 and steps by delta, the
     most common sample spacing, but at least span/(2n), so it never holds
     more than 2n + 1 states. Sample i is lattice state k_i moved on by its
-    remainder r_i = t_i - t_0 - k_i delta, k_i = rint((t_i - t_0)/delta):
-    as is where r_i = 0, by a Taylor series where |r_i| ||M||_1 is at most
-    _TAYLOR_REACH, and otherwise by one propagator per distinct remainder.
-    Those samples step forward from the lattice state below them (k_i
-    rounded down, r_i >= 0), because stepping back through a dissipative
-    generator amplifies its decayed modes. A grid whose gaps all equal the
+    remainder r_i = t_i - t_0 - k_i delta, k_i = rint((t_i - t_0)/delta).
+    Where |r_i| ||M||_1 exceeds _TAYLOR_REACH, k_i is rounded down instead
+    (r_i >= 0), because stepping back through a dissipative generator
+    amplifies its decayed modes. Every sample off the lattice then moves
+    the same way: for each binary digit delta/2^j, j = 1..s, of its
+    remainder, by the entry exp((delta/2^j) M) of the step's squaring
+    chain (one masked product per level), and then by one Taylor series
+    for what is left, under delta/2^s. A remainder within _TAYLOR_REACH
+    takes no digit, since delta ||M||_1 / 2^s >= 1/2, so it takes the
+    series alone. A call thus builds at most two propagators, the step's
+    and the start's, whatever the grid. A grid whose gaps all equal the
     first takes that gap as delta without counting spacings, and a grid
     with no remainder (every t_i - t_0 a multiple of delta, as in an arange
     of a step exact in binary) is the lattice rows k_i as they are.
@@ -246,7 +254,7 @@ def _propagate(matrix, y0, times):
     norm1 = float(np.abs(matrix).sum(axis=0).max())
     start = np.array(y0, dtype=matrix.dtype)
     if times[0] > 0.0:
-        start = _propagator(matrix, times[0], norm1) @ start
+        start = _propagator(matrix, times[0], norm1)[-1] @ start
     if len(times) == 1:
         return start[np.newaxis]
     elapsed = times - times[0]
@@ -262,24 +270,20 @@ def _propagate(matrix, y0, times):
     off_lattice = rest.any()
     if off_lattice:
         far = np.abs(rest) * norm1 > _TAYLOR_REACH
-        any_far = far.any()
-        if any_far:
-            steps[far] = np.floor(elapsed[far] / delta)
-            rest[far] = elapsed[far] - steps[far] * delta
+        steps[far] = np.floor(elapsed[far] / delta)
+        rest[far] = elapsed[far] - steps[far] * delta
     steps = steps.astype(np.intp)
-    states = _lattice(start, _propagator(matrix, delta, norm1),
-                      int(steps.max()) + 1)[steps]
+    chain = _propagator(matrix, delta, norm1)
+    states = _lattice(start, chain[-1], int(steps.max()) + 1)[steps]
     if not off_lattice:
         return states
-    near = (rest != 0.0) & ~far
-    if near.any():
-        states[near] = _taylor(matrix, rest[near, np.newaxis], states[near], norm1)
-    if any_far:
-        order = np.flatnonzero(far)
-        order = order[np.argsort(rest[order], kind="stable")]
-        remainders, first = np.unique(rest[order], return_index=True)
-        for r, group in zip(remainders, np.split(order, first[1:])):
-            states[group] = states[group] @ _propagator(matrix, r, norm1).T
+    for j, power in enumerate(chain[-2::-1], 1):
+        digit = rest >= math.ldexp(delta, -j)
+        states[digit] = states[digit] @ power.T
+        # delta/2^j <= r < 2 delta/2^j here, so this is exact (Sterbenz)
+        rest[digit] -= math.ldexp(delta, -j)
+    moved = rest != 0.0
+    states[moved] = _taylor(matrix, rest[moved, np.newaxis], states[moved], norm1)
     return states
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -350,16 +351,22 @@ def _random_generator(rng, kind):
 def test_propagator_matches_expm(kind):
     # h ||M||_1 from 1e-6 to 1e3: no squaring up to 0.5, then up to 10;
     # each squaring can double the rounding of the one before, so the
-    # tolerance is 16 eps max(1, h ||M||_1) (the largest error seen over
-    # 800 such generators was 3.7 eps max(1, h ||M||_1))
+    # tolerance of the chain entry exp(h' M) is 16 eps max(1, h' ||M||_1)
+    # (the largest error seen over 800 such generators was 3.7 eps
+    # max(1, h ||M||_1) for the last entry)
     rng = np.random.default_rng(17 if kind == "rate" else 18)
     for scale in np.geomspace(1e-6, 1e3, 91):
         matrix = _random_generator(rng, kind)
         norm1 = float(np.abs(matrix).sum(axis=0).max())
         h = scale / norm1
-        np.testing.assert_allclose(
-            dynamics._propagator(matrix, h, norm1), expm(h * matrix),
-            rtol=0.0, atol=16 * np.finfo(float).eps * max(1.0, scale))
+        chain = dynamics._propagator(matrix, h, norm1)
+        squarings = len(chain) - 1
+        assert math.ldexp(scale, -squarings) < 1.0
+        for j, entry in enumerate(chain):
+            level = math.ldexp(h, j - squarings)
+            np.testing.assert_allclose(
+                entry, expm(level * matrix), rtol=0.0,
+                atol=16 * np.finfo(float).eps * max(1.0, level * norm1))
 
 
 def test_propagation_refuses_an_overflowing_span():
@@ -378,8 +385,8 @@ def test_propagation_refuses_an_overflowing_span():
                                    np.array([0.0, 1e-9, 1e6])],
                          ids=["geomspace", "far-apart"])
 def test_wide_grid_builds_no_span_sized_lattice(monkeypatch, times):
-    # span / smallest spacing is ~1e15 here: the propagation must stay
-    # O(n) in propagators and lattice states, and still exact
+    # span / smallest spacing is ~1e15 here: the propagation must build
+    # two propagators and O(n) lattice states, and still be exact
     propagators, lattices = [], []
     propagator, lattice = dynamics._propagator, dynamics._lattice
 
@@ -403,7 +410,7 @@ def test_wide_grid_builds_no_span_sized_lattice(monkeypatch, times):
     for idx, label in enumerate(exchange.labels):
         np.testing.assert_allclose(pops[label].values, expected[:, idx],
                                    rtol=1e-10, atol=0.0)
-    assert len(propagators) <= n + 2 and sum(lattices) <= 2 * n + 1
+    assert len(propagators) <= 2 and sum(lattices) <= 2 * n + 1
 
     propagators.clear()
     lattices.clear()
@@ -421,7 +428,7 @@ def test_wide_grid_builds_no_span_sized_lattice(monkeypatch, times):
         np.testing.assert_allclose(result.populations[label].values,
                                    states[:, idx, idx].real,
                                    rtol=0.0, atol=atol)
-    assert len(propagators) <= n + 2 and sum(lattices) <= 2 * n + 1
+    assert len(propagators) <= 2 and sum(lattices) <= 2 * n + 1
 
 
 # on the lattice (every r_i = 0, from t = 0 and from a later start), near
@@ -484,6 +491,36 @@ def test_lattice_grid_builds_one_propagator(monkeypatch, kind):
     assert sorted(calls) == ["propagator", "taylor"]
 
 
+@pytest.mark.parametrize("kind", ["rate", "lindblad"])
+def test_random_grid_builds_two_propagators(monkeypatch, kind):
+    # every sample sits off the lattice at its own remainder, and all of
+    # them walk the step's squaring chain: the step's propagator and the
+    # late start's are the only two built, and the states stay exact
+    propagators = []
+    propagator = dynamics._propagator
+
+    def counting_propagator(matrix, h, norm1):
+        propagators.append(h)
+        return propagator(matrix, h, norm1)
+
+    monkeypatch.setattr(dynamics, "_propagator", counting_propagator)
+    t = np.sort(np.random.default_rng(26).uniform(0.0, 120.0, 300))
+    if kind == "rate":
+        model = build_a12_model(GAMMA_RAD, GAMMA_MIX_WARM, GAMMA_ISC)
+        pops = evolve_rates(model, np.array([0.3, 0.7]), t)
+        expected = _expm_states(model.matrix, np.array([0.3, 0.7]), t)
+    else:
+        model = _LINDBLAD_MODELS["driven"]
+        pops = evolve_lindblad(model, DensityMatrix3.pure("g"), t).populations
+        expected = _expm_states(dynamics._lindblad_superoperator(model),
+                                DensityMatrix3.pure("g").matrix.reshape(9), t)
+        expected = np.diagonal(expected.reshape(len(t), 3, 3), axis1=1, axis2=2).real
+    assert len(propagators) == 2
+    for idx, label in enumerate(model.labels):
+        np.testing.assert_allclose(pops[label].values, expected[:, idx],
+                                   rtol=0.0, atol=1e-12)
+
+
 @settings(max_examples=25, deadline=None)
 @given(rates=st.tuples(*[st.floats(1e-3, 0.3)] * 3),
        branch=st.sampled_from(("A1", "A2")),
@@ -492,7 +529,7 @@ def test_lattice_grid_builds_one_propagator(monkeypatch, kind):
 def test_rate_evolution_matches_closed_form_on_irregular_grid(
         rates, branch, start, steps):
     # nearly every spacing differs, so most samples sit off the lattice
-    # and each takes the propagator of its own remainder
+    # and walk the digits of their own remainder along the step's chain
     t = start + np.concatenate([[0.0], np.cumsum(steps)])
     assume(np.all(np.diff(t) > 0.0))
     gr, gm, gi = rates
