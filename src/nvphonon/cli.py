@@ -28,9 +28,9 @@ import sys
 import numpy as np
 
 from . import dynamics, estimate, phonon, synth, verify
-from .core import (CONSTANTS, AngularRate, CsvFormatError, TimeTrace,
-                   ValidationError, csv_columns, rate_from_linear_mhz,
-                   read_csv_rows, read_plain_csv, to_linear_mhz,
+from .core import (AngularRate, CsvFormatError, TimeTrace, ValidationError,
+                   csv_columns, rate_from_linear_mhz, read_csv_rows,
+                   read_plain_csv, temperature_value, to_linear_mhz,
                    write_csv_columns)
 from .synth import MAX_SAMPLES
 
@@ -380,13 +380,22 @@ def _fitted_rate_mhz(cell):
     return rate_from_linear_mhz(float(cell), fitted=True)
 
 
+def _sigma_mhz(cell):
+    return rate_from_linear_mhz(_conv_pos_float(cell), fitted=True)
+
+
+# points-file column -> converter of its cells; any other is a rate in MHz
+_POINT_COLUMNS = {"temperature_k": temperature_value, "sigma_mhz": _sigma_mhz,
+                  "branch": _branch}
+
+
 def _read_points_file(path, header):
     """Parse a small points CSV with an exact header into one tuple a row;
-    `*_mhz` columns become fitted AngularRates and a `branch` column holds
-    A1 or A2."""
+    `temperature_k` is a finite temperature >= 0 K, `sigma_mhz` a fitted
+    AngularRate > 0, any other `*_mhz` column a fitted AngularRate and a
+    `branch` column A1 or A2."""
     rows = read_csv_rows(path)
-    converters = {j: _branch if name == "branch" else
-                  _fitted_rate_mhz if name.endswith("_mhz") else float
+    converters = {j: _POINT_COLUMNS.get(name, _fitted_rate_mhz)
                   for j, name in enumerate(header)}
     points = list(zip(*csv_columns(path, rows, converters, header)))
     if not points:
@@ -715,9 +724,7 @@ def _sweep_delta(cfg, grid, out):
         eta=cfg.get("phonon.eta_mhz_per_mev3", phonon.ETA_DEFAULT),
         **_options(cfg, cutoff="phonon.cutoff_mev"))
     f_values = table.interpolate(grid)
-    # isc_rate_a1's formula over the whole grid, in its order of operations
-    gamma_a1_mhz = to_linear_mhz(4.0 * math.pi * CONSTANTS.hbar
-                                 * so.lambda_perp.value**2 * f_values)
+    gamma_a1_mhz = to_linear_mhz(phonon.isc_rate_a1(so, table, grid))
     # the ratio is undefined where F vanishes; those rows report 0
     ratios = np.zeros_like(grid)
     supported = f_values > 0.0

@@ -53,7 +53,6 @@ class OverlapSupportError(ValidationError):
 
 # fitted to low-strain NV orbital dynamics; see README for sources
 ETA_DEFAULT = AngularRate.from_linear_mhz(44.0)          # per meV^3
-GAMMA_RAD_DEFAULT = AngularRate.from_linear_mhz(13.2)
 
 
 def _law_value(evaluate, where, *inputs):
@@ -307,12 +306,23 @@ def _read_overlap_file(path):
     return plain[1]["f0"], plain[1]["f1"]
 
 
+def _gaps(delta):
+    """delta, a gap or an array of gaps, as a float array (0-d for a
+    scalar), each gap checked as energy_value checks one."""
+    d = np.asarray(energy_value(delta) if np.ndim(delta) == 0 else delta, dtype=float)
+    bad = ~np.isfinite(d) | (d < 0.0)
+    if bad.any():
+        energy_value(d[bad][0])  # raises core's message for the first bad gap
+    return d
+
+
 def isc_rate_a1(spin_orbit, overlap, delta):
-    """Direct crossing rate 4 pi hbar lambda_perp^2 F(Delta)."""
-    d = energy_value(delta)
-    f_at_delta = float(overlap.interpolate(d))
+    """Direct crossing rate 4 pi hbar lambda_perp^2 F(Delta): an AngularRate
+    at a scalar gap, or floats in rad/ns at each gap of an array."""
+    f_at_delta = overlap.interpolate(_gaps(delta))
     lam = spin_orbit.lambda_perp.value
-    return AngularRate(4.0 * math.pi * core.CONSTANTS.hbar * lam**2 * f_at_delta)
+    rate = 4.0 * math.pi * core.CONSTANTS.hbar * lam**2 * f_at_delta
+    return AngularRate(float(rate)) if rate.ndim == 0 else rate
 
 
 def _crossing_integral(overlap, delta, span):
@@ -357,10 +367,7 @@ def crossing_ratio(coupling, overlap, delta, unbounded=False):
     bound used for exclusion arguments). A zero gap gives 0; a gap where
     F vanishes raises OverlapSupportError.
     """
-    d = np.asarray(energy_value(delta) if np.ndim(delta) == 0 else delta, dtype=float)
-    bad = ~np.isfinite(d) | (d < 0.0)
-    if bad.any():
-        energy_value(d[bad][0])  # raises core's message for the first bad gap
+    d = _gaps(delta)
     positive = d > 0.0
     f_at_delta = overlap.interpolate(d)
     vanishing = positive & (f_at_delta <= 0.0)
@@ -382,8 +389,7 @@ def crossing_ratio(coupling, overlap, delta, unbounded=False):
 
 def isc_rate_e12(coupling, gamma_a1, overlap, delta):
     """One-phonon-assisted crossing rate of the non-coupled branch."""
-    ga1 = rate_value(gamma_a1)
-    return AngularRate(ga1 * crossing_ratio(coupling, overlap, delta))
+    return AngularRate(rate_value(gamma_a1) * crossing_ratio(coupling, overlap, delta))
 
 
 @dataclass(frozen=True)

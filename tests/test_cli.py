@@ -768,6 +768,32 @@ def test_fit_non_finite_point_cites_line(tmp_path, capsys):
     assert f"{path}:3" in err and "sigma_mhz" in err
 
 
+@pytest.mark.parametrize("procedure, row, cell, message", [
+    ("t5", "nan,0.2,0.05", "temperature_k 'nan'",
+     "temperature must be finite, got nan"),
+    ("t5", "-3,0.2,0.05", "temperature_k '-3'", "temperature must be >= 0 K, got -3.0"),
+    ("t5", "9,0.2,0", "sigma_mhz '0'", "must be > 0"),
+    ("gamma-a1", "nan,0.2,0.05,A2", "temperature_k 'nan'",
+     "temperature must be finite, got nan"),
+    ("gamma-a1", "-3,0.2,0.05,A2", "temperature_k '-3'",
+     "temperature must be >= 0 K, got -3.0"),
+    ("gamma-a1", "9,0.2,-0.2,A2", "sigma_mhz '-0.2'", "must be > 0"),
+])
+def test_fit_refused_point_cell_cites_file_and_line(tmp_path, capsys, procedure,
+                                                     row, cell, message):
+    # cells the reader accepts but the fit refuses are refused by the reader
+    header = {"t5": "temperature_k,gamma_add_mhz,sigma_mhz",
+              "gamma-a1": "temperature_k,gamma_eff_mhz,sigma_mhz,branch"}[procedure]
+    first = {"t5": "5,0.1,0.05", "gamma-a1": "5,0.1,0.05,A1"}[procedure]
+    path = _write(tmp_path / "points.csv", f"{header}\n{first}\n{row}\n")
+    # the config gamma-a1 needs, so that only the point can be refused
+    cfg = _write(tmp_path / "fit.cfg", "rates.gamma_rad_mhz = 13.2\n"
+                 "t5.a_mhz_per_k5 = 2.0e-5\nt5.t0_k = 4.4\nt5.c_mhz = 0.08\n")
+    assert cli.main(["fit", "--procedure", procedure, "--config", cfg,
+                     path]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {path}:3: bad {cell}: {message}\n"
+
+
 @pytest.mark.parametrize("procedure, count, message", [
     ("rabi", 2, "exactly one trace"), ("exp-window", 2, "exactly one trace"),
     ("t5", 2, "exactly one points CSV"), ("gamma-a1", 3, "exactly one points CSV"),

@@ -238,6 +238,22 @@ def test_isc_rate_a1_zero_off_support():
     assert phonon.isc_rate_a1(SpinOrbit(), table, 200.0).value == 0.0
 
 
+def test_isc_rate_a1_of_an_array_is_its_scalar_rates():
+    # one float in rad/ns per gap, the bits of the scalar call's value;
+    # a bad gap anywhere in the array is refused with energy_value's message
+    table = OverlapTable(np.array([10.0, 60.0, 100.0]), np.array([0.2, 0.35, 0.1]))
+    deltas = np.array([0.0, 12.5, 37.0, 60.0, 99.9, 140.0])
+    rates = phonon.isc_rate_a1(SpinOrbit(perp_ratio=1.7), table, deltas)
+    assert isinstance(rates, np.ndarray)
+    assert rates.tolist() == [
+        phonon.isc_rate_a1(SpinOrbit(perp_ratio=1.7), table, d).value
+        for d in deltas]
+    for bad, message in ((-1.0, "energy must be >= 0 meV, got -1.0"),
+                         (np.nan, "energy must be finite")):
+        with pytest.raises(ValidationError, match=message):
+            phonon.isc_rate_a1(SpinOrbit(), table, np.array([5.0, bad]))
+
+
 def test_crossing_ratio_zero_gap():
     coupling = PhononCoupling(eta=ETA_DEFAULT)
     assert phonon.crossing_ratio(coupling, _flat_table(), 0.0) == 0.0
