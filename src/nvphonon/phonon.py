@@ -389,7 +389,8 @@ def crossing_ratio(coupling, overlap, delta, unbounded=False):
 
 def isc_rate_e12(coupling, gamma_a1, overlap, delta):
     """One-phonon-assisted crossing rate of the non-coupled branch."""
-    return AngularRate(rate_value(gamma_a1) * crossing_ratio(coupling, overlap, delta))
+    ga1 = rate_value(gamma_a1)
+    return AngularRate(ga1 * crossing_ratio(coupling, overlap, delta))
 
 
 @dataclass(frozen=True)

@@ -991,6 +991,15 @@ def test_sweep_delta_off_the_overlap_support_writes_zero_rows(tmp_path):
         assert r == phonon.crossing_ratio(coupling, overlap, d)
 
 
+def test_sweep_delta_below_zero_is_input_error(tmp_path, capsys):
+    # isc_rate_a1 checks every gap of the grid, as crossing_ratio does
+    out = tmp_path / "x.csv"
+    _assert_sweep_input_error(["sweep", "--sweep", "delta:-50:100:50",
+                               "--out", str(out)], capsys,
+                              "energy must be >= 0 meV, got -50.0")
+    assert not out.exists()
+
+
 def test_sweep_missing_overlap_table_is_input_error(tmp_path, capsys):
     missing = tmp_path / "absent.csv"
     cfg = _write(tmp_path / "sweep.cfg", f"files.overlap_table = {missing}\n")
