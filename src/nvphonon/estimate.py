@@ -4,9 +4,14 @@ and the windowed forward model that the crossing-rate fit inverts.
 Weighting schemes, shared by every fit: "uniform" (covariance scaled by
 reduced chi^2, as unit weights carry no absolute scale), "provided"
 (1/sigma^2 from the data's uncertainties), an explicit weight array, or
-"poisson": 1/max(y, 1), then two refits weighted by 1/max(model, 1),
-which removes at first order the bias toward downward fluctuations that
-weights from observed counts cause. Rank-deficient directions get
+"poisson", for counts. A window fit (`fit_exponential_window`) takes
+"poisson" as the Poisson maximum likelihood, solved once with the
+amplitude profiled out; its chi2 is Pearson's, sum((y - model)^2/model),
+and its sigmas come from the Fisher information, unscaled. `nlls`,
+`fit_rabi_trace` and `fit_depolarization` still fit 1/max(y, 1), then
+refit twice weighted by 1/max(model, 1), which removes at first order the
+bias toward downward fluctuations that weights from observed counts
+cause, but is not the likelihood. Rank-deficient directions get
 effectively unbounded variances rather than being hidden.
 
 Windowed single-exponential fits, of measured traces
@@ -51,7 +56,7 @@ pulse, take forward differences.
 
 Cost. What is left of the lifetime chain is per-call overhead, which the
 window fit keeps to one build of its window's (1, tau, tau^2) columns and
-one np.errstate for all its passes and its result, ~15 array operations
+one np.errstate for its solve and its result, ~15 array operations
 for the log-linear start, one exp and two moment products a profile
 evaluation (3.1 a criterion-5 fit) and one pass over the rows a Newton
 step (`_windowed_rates`' cost model). In a traced `gamma_a1_recovery`
@@ -65,6 +70,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -414,14 +420,17 @@ def _fit_windows(t, y, w, scheme, max_iter):
     samples) on the common sample times t, one per row, from the initial
     weights w (shaped like y, or None for the uniform weights) of a
     weighting scheme ("array" for explicit weights); see
-    `fit_exponential_window`. Every row runs through one `_windowed_rates`
-    solve per pass, whose Newton steps and convergence each result
-    reports. The covariances come from one `_window_covariances` call:
-    the closed-form inverse of each row's column-scaled 2x2 normal
-    matrix, batched over rows, under the rank rule of `_covariance`.
+    `fit_exponential_window`. Every row runs through one `_window_rates`
+    solve, whose Newton steps and convergence each result reports: the
+    least squares under w, or for "poisson" the likelihood, w then
+    serving the solve's start only; the likelihood's amplitude is
+    sum(y)/sum(e), and its rows then take w = 1/model. The covariances
+    and sigmas come from one `_window_covariances` call: the closed-form
+    inverse of each row's column-scaled 2x2 normal matrix, batched over
+    rows, under the rank rule of `_covariance`.
 
-    The window's tau and (1, tau, tau^2) columns are built once, for
-    every pass and the result, and numpy's floating-point warnings are
+    The window's tau and (1, tau, tau^2) columns are built once, for the
+    solve and the result, and numpy's floating-point warnings are
     silenced once for the whole fit. Under uniform weights the covariance
     is unchanged where both Jacobian columns scale by c and chi^2 by c^2,
     so a row whose fitted model, a single exponential and so largest in
@@ -434,15 +443,19 @@ def _fit_windows(t, y, w, scheme, max_iter):
     column, _HUGE_VARIANCE times chi^2/dof in that column's own unit. The
     other weightings fix their covariance's scale (c = 1)."""
     tau, powers = _window_powers(t)
+    poisson = scheme == "poisson"
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rates = None
-        for refit in range(_passes(scheme)):
-            if refit:  # reweight counts by the previous fit's expectation
-                w = 1.0 / np.maximum(model, 1.0)
-            rates, iterations, converged = _window_rates(y, tau, powers, w,
-                                                         max_iter, rates)
-            decay = np.multiply.outer(-rates, tau)
-            np.exp(decay, out=decay)
+        rates, iterations, converged = _window_rates(y, tau, powers, w, max_iter,
+                                                     None, poisson)
+        decay = np.multiply.outer(-rates, tau)
+        np.exp(decay, out=decay)
+        if poisson:
+            # the likelihood's amplitude, then the weights under which the
+            # normal matrix is its Fisher information and chi^2 Pearson's,
+            # finite where an expectation falls below the normal range
+            model = decay * (y.sum(axis=1) / decay.sum(axis=1))[:, None]
+            w = 1.0 / np.maximum(model, sys.float_info.min)
+        else:
             w_decay = _weighted(w, decay)
             model = decay * (np.vecdot(w_decay, y)
                              / np.vecdot(w_decay, decay))[:, None]
@@ -479,10 +492,10 @@ def _fit_windows(t, y, w, scheme, max_iter):
                                       scale=scheme == "uniform")
     return [FitResult(names=("amplitude", "rate"),
                       values=np.array([amplitude, rate]),
-                      sigma=np.sqrt(cov.diagonal()), covariance=cov,
+                      sigma=sigma, covariance=cov,
                       chi2=chi2 / c / c, dof=dof, converged=converged,
                       iterations=iterations)
-            for amplitude, rate, chi2, c, cov
+            for amplitude, rate, chi2, c, (cov, sigma)
             in zip(amplitudes, rates, scaled_chi2, scale, covariances)]
 
 
@@ -501,6 +514,12 @@ def _window_covariances(d_amplitude, d_rate, w, chi2, dof, scale):
     unbounded variance (_HUGE_VARIANCE) along the direction u orthogonal
     to it, and _HUGE_VARIANCE in place of 1/top where top = 0 (two zero
     columns).
+
+    Returns one (covariance, sigma) pair a row: sigma is the root of the
+    covariance's diagonal, p_ii factor/n_i^2 for the inverse p and the
+    column norms n, and sqrt(p_ii factor)/n_i where that variance leaves
+    the normal range, in which it would lose its digits, or all of them,
+    before the root is taken.
     """
     w_amplitude = _weighted(w, d_amplitude)
     sums = (np.vecdot(w_amplitude, d_amplitude).tolist(),
@@ -525,8 +544,12 @@ def _window_covariances(d_amplitude, d_rate, w, chi2, dof, scale):
             p01 = x * y * inv_top - x * y * _HUGE_VARIANCE
             p11 = y * y * inv_top + x * x * _HUGE_VARIANCE
         off = p01 / (n0 * n1) * factor
-        covariances.append(np.array([[p00 / (n0 * n0) * factor, off],
-                                     [off, p11 / (n1 * n1) * factor]]))
+        variances = p00 / (n0 * n0) * factor, p11 / (n1 * n1) * factor
+        sigma = [math.sqrt(var) if sys.float_info.min <= var < math.inf
+                 else math.sqrt(p * factor) / n
+                 for var, p, n in zip(variances, (p00, p11), (n0, n1))]
+        covariances.append((np.array([[variances[0], off], [off, variances[1]]]),
+                            np.array(sigma)))
     return covariances
 
 
@@ -537,33 +560,42 @@ def fit_exponential_window(trace, window, weights="uniform",
 
     The least-squares fit under a weighting scheme (module docstring),
     solved by `_windowed_rates` from log-linear regression on the
-    window's positive samples ("poisson" refits start from the previous
-    rate); the amplitude is the projection
-    sum(w y e)/sum(w e^2), e = exp(-rate t). max_iter caps the Newton
-    steps of each solve ("poisson" runs three); `iterations` reports the
-    Newton steps of the last solve, and a solve stopped by the cap gives
-    converged=False. Times are absolute (not window-relative), so `rate`
-    is directly comparable across windows. A cap that is not an integer
-    >= 1 raises ValidationError.
+    window's positive samples; the amplitude is the projection
+    sum(w y e)/sum(w e^2), e = exp(-rate t). Under "poisson" the fit is
+    instead the Poisson maximum likelihood of the counts y, one Newton
+    solve on the rate from the same start (with w = 1/max(y, 1)), the
+    amplitude sum(y)/sum(e); chi2 is Pearson's sum((y - model)^2/model)
+    and the covariance the inverse Fisher information, not scaled by
+    chi^2: it takes each sample's variance as its expectation, as for
+    raw counts. A window holding a negative sample is refused under
+    "poisson". max_iter caps the Newton steps; `iterations` reports them,
+    and a solve stopped by the cap gives converged=False. Times are
+    absolute (not window-relative), so `rate` is directly comparable
+    across windows. A cap that is not an integer >= 1 raises
+    ValidationError.
 
     weights: "uniform", "poisson", "provided" (from the trace's
     uncertainty inside the window) or an explicit array with one finite
     entry >= 0 per sample inside the window, start <= t <= start +
     length, not per sample of the trace. Under uniform weights the rate's
-    sigma holds for counts scaled anywhere within ~1e+-300
-    (`_fit_windows`); chi2 and the amplitude's variance, which scale with
-    the counts squared, overflow to inf or underflow to 0 where their own
-    values leave the float range.
+    and the amplitude's sigma hold for counts scaled anywhere within
+    ~1e+-300 (`_fit_windows`, `_window_covariances`); chi2 and the
+    amplitude's variance, which scale with the counts squared, overflow
+    to inf or underflow to 0 where their own values leave the float
+    range.
     """
     _require_max_iter(max_iter)
     sub = trace.window(window.start, window.length)
     y = np.asarray(sub.values, dtype=float)[None, :]
     scheme = weights if isinstance(weights, str) else "array"
+    where = f"the window {window.start:g} <= t <= {window.stop:g} ns"
+    if scheme == "poisson" and (y < 0.0).any():
+        raise ValidationError(f"weights='poisson' fits counts, which are >= 0; "
+                              f"{where} holds {y.min():g}")
     # unit weights multiply nothing: the fit takes them as None
     w = (None if scheme == "uniform"
          else _resolve_weights(weights, y[0], sub.uncertainty,
-                               f"samples in the window {window.start:g} <= t <= "
-                               f"{window.stop:g} ns")[None, :])
+                               f"samples in {where}")[None, :])
     return _fit_windows(sub.times, y, w, scheme, max_iter)[0]
 
 
@@ -876,6 +908,30 @@ def _profile(wy, w, k, minus_tau, powers):
                           for part in _profile_terms(*ye.T, *ee.T))))
 
 
+def _poisson_profile(mean_y, k, minus_tau, powers):
+    """exp(l/N), l'/N and l''/N of `_window_rates`' Poisson solve at the
+    rates of the list k, one float triple a rate, for counts y with
+    N = sum(y) and mean_y the mean of tau under y, one a row.
+
+    With the amplitude A = N/sum(e) profiled out, e = exp(-k tau), the log
+    likelihood of A e is l(k) = -N ln sum(e) - k sum(y tau) + const, and
+    l'/N = mean_e - mean_y and l''/N = -var_e < 0, the mean and variance of
+    tau under the weights e, from one moment product (Baker & Cousins,
+    NIM 221, 437 (1984)). exp(l/N) = exp(-k mean_y)/sum(e) is the positive
+    objective rising with l that `_newton`'s halving test compares; e is
+    scaled to a maximum of 1 (`_decays`), which divides it by
+    exp(-min(k, 0) tau_last), and the exponent stays <= 0 for counts >= 0.
+    """
+    e = _decays(k, minus_tau)
+    span = -minus_tau[-1].item()
+    out = []
+    for rate, mean, (s, f, q) in zip(k, mean_y, (e @ powers).tolist()):
+        mean_e = f / s
+        out.append((math.exp(min(rate, 0.0) * span - rate * mean) / s,
+                    mean_e - mean, mean_e * mean_e - q / s))
+    return out
+
+
 def _window_powers(t):
     """tau = t - t[0] of a window's sample times t, and its powers 1, tau
     and tau^2 as the columns of a (samples x 3) array; a window of fewer
@@ -908,7 +964,7 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
     negative.
 
     Cost model: a fit pays once for the window's (1, tau, tau^2) columns
-    (`_window_powers`, which `_fit_windows` shares between its passes and
+    (`_window_powers`, which `_fit_windows` shares between its solve and
     its result) and for its start, ~15 array operations; then each
     evaluation of the profile is array work over all rows at once, one
     exp and two (rows x samples) @ (samples x 3) moment products, and
@@ -932,9 +988,11 @@ def _windowed_rates(y, t, weights=None, max_iter=_NEWTON_MAX_ITER,
         return _window_rates(y, tau, powers, weights, max_iter, start)
 
 
-def _window_rates(y, tau, powers, w, max_iter, start):
+def _window_rates(y, tau, powers, w, max_iter, start, poisson=False):
     """`_windowed_rates` on the window's tau and powers (`_window_powers`),
-    under the caller's np.errstate."""
+    under the caller's np.errstate; with `poisson`, the rates that maximize
+    the Poisson likelihood of the counts y (`_poisson_profile`), started as
+    the least squares under w start."""
     positive = y > 0
     if (positive.sum(axis=1) < 2).any():
         raise ValidationError("need >= 2 positive samples to initialize the rate")
@@ -955,10 +1013,14 @@ def _window_rates(y, tau, powers, w, max_iter, start):
     else:
         k = np.asarray(start, dtype=float).tolist()
     _require_finite_start(k)
-    wy = _weighted(w, y)
     minus_tau = -tau
-    return _newton(lambda rates: _profile(wy, w, rates, minus_tau, powers),
-                   k, 1.0 / tau[-1].item(), max_iter)
+    if poisson:
+        mean_y = (y @ tau / y.sum(axis=1)).tolist()
+        profile = lambda rates: _poisson_profile(mean_y, rates, minus_tau, powers)
+    else:
+        wy = _weighted(w, y)
+        profile = lambda rates: _profile(wy, w, rates, minus_tau, powers)
+    return _newton(profile, k, 1.0 / tau[-1].item(), max_iter)
 
 
 def _require_finite_start(k):
@@ -970,15 +1032,17 @@ def _require_finite_start(k):
 def _newton(profile, k, inverse_span, max_iter):
     """Newton ascent of each row's projected objective h from the rates of
     the list k, per row on Python floats, for the sampled solve
-    (`_windowed_rates`) and the forward model's moments alike:
-    profile(rates) gives S1^2/S2, h' and h'' at a list of rates, one float
-    triple a rate, and 1/inverse_span is the window's span.
+    (`_windowed_rates`), the Poisson likelihood (`_poisson_profile`) and
+    the forward model's moments alike: profile(rates) gives a positive
+    objective rising with h (S1^2/S2 of the least squares), h' and h'' at
+    a list of rates, one float triple a rate, and 1/inverse_span is the
+    window's span.
 
     Each step is one pass over the rows: the step -h'/h'' where h is
     concave, else a step uphill by the rate's own size plus inverse_span
     (a zero h' is a stationary point even where e^2 underflows beyond the
     first sample and h'' = 0); a non-finite step is refused, and the
-    trial rates are taken. A step that would lower S1^2/S2 beyond
+    trial rates are taken. A step that would lower the objective beyond
     rounding is halved. +, -, * and / give the same IEEE results on
     floats as numpy's elementwise operations, so the steps have the bits
     they would have on arrays. Returns (k, steps, converged) as

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from nvphonon import closedform, estimate, phonon, synth, verify
 from nvphonon.core import (
@@ -228,6 +229,35 @@ def _nlls_window_fit(trace, window, weights="uniform"):
                                       "rate": -slope}, weights=weights)
 
 
+def _poisson_mle(trace, window):
+    """The Poisson maximum-likelihood fit of A exp(-rate t) to the counts y
+    inside the window, found without the library's solver: the rate is the
+    root of the profiled score sum(y) (mean_e - mean_y) by brentq, mean_e
+    and mean_y the means of tau = t - t[0] under e = exp(-rate tau) and y;
+    the amplitude is sum(y)/sum(exp(-rate t)); the covariance is the
+    inverse Fisher information sum(J J^T/mu) of mu = A exp(-rate t) and
+    chi2 is Pearson's sum((y - mu)^2/mu)."""
+    sub = trace.window(window.start, window.length)
+    t, y = sub.times, np.asarray(sub.values, dtype=float)
+    tau = t - t[0]
+    mean_y = y @ tau / y.sum()
+
+    def score(k):
+        e = np.exp(-k * tau)
+        return y.sum() * (e @ tau / e.sum() - mean_y)
+
+    rate = brentq(score, -10.0 / (tau[-1] - mean_y), 10.0 / mean_y, xtol=1e-15)
+    amplitude = y.sum() / np.exp(-rate * t).sum()
+    mu = amplitude * np.exp(-rate * t)
+    jac = np.array([mu / amplitude, -t * mu])
+    cov = np.linalg.inv((jac / mu) @ jac.T)
+    return estimate.FitResult(names=("amplitude", "rate"),
+                              values=np.array([amplitude, rate]),
+                              sigma=np.sqrt(cov.diagonal()), covariance=cov,
+                              chi2=float(((y - mu) ** 2 / mu).sum()),
+                              dof=len(t) - 2, converged=True, iterations=0)
+
+
 @pytest.mark.parametrize("weights", ["uniform", "poisson", "provided", "array"])
 @pytest.mark.parametrize("model, params", [
     ("a12", dict(gamma_rad=GAMMA_RAD.value, gamma_mix=GAMMA_MIX_COLD.value,
@@ -249,7 +279,8 @@ def test_window_fit_matches_nlls(model, params, weights):
             scheme = np.random.default_rng(seed).uniform(
                 0.5, 2.0, len(trace.window(window.start, window.length)))
         fit = estimate.fit_exponential_window(trace, window, weights=scheme)
-        oracle = _nlls_window_fit(trace, window, weights=scheme)
+        oracle = (_poisson_mle(trace, window) if weights == "poisson"
+                  else _nlls_window_fit(trace, window, weights=scheme))
         assert fit.converged and oracle.converged
         assert fit["rate"] == pytest.approx(oracle["rate"], rel=1e-6)
         assert fit.sigma_of("rate") == pytest.approx(oracle.sigma_of("rate"),
@@ -260,8 +291,10 @@ def test_window_fit_matches_nlls(model, params, weights):
 
 
 def test_window_fit_fast_decay_over_background():
-    # the background-dominated tail makes the profile non-concave between
-    # the start and the optimum: the ascent must still reach the optimum
+    # the background-dominated tail makes the least-squares profile
+    # non-concave between the start and the optimum under the weights
+    # 1/max(y, 1): the ascent must still reach the optimum. The Poisson
+    # likelihood is concave in the rate, and its fit reaches its maximum
     window = FitWindow(4.0, 115.0)
     for seed in range(4):
         spec = synth.ExperimentSpec(model="exponential", params=dict(rate=1.0),
@@ -269,10 +302,16 @@ def test_window_fit_fast_decay_over_background():
                                     background_rate=0.5, pulse_edge=0.0,
                                     seed=seed)
         trace = synth.generate(spec)
-        fit = estimate.fit_exponential_window(trace, window, weights="poisson")
-        oracle = _nlls_window_fit(trace, window, weights="poisson")
+        counts = trace.window(window.start, window.length).values
+        weights = 1.0 / np.maximum(counts, 1.0)
+        fit = estimate.fit_exponential_window(trace, window, weights=weights)
+        oracle = _nlls_window_fit(trace, window, weights=weights)
         assert fit.converged
         assert fit["rate"] == pytest.approx(oracle["rate"], rel=1e-6)
+        fit = estimate.fit_exponential_window(trace, window, weights="poisson")
+        assert fit.converged
+        assert fit["rate"] == pytest.approx(_poisson_mle(trace, window)["rate"],
+                                            rel=1e-6)
 
 
 def test_window_fit_does_not_stop_on_the_fast_plateau():
@@ -422,6 +461,18 @@ def test_criterion5_window_fit_bits_are_pinned(weights):
     assert _hex_digest(rows) == CRITERION5_WINDOW_FIT_DIGESTS[weights]
 
 
+def test_window_fit_poisson_is_the_likelihood_maximum():
+    # the 14 K A1 curves of criterion-5 seeds 0-9, whose window tails
+    # expect < 1 count a bin: the Poisson fit's rate is the independent
+    # likelihood maximum's within 1e-6 sigma
+    fits = _criterion5_window_fits("poisson")
+    for seed in range(10):
+        trace = _criterion5_traces(seed)[6]
+        assert (trace.temperature, trace.channel) == (14.0, "A1")
+        mle = _poisson_mle(trace, estimate.DEFAULT_WINDOW)
+        assert abs(fits[16 * seed + 6]["rate"] - mle["rate"]) <= 1e-6 * mle.sigma_of("rate")
+
+
 def _fit_value_rows(fits):
     """(amplitude, rate, chi2, Newton steps, converged) of each fit."""
     return [(fit["amplitude"], fit["rate"], fit.chi2, fit.iterations,
@@ -514,7 +565,7 @@ def test_window_covariance_matches_the_eigendecomposition(
     # the closed form against _covariance (eigh of the same column-scaled
     # normal matrix, the same rank rule) as the oracle: the unbounded
     # entries equal, all others within 1e-13 of their scale
-    (cov,) = estimate._window_covariances(
+    ((cov, _),) = estimate._window_covariances(
         d_amplitude[None, :], d_rate[None, :],
         None if weights is None else weights[None, :], [factor], 1, scale=True)
     oracle = estimate._covariance(
@@ -588,15 +639,17 @@ def test_window_fit_sigma_matches_exact_rationals(monkeypatch):
 # the sums are taken on rescaled rows
 @example(tail=30.0, decays=8.0, scale=2.0**500, seed=0, weights="uniform")
 @example(tail=30.0, decays=8.0, scale=1e152, seed=0, weights="uniform")
+@example(tail=30.0, decays=8.0, scale=1e250, seed=0, weights="uniform")
 @example(tail=30.0, decays=8.0, scale=1e-160, seed=0, weights="uniform")
 @example(tail=30.0, decays=8.0, scale=1e-200, seed=0, weights="uniform")
 def test_window_fit_is_invariant_under_count_rescaling(tail, decays, scale, seed,
                                                        weights):
     # counts c y: the rate stays. Uniform weights scale chi^2 by c^2 and
-    # the rate column of the Jacobian by c, so sigma_rate stays; Poisson
-    # weights 1/max(y, 1) scale by 1/c where every bin is >= 1, so
-    # sigma_rate scales by 1/sqrt(c). The amplitude scales by c. No
-    # floating-point warning is raised.
+    # the rate column of the Jacobian by c, so sigma_rate stays; the
+    # Poisson fit's Fisher weights 1/model scale by 1/c, so sigma_rate
+    # scales by 1/sqrt(c). The amplitude scales by c, and its sigma by c
+    # and sqrt(c), also where its variance leaves the float range (counts
+    # near 1e-200 or 1e250). No floating-point warning is raised.
     window = FitWindow(4.0, 115.0)
     t = 0.25 * np.arange(480) + 0.125
     rate = decays / window.length
@@ -605,17 +658,14 @@ def test_window_fit_is_invariant_under_count_rescaling(tail, decays, scale, seed
     fit, scaled = (estimate.fit_exponential_window(TimeTrace(t, c * counts),
                                                    window, weights=weights)
                    for c in (1.0, scale))
-    if weights == "poisson":
-        inside = (t >= window.start) & (t <= window.stop)
-        for result, c in ((fit, 1.0), (scaled, scale)):
-            model = result["amplitude"] * np.exp(-result["rate"] * t[inside])
-            assume(min(model.min(), (c * counts[inside]).min()) >= 1.0)
     assert fit.converged and scaled.converged
     assert scaled["rate"] == pytest.approx(fit["rate"], rel=1e-9)
     assert scaled["amplitude"] == pytest.approx(scale * fit["amplitude"], rel=1e-9)
     power = 0.0 if weights == "uniform" else -0.5
     assert scaled.sigma_of("rate") == pytest.approx(
         scale**power * fit.sigma_of("rate"), rel=1e-9)
+    assert scaled.sigma_of("amplitude") == pytest.approx(
+        scale ** (1.0 + power) * fit.sigma_of("amplitude"), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
