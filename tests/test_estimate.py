@@ -388,9 +388,9 @@ WINDOW_FIT_BITS = {
     "uniform": ("0x1.1e3132c15985fp+13", "0x1.73c64596e6e47p-3",
                 "0x1.43ba1eaa7d559p+4", "0x1.3d86db564f4c6p-12",
                 "0x1.0ce3c2cb2699cp+16", 3),
-    "poisson": ("0x1.1ad1d4cb275d2p+13", "0x1.70be7e296a18ep-3",
-                "0x1.ce0543e43d3abp+5", "0x1.2f37bbbd3ba83p-11",
-                "0x1.790cb3b191a3dp+8", 3),
+    "poisson": ("0x1.1270e332a65a3p+13", "0x1.6a0ed5929a861p-3",
+                "0x1.bc29b3e02bd87p+5", "0x1.2827e3e413298p-11",
+                "0x1.f61b2c45a44b7p+20", 5),
     "provided": ("0x1.1d93eeeb1d25ep+13", "0x1.7338f653d92d0p-3",
                  "0x1.d2e204671730ap+5", "0x1.30a4c9dfffc91p-11",
                  "0x1.405a1b6debcd1p+8", 6),
@@ -440,7 +440,7 @@ def _hex_digest(rows):
 # steps, converged) of the 160 window fits of criterion-5 seeds 0-9
 CRITERION5_WINDOW_FIT_DIGESTS = {
     "uniform": "745f8fdce92ab10b0dbd5201b30d8b7025a98dee49408a1b86f201fb429ef803",
-    "poisson": "473bba9b115b4382a0b1f552fe9f87a3591e77e38a05f6308c80704e67c5c4f8",
+    "poisson": "5eedb59d266567952d608ad57375df30b38e8193b341f082d0f695540ca2f3a2",
 }
 
 
@@ -485,8 +485,8 @@ WINDOW_FIT_VALUE_DIGESTS = {
     "criterion5 uniform":
         "cfd79dc6eed11b7eab04b6c89db0715e6cceda013e6be12c2da88721f0af7d72",
     "criterion5 poisson":
-        "3b422369e6c54f4e9bf254b72214229eeae7c6e989f8316096aa9389eee80175",
-    "seeded": "7530d8141a6cc986badb0b3393e54130a4e6c84b5918f6a8c9171dd3ef8c439f",
+        "4ccf1f458b54a0b7f16b530d92848ecda150af94f0a3c3b94785ba1d44585766",
+    "seeded": "9e9ba69453bbd82902f097b372ae1e13cdc1c731e6140321a37b52ea941dfc86",
 }
 
 
