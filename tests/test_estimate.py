@@ -195,6 +195,12 @@ def test_window_fit_input_checks():
     flat = TimeTrace(t, np.zeros_like(t))
     with pytest.raises(ValidationError):
         estimate.fit_exponential_window(flat, FitWindow(0.0, 9.0))
+    # counts are >= 0: a background-subtracted trace is no Poisson sample
+    subtracted = TimeTrace(t, 5.0 - t, background_subtracted=True)
+    with pytest.raises(ValidationError, match=r"^weights='poisson' fits counts, "
+                       r"which are >= 0; the window 0 <= t <= 9 ns holds -4$"):
+        estimate.fit_exponential_window(subtracted, FitWindow(0.0, 9.0),
+                                        weights="poisson")
 
 
 def test_window_fit_poisson_ci_calibration():
@@ -470,7 +476,8 @@ def test_window_fit_poisson_is_the_likelihood_maximum():
         trace = _criterion5_traces(seed)[6]
         assert (trace.temperature, trace.channel) == (14.0, "A1")
         mle = _poisson_mle(trace, estimate.DEFAULT_WINDOW)
-        assert abs(fits[16 * seed + 6]["rate"] - mle["rate"]) <= 1e-6 * mle.sigma_of("rate")
+        gap = fits[16 * seed + 6]["rate"] - mle["rate"]
+        assert abs(gap) <= 1e-6 * mle.sigma_of("rate")
 
 
 def _fit_value_rows(fits):
