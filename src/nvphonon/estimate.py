@@ -909,18 +909,21 @@ def _profile(wy, w, k, minus_tau, powers):
 
 
 def _poisson_profile(mean_y, k, minus_tau, powers):
-    """exp(l/N), l'/N and l''/N of `_window_rates`' Poisson solve at the
-    rates of the list k, one float triple a rate, for counts y with
-    N = sum(y) and mean_y the mean of tau under y, one a row.
+    """exp(l/N) up to a constant factor, l'/N and l''/N of
+    `_window_rates`' Poisson solve at the rates of the list k, one float
+    triple a rate, for counts y with N = sum(y) and mean_y the mean of tau
+    under y, one a row.
 
     With the amplitude A = N/sum(e) profiled out, e = exp(-k tau), the log
     likelihood of A e is l(k) = -N ln sum(e) - k sum(y tau) + const, and
     l'/N = mean_e - mean_y and l''/N = -var_e < 0, the mean and variance of
     tau under the weights e, from one moment product (Baker & Cousins,
-    NIM 221, 437 (1984)). exp(l/N) = exp(-k mean_y)/sum(e) is the positive
-    objective rising with l that `_newton`'s halving test compares; e is
-    scaled to a maximum of 1 (`_decays`), which divides it by
-    exp(-min(k, 0) tau_last), and the exponent stays <= 0 for counts >= 0.
+    NIM 221, 437 (1984)). exp(-k mean_y)/sum(e), exp(l/N) up to that
+    factor, is the positive objective rising with l that `_newton`'s
+    halving test compares. e is scaled to a maximum of 1 (`_decays`),
+    which divides it by exp(-min(k, 0) tau_last), so the objective takes
+    exp(min(k, 0) tau_last - k mean_y) over the scaled sum, an exponent
+    <= 0 for counts >= 0.
     """
     e = _decays(k, minus_tau)
     span = -minus_tau[-1].item()
