@@ -335,6 +335,30 @@ def _check_finite_values(values):
         raise ValidationError("trace values must be finite")
 
 
+def _check_trace_arrays(times, values, background_subtracted=False):
+    """Refuse the arrays of a trace that `TimeTrace` refuses: times, a float
+    array, that are not 1-d, finite and strictly increasing, or values
+    that differ from them in length, float values that are not finite,
+    and integer counts below 0 before background subtraction."""
+    if times.ndim != 1 or values.ndim != 1 or len(times) != len(values):
+        raise ValidationError("times and values must be 1-d arrays of equal length")
+    if len(times) == 0:
+        raise ValidationError("empty trace")
+    # strictly increasing times between finite endpoints are all finite
+    # (a comparison with nan is false), so isfinite runs only to choose
+    # the message of a refusal
+    if not ((times[1:] > times[:-1]).all() and math.isfinite(times[0])
+            and math.isfinite(times[-1])):
+        if not np.isfinite(times).all():
+            raise ValidationError("trace times must be finite")
+        raise ValidationError("trace times must be strictly increasing")
+    if values.dtype.kind in "iu":  # integer counts
+        if not background_subtracted and values.min() < 0:
+            raise ValidationError("count traces must be >= 0 before subtraction")
+    else:
+        _check_finite_values(np.asarray(values, dtype=float))
+
+
 @dataclass(frozen=True)
 class TimeTrace:
     """A sampled time trace: photon counts per bin or normalized intensity.
@@ -362,9 +386,10 @@ class TimeTrace:
 
     The constructor copies its arrays, marks them read-only and checks
     them. Traces the package makes from arrays it has just checked (the
-    evolvers' populations and coherence, and windows) are checked once,
-    where their arrays are made, and share those read-only arrays without
-    a second copy.
+    evolvers' populations and coherence, windows, and the histograms of
+    `synth.generate` and `synth.generate_background_pair`) are checked
+    once, where their arrays are made, and share those read-only arrays
+    without a second copy.
     """
 
     times: np.ndarray
@@ -378,23 +403,7 @@ class TimeTrace:
     def __post_init__(self):
         times = _read_only(np.asarray(self.times, dtype=float))
         values = np.asarray(self.values)
-        if times.ndim != 1 or values.ndim != 1 or len(times) != len(values):
-            raise ValidationError("times and values must be 1-d arrays of equal length")
-        if len(times) == 0:
-            raise ValidationError("empty trace")
-        # strictly increasing times between finite endpoints are all finite
-        # (a comparison with nan is false), so isfinite runs only to choose
-        # the message of a refusal
-        if not ((times[1:] > times[:-1]).all() and math.isfinite(times[0])
-                and math.isfinite(times[-1])):
-            if not np.isfinite(times).all():
-                raise ValidationError("trace times must be finite")
-            raise ValidationError("trace times must be strictly increasing")
-        if values.dtype.kind in "iu":  # integer counts
-            if not self.background_subtracted and values.min() < 0:
-                raise ValidationError("count traces must be >= 0 before subtraction")
-        else:
-            _check_finite_values(np.asarray(values, dtype=float))
+        _check_trace_arrays(times, values, self.background_subtracted)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", _read_only(values))
         if self.uncertainty is not None:

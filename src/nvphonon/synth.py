@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closedform, dynamics
-from .core import TimeTrace, ValidationError, rate_value
+from .core import TimeTrace, ValidationError, _check_trace_arrays, rate_value
 
 
 class ModelError(ValidationError):
@@ -166,11 +166,11 @@ def model_intensity(name, params):
         if t.ndim == 1 and t.size and after.all():
             # a grid after the pulse: base gets the samples it would get
             # through the mask, without the copy
-            return np.clip(base(t), 0.0, None)
+            return np.maximum(base(t), 0.0)
         out = np.zeros_like(t)
         if after.any():
             out[after] = base(t[after])
-        return np.clip(out, 0.0, None)
+        return np.maximum(out, 0.0)
 
     return intensity
 
@@ -260,11 +260,14 @@ def convolution_terms(spec):
 def _expected_signal(spec):
     intensity = model_intensity(spec.model, spec.params)
     centers = _bin_centers(spec)
-    if spec.pulse_edge > 0.0:
-        sigma, pad = _pulse_edge(spec)
+    sigma, pad = _pulse_edge(spec) if spec.pulse_edge > 0.0 else (0.0, 0.0)
+    if pad > 0:  # else no edge, or one whose sigma underflows to 0
         pad = int(pad)
         offsets = np.arange(-pad, pad + 1) * spec.bin_width
-        kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+        # an edge far narrower than a bin puts (offset/sigma)^2 beyond the
+        # float range, where exp gives the weight 0 it has
+        with np.errstate(over="ignore"):
+            kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
         kernel /= kernel.sum()
         extended = np.concatenate([
             centers[0] + offsets[:pad],
@@ -289,28 +292,32 @@ def _expected_signal(spec):
     return centers, values
 
 
+def _count_trace(centers, counts):
+    """The trace of a histogram's bin centres and Poisson counts, both made
+    here: checked as the constructor checks them, and kept uncopied."""
+    counts = counts.astype(np.int64, copy=False)
+    _check_trace_arrays(centers, counts)
+    return TimeTrace._made(centers, counts)
+
+
 def generate(spec):
     """Draw one synthetic count trace. Identical specs give identical bits."""
     centers, expected = _expected_signal(spec)
     rng = np.random.default_rng(spec.seed)
-    counts = rng.poisson(expected + spec.background_rate)
-    return TimeTrace(centers, counts.astype(np.int64, copy=False))
+    return _count_trace(centers, rng.poisson(expected + spec.background_rate))
 
 
 def generate_background_pair(spec):
     """Draw a (signal+background, background-only) pair of traces.
 
     Both traces come from one generator seeded by the spec, so the pair
-    is reproducible as a unit.
+    is reproducible as a unit. They share their read-only bin centres.
     """
     centers, expected = _expected_signal(spec)
     rng = np.random.default_rng(spec.seed)
     signal = rng.poisson(expected + spec.background_rate)
     background = rng.poisson(np.full_like(expected, spec.background_rate))
-    return (
-        TimeTrace(centers, signal.astype(np.int64)),
-        TimeTrace(centers, background.astype(np.int64)),
-    )
+    return _count_trace(centers, signal), _count_trace(centers, background)
 
 
 def subtract_background(signal, background):

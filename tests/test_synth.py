@@ -1,7 +1,11 @@
+import dataclasses
 import hashlib
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from nvphonon import closedform, estimate, phonon, synth
 from nvphonon.core import TimeTrace, ValidationError, rate_from_linear_mhz
@@ -340,6 +344,72 @@ def test_generate_matches_windowed_pipeline():
     measured = fit["rate"] - GAMMA_RAD.value
     assert measured == pytest.approx(eff_a1.value,
                                      abs=3.0 * fit.sigma_of("rate"))
+
+
+def _model_params(model, span):
+    """Parameters of each model with rates of a few per span, or at most
+    1e50 rad/ns, where the closed forms' products of rates stay finite."""
+    r = min(1.0 / span, 1e50)
+    return {
+        "constant": {},
+        "exponential": dict(rate=2.0 * r),
+        "depolarization": dict(gamma_rad=r, gamma_mix=0.5 * r, t0=0.1 * span),
+        "a12": dict(gamma_rad=r, gamma_mix=0.5 * r, gamma_isc=0.7 * r, branch="A1"),
+        "rabi": dict(omega=20.0 * r, tau_rabi=0.5 * span),
+        "lindblad": dict(gamma_rad_x=r, gamma_rad_y=r, gamma_mix_xy=0.3 * r,
+                         rabi=5.0 * r),
+    }[model]
+
+
+def _assert_same_trace(trace, other):
+    for field in dataclasses.fields(TimeTrace):
+        value, expected = getattr(trace, field.name), getattr(other, field.name)
+        if isinstance(expected, np.ndarray):
+            assert value.dtype == expected.dtype
+            assert value.tobytes() == expected.tobytes()
+        else:
+            assert value == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(model=st.sampled_from(synth.MODEL_NAMES),
+       bin_width=st.one_of(st.just(sys.float_info.min),
+                           st.floats(sys.float_info.min, 1e300)),
+       bins=st.integers(1, 2048), edge_bins=st.floats(0.0, 8.0),
+       total_counts=st.floats(0.0, 1e7), background_rate=st.floats(0.0, 50.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(model="a12", bin_width=0.25, bins=480, edge_bins=8.0,
+         total_counts=1e6, background_rate=2.0, seed=0)
+@example(model="constant", bin_width=sys.float_info.min, bins=2048, edge_bins=0.0,
+         total_counts=1e6, background_rate=0.0, seed=1)
+# an edge far narrower than a bin, and one whose sigma underflows to 0
+@example(model="exponential", bin_width=1.0, bins=1, edge_bins=4e-275,
+         total_counts=0.0, background_rate=0.0, seed=0)
+@example(model="exponential", bin_width=sys.float_info.min, bins=3,
+         edge_bins=2.5e-16, total_counts=1e3, background_rate=0.0, seed=0)
+def test_generated_traces_are_checked_read_only_and_uncopied(
+        model, bin_width, bins, edge_bins, total_counts, background_rate, seed):
+    # generate hands the arrays it builds to its traces without a copy:
+    # each trace is the one the constructor makes of its arrays, holds
+    # read-only arrays, and shares no counts with the other of its pair
+    span = bins * bin_width
+    spec = ExperimentSpec(model=model, params=_model_params(model, span),
+                          bin_width=bin_width, span=span,
+                          total_counts=total_counts,
+                          background_rate=background_rate,
+                          pulse_edge=edge_bins * bin_width, seed=seed)
+    try:
+        synth._expected_signal(spec)
+    except ValidationError:  # a model that vanishes or overflows on this grid
+        reject()
+    trace = synth.generate(spec)
+    pair = synth.generate_background_pair(spec)
+    for made in (trace, *pair):
+        _assert_same_trace(made, TimeTrace(made.times, made.values))
+        assert not made.times.flags.writeable and not made.values.flags.writeable
+        assert made.values.dtype == np.int64 and len(made) == bins
+    _assert_same_trace(trace, pair[0])
+    assert not np.shares_memory(pair[0].values, pair[1].values)
 
 
 # ---------------------------------------------------------------------------
