@@ -208,7 +208,7 @@ def _resolve_weights(weights, values, uncertainty, samples="data points"):
         given = f"{w.size} weights" if w.ndim == 1 else f"weights of shape {w.shape}"
         raise ValidationError(f"{given} for {len(values)} {samples}; an explicit "
                               "weight array needs one weight per sample")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
+    if (w < 0).any() or not np.isfinite(w).all():
         raise ValidationError("weight array must be finite and >= 0")
     return w
 
@@ -236,7 +236,12 @@ def _covariance(jac, weights, chi2, dof, scale):
     norms = np.where(norms > 0.0, norms, 1.0)
     scaled = wjac / norms
     normal = scaled.T @ scaled
-    vals, vecs = np.linalg.eigh(normal)
+    if len(normal) == 1:
+        # eigh's own answer for one parameter (LAPACK dsyevd returns a 1x1
+        # matrix's entry and the vector 1 unchanged), without its call
+        vals, vecs = normal[0], np.ones((1, 1))
+    else:
+        vals, vecs = np.linalg.eigh(normal)
     top = float(vals.max()) if len(vals) else 0.0
     floor = max(top, 0.0) * _RANK_RTOL
     inv_vals = np.array([1.0 / val if val > floor else _HUGE_VARIANCE
@@ -268,11 +273,11 @@ def _minimize(predict, jacobian, y, weights, theta, f, max_iter, exact):
     a step of that size.
     """
     def chi2_of(residual):
-        return float(np.sum(weights * residual * residual))
+        return float((weights * residual * residual).sum())
 
     r = y - f
     chi2 = chi2_of(r)
-    y_scale = max(float(np.sum(weights * y * y)), 1e-300)
+    y_scale = max(float((weights * y * y).sum()), 1e-300)
     lam = 1e-3
     converged = False
     iterations = 0
@@ -282,8 +287,8 @@ def _minimize(predict, jacobian, y, weights, theta, f, max_iter, exact):
         jac = jacobian(theta, f)
         grad = jac.T @ (weights * r)
         normal = (jac * weights[:, None]).T @ jac
-        diag = np.diag(normal).copy()
-        diag_floor = max(float(np.max(diag)), 1e-300)
+        diag = normal.diagonal().copy()
+        diag_floor = max(float(diag.max()), 1e-300)
         diag = np.where(diag > 0, diag, diag_floor)
         if exact and 0.0 <= _decrement(normal, grad, diag) <= _CHI2_RTOL * chi2:
             converged = True
@@ -291,20 +296,16 @@ def _minimize(predict, jacobian, y, weights, theta, f, max_iter, exact):
 
         accepted = False
         while lam <= 1e14:
-            try:
-                step = np.linalg.solve(normal + lam * np.diag(diag), grad)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(normal + lam * np.diag(diag), grad,
-                                           rcond=None)
+            step = _solve(normal + lam * np.diag(diag), grad)
             theta_try = theta + step
-            rel_step = float(np.max(np.abs(step) / (np.abs(theta_try) + 1e-300)))
+            rel_step = float((np.abs(step) / (np.abs(theta_try) + 1e-300)).max())
             if rel_step < 1e-10:
                 # converged: evaluating a step this small could only accept
                 # it, or reject it on rounding noise in chi^2 and retry
                 converged = True
                 break
             f_try = predict(theta_try)
-            if np.all(np.isfinite(f_try)):
+            if np.isfinite(f_try).all():
                 r_try = y - f_try
                 chi2_try = chi2_of(r_try)
                 if math.isfinite(chi2_try) and chi2_try <= chi2:
@@ -334,11 +335,23 @@ def _decrement(normal, grad, diag):
     parameters whose scales differ by many decades do not ruin it."""
     scale = np.sqrt(diag)
     g = grad / scale
-    scaled = normal / np.outer(scale, scale)
+    return float(g @ _solve(normal / np.outer(scale, scale), g))
+
+
+def _solve(matrix, rhs):
+    """matrix^-1 rhs by np.linalg.solve, or by lstsq where it is singular.
+    A 1x1 system with a nonzero pivot takes one division on Python floats,
+    the bits LAPACK's dgesv gives it (OpenBLAS's back substitution divides
+    by the pivot) at a fraction of the cost of its call; like dgesv, the
+    division warns of no overflow."""
+    if matrix.shape == (1, 1):
+        pivot = matrix.item()
+        if pivot != 0.0:
+            return np.array([rhs.item() / pivot])
     try:
-        return float(g @ np.linalg.solve(scaled, g))
+        return np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError:
-        return float(g @ np.linalg.lstsq(scaled, g, rcond=None)[0])
+        return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
 
 
 def _require_max_iter(max_iter):
@@ -431,19 +444,26 @@ def _fit_windows(t, y, w, scheme, max_iter):
 
     The window's tau and (1, tau, tau^2) columns are built once, for the
     solve and the result, and numpy's floating-point warnings are
-    silenced once for the whole fit. Under uniform weights the covariance
-    is unchanged where both Jacobian columns scale by c and chi^2 by c^2,
-    so a row whose fitted model, a single exponential and so largest in
-    magnitude at one end, m 2^e there, reaches beyond
-    2^+-_UNSCALED_EXPONENT takes chi^2 and the normal sums on the row
-    scaled by c = 2^-(e//2): the sums, near |y| and 1/|y|, then stay in
-    the float range for |y| within ~1e+-300, where unscaled they leave it
-    beyond ~1e+-150. Other rows take c = 1, which keeps their bits, as
-    any power of two would but for the unbounded variance of an all-zero
-    column, _HUGE_VARIANCE times chi^2/dof in that column's own unit. The
-    other weightings fix their covariance's scale (c = 1)."""
+    silenced once for the whole fit. A row whose largest |y|, m 2^e,
+    lies beyond 2^+-_UNSCALED_EXPONENT is fitted as the row c y, c =
+    2^-2(e//2) (its sums, near y^2 and beyond, would leave the float
+    range): its rate is the same, its amplitude and chi^2 are those of c
+    y divided by c, and by c^2 (by c for Pearson's chi^2), and its
+    covariance that of c y with the amplitude's entries times g and the
+    rate's times g c, g = 1/c under uniform weights (whose chi^2/dof
+    scales by c^2), 1/sqrt(c) under "poisson" (whose weights 1/model
+    scale by 1/c) and 1 under fixed weights. Every other row keeps its
+    bits."""
     tau, powers = _window_powers(t)
     poisson = scheme == "poisson"
+    scale = [1.0] * len(y)
+    for row, peak in enumerate(np.abs(y).max(axis=1).tolist()):
+        exponent = math.frexp(peak)[1]
+        if abs(exponent) > _UNSCALED_EXPONENT:
+            scale[row] = math.ldexp(1.0, exponent // 2 * -2)
+    rescaled = scale.count(1.0) < len(scale)
+    if rescaled:
+        y = y * np.array(scale)[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rates, iterations, converged = _window_rates(y, tau, powers, w, max_iter,
                                                      None, poisson)
@@ -460,43 +480,38 @@ def _fit_windows(t, y, w, scheme, max_iter):
             model = decay * (np.vecdot(w_decay, y)
                              / np.vecdot(w_decay, decay))[:, None]
         amplitudes = (model[:, 0] * np.exp(rates * t[0])).tolist()
-        # the rows' powers of two c (see above), from the extent of each
-        # row's model, a single exponential; a column of them, or None
-        # where every c is 1
-        scale = [1.0] * len(y)
-        if w is None:
-            ends = zip(model[:, 0].tolist(), model[:, -1].tolist())
-            for row, (first, last) in enumerate(ends):
-                exponent = math.frexp(max(abs(first), abs(last)))[1]
-                if abs(exponent) > _UNSCALED_EXPONENT:
-                    scale[row] = math.ldexp(1.0, exponent // -2)
-        column = (None if scale.count(1.0) == len(scale)
-                  else np.array(scale)[:, None])
-        residual = _weighted(column, y - model)
-        scaled_chi2 = np.vecdot(_weighted(w, residual), residual).tolist()
-        d_rate = -t * _weighted(column, model)
-    rates = rates.tolist()
-    dof = len(t) - 2
-    t0 = float(t[0])
-    # the model's derivatives in the amplitude, exp(-rate t), and the rate
-    try:
-        d_amplitude = decay * np.array([[math.exp(-rate * t0) * c]
-                                        for rate, c in zip(rates, scale)])
-    except OverflowError:
-        rate = max(rates, key=lambda rate: -rate * t0)
-        raise ValidationError(
-            f"window starting at {t0:g} ns: the fitted rate {rate:.6g} rad/ns "
-            "puts the amplitude column exp(-rate t) beyond the float range"
-        ) from None
-    covariances = _window_covariances(d_amplitude, d_rate, w, scaled_chi2, dof,
-                                      scale=scheme == "uniform")
+        residual = y - model
+        chi2 = np.vecdot(_weighted(w, residual), residual).tolist()
+        d_rate = -t * model
+        rates = rates.tolist()
+        dof = len(t) - 2
+        t0 = float(t[0])
+        # the model's derivatives in the amplitude, exp(-rate t), and the rate
+        try:
+            d_amplitude = decay * np.array([[math.exp(-rate * t0)] for rate in rates])
+        except OverflowError:
+            rate = max(rates, key=lambda rate: -rate * t0)
+            raise ValidationError(
+                f"window starting at {t0:g} ns: the fitted rate {rate:.6g} rad/ns "
+                "puts the amplitude column exp(-rate t) beyond the float range"
+            ) from None
+        covariances = _window_covariances(d_amplitude, d_rate, w, chi2, dof,
+                                          scale=scheme == "uniform")
+        for row, c in enumerate(scale if rescaled else ()):
+            if c != 1.0:
+                g = 1.0 / (c if scheme == "uniform" else
+                           math.sqrt(c) if poisson else 1.0)
+                factors = np.array([g, g * c])
+                cov, sigma = covariances[row]
+                covariances[row] = cov * np.outer(factors, factors), sigma * factors
+                amplitudes[row] /= c
+                chi2[row] = chi2[row] / c if poisson else chi2[row] / c / c
     return [FitResult(names=("amplitude", "rate"),
                       values=np.array([amplitude, rate]),
-                      sigma=sigma, covariance=cov,
-                      chi2=chi2 / c / c, dof=dof, converged=converged,
-                      iterations=iterations)
-            for amplitude, rate, chi2, c, (cov, sigma)
-            in zip(amplitudes, rates, scaled_chi2, scale, covariances)]
+                      sigma=sigma, covariance=cov, chi2=chi2_row, dof=dof,
+                      converged=converged, iterations=iterations)
+            for amplitude, rate, chi2_row, (cov, sigma)
+            in zip(amplitudes, rates, chi2, covariances)]
 
 
 def _window_covariances(d_amplitude, d_rate, w, chi2, dof, scale):
@@ -577,9 +592,9 @@ def fit_exponential_window(trace, window, weights="uniform",
     weights: "uniform", "poisson", "provided" (from the trace's
     uncertainty inside the window) or an explicit array with one finite
     entry >= 0 per sample inside the window, start <= t <= start +
-    length, not per sample of the trace. Under uniform weights the rate's
-    and the amplitude's sigma hold for counts scaled anywhere within
-    ~1e+-300 (`_fit_windows`, `_window_covariances`); chi2 and the
+    length, not per sample of the trace. The rate, the amplitude and
+    their sigmas hold for counts scaled anywhere within ~1e+-300, under
+    every weighting (`_fit_windows`, `_window_covariances`); chi2 and the
     amplitude's variance, which scale with the counts squared, overflow
     to inf or underflow to 0 where their own values leave the float
     range.
@@ -588,15 +603,14 @@ def fit_exponential_window(trace, window, weights="uniform",
     sub = trace.window(window.start, window.length)
     y = np.asarray(sub.values, dtype=float)[None, :]
     scheme = weights if isinstance(weights, str) else "array"
+    if scheme == "uniform":  # unit weights multiply nothing: the fit takes None
+        return _fit_windows(sub.times, y, None, scheme, max_iter)[0]
     where = f"the window {window.start:g} <= t <= {window.stop:g} ns"
     if scheme == "poisson" and (y < 0.0).any():
         raise ValidationError(f"weights='poisson' fits counts, which are >= 0; "
                               f"{where} holds {y.min():g}")
-    # unit weights multiply nothing: the fit takes them as None
-    w = (None if scheme == "uniform"
-         else _resolve_weights(weights, y[0], sub.uncertainty,
-                               f"samples in {where}")[None, :])
-    return _fit_windows(sub.times, y, w, scheme, max_iter)[0]
+    w = _resolve_weights(weights, y[0], sub.uncertainty, f"samples in {where}")
+    return _fit_windows(sub.times, y, w[None, :], scheme, max_iter)[0]
 
 
 def _fft_frequency_estimate(times, values):
@@ -727,7 +741,7 @@ def _rate_points(points):
             temperature_value(temperature)
             rate_value(rate)
             rate_value(sigma)
-    if np.any(sigmas <= 0):
+    if (sigmas <= 0).any():
         raise ValidationError("point sigmas must be > 0")
     return temps, rates, 1.0 / sigmas**2, rest
 

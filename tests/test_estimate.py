@@ -154,6 +154,72 @@ def test_fit_result_accessors():
         fit["missing"]
 
 
+def _eigh_covariance(jac, weights, chi2, dof, scale):
+    """`estimate._covariance` as it was written before one-parameter fits
+    skipped eigh: every normal matrix through np.linalg.eigh."""
+    wjac = jac * np.sqrt(weights)[:, None]
+    norms = np.sqrt((wjac * wjac).sum(axis=0))
+    norms = np.where(norms > 0.0, norms, 1.0)
+    scaled = wjac / norms
+    vals, vecs = np.linalg.eigh(scaled.T @ scaled)
+    floor = max(float(vals.max()), 0.0) * estimate._RANK_RTOL
+    inv_vals = np.array([1.0 / val if val > floor else estimate._HUGE_VARIANCE
+                         for val in vals.tolist()])
+    cov = (vecs * inv_vals) @ vecs.T / (norms[:, None] * norms)
+    return cov * (chi2 / dof) if scale and dof > 0 else cov
+
+
+def _lapack_decrement(normal, grad, diag):
+    """`estimate._decrement` through np.linalg.solve, lstsq where singular."""
+    scale = np.sqrt(diag)
+    g = grad / scale
+    scaled = normal / np.outer(scale, scale)
+    try:
+        return float(g @ np.linalg.solve(scaled, g))
+    except np.linalg.LinAlgError:
+        return float(g @ np.linalg.lstsq(scaled, g, rcond=None)[0])
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PIVOTS = st.one_of(st.floats(5e-324, 1e300), st.floats(-1e300, -5e-324))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(pivot=_PIVOTS, rhs=_FINITE, diag=st.floats(5e-324, 1e300),
+       column=st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=6),
+       weight=st.floats(0.0, 1e10), chi2=st.floats(0.0, 1e10))
+# a quotient beyond the float range is inf, as dgesv gives it, without a warning
+@example(pivot=5e-324, rhs=1.0, diag=5e-324, column=[1e-300, 0.0], weight=1.0,
+         chi2=1.0)
+@example(pivot=-1e300, rhs=-1e300, diag=1e300, column=[1e150, -1e150],
+         weight=1e10, chi2=0.0)
+def test_one_parameter_systems_keep_lapack_bits(pivot, rhs, diag, column, weight,
+                                                chi2):
+    # a 1x1 system with a nonzero pivot is one division, which warns of no
+    # overflow, as dgesv does not; the step, the Newton decrement and the
+    # covariance keep the bits of LAPACK's solve and eigh (compared under
+    # one np.errstate: their own scaling may overflow, on both sides alike)
+    matrix, b, diag = np.array([[pivot]]), np.array([rhs]), np.array([diag])
+    assert estimate._solve(matrix, b).tobytes() == np.linalg.solve(matrix, b).tobytes()
+    jac = np.array(column)[:, None]
+    weights = np.full(len(column), weight)
+    dof = len(column) - 1
+    with np.errstate(all="ignore"):
+        assert (estimate._decrement(matrix, b, diag).hex()
+                == _lapack_decrement(matrix, b, diag).hex())
+        for scale in (False, True):
+            assert (estimate._covariance(jac, weights, chi2, dof, scale).tobytes()
+                    == _eigh_covariance(jac, weights, chi2, dof, scale).tobytes())
+    # a zero pivot still takes lstsq's least-norm answer, warning of nothing
+    zero = np.array([[0.0]])
+    assert (estimate._solve(zero, b).tobytes()
+            == np.linalg.lstsq(zero, b, rcond=None)[0].tobytes())
+    with np.errstate(all="ignore"):
+        assert (estimate._decrement(zero, b, diag).hex()
+                == _lapack_decrement(zero, b, diag).hex())
+
+
 # ---------------------------------------------------------------------------
 # windowed exponential
 
@@ -643,7 +709,9 @@ def test_window_fit_sigma_matches_exact_rationals(monkeypatch):
        scale=st.floats(0.05, 20.0), seed=st.integers(0, 2**32 - 1),
        weights=st.sampled_from(["uniform", "poisson"]))
 # counts far outside 1e+-150, whose squares overflow or underflow unless
-# the sums are taken on rescaled rows
+# the solve and the sums are taken on rescaled rows
+@example(tail=30.0, decays=8.0, scale=1e300, seed=0, weights="uniform")
+@example(tail=30.0, decays=8.0, scale=1e300, seed=0, weights="poisson")
 @example(tail=30.0, decays=8.0, scale=2.0**500, seed=0, weights="uniform")
 @example(tail=30.0, decays=8.0, scale=1e152, seed=0, weights="uniform")
 @example(tail=30.0, decays=8.0, scale=1e250, seed=0, weights="uniform")
@@ -673,6 +741,28 @@ def test_window_fit_is_invariant_under_count_rescaling(tail, decays, scale, seed
         scale**power * fit.sigma_of("rate"), rel=1e-9)
     assert scaled.sigma_of("amplitude") == pytest.approx(
         scale ** (1.0 + power) * fit.sigma_of("amplitude"), rel=1e-9)
+
+
+@pytest.mark.parametrize("weights", ["uniform", "poisson"])
+def test_window_fit_rescales_no_row_within_range(weights):
+    # fitted beside the same counts x1e300, which the fit takes at a power
+    # of two, a row of plain counts keeps the bits it has beside a plain row
+    # (a batch of one row sums in another order)
+    t = 0.25 * np.arange(480) + 0.125
+    counts = np.random.default_rng(0).poisson(
+        30.0 * np.exp(8.0 / 115.0 * (119.0 - t))).astype(float)
+    sub = TimeTrace(t, counts).window(4.0, 115.0)
+
+    def fits(y):
+        w = None if weights == "uniform" else 1.0 / np.maximum(y, 1.0)
+        return estimate._fit_windows(sub.times, y, w, weights, 200)
+
+    alone, _ = fits(np.array([sub.values, sub.values]))
+    plain, scaled = fits(np.array([sub.values, 1e300 * sub.values]))
+    for name in ("values", "sigma", "covariance"):
+        assert getattr(plain, name).tobytes() == getattr(alone, name).tobytes()
+    assert (plain.chi2, plain.iterations) == (alone.chi2, alone.iterations)
+    assert scaled["rate"] == pytest.approx(alone["rate"], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
