@@ -59,11 +59,14 @@ window fit keeps to one build of its window's (1, tau, tau^2) columns and
 one np.errstate for its solve and its result, ~15 array operations
 for the log-linear start, one exp and two moment products a profile
 evaluation (3.1 a criterion-5 fit) and one pass over the rows a Newton
-step (`_windowed_rates`' cost model). In a traced `gamma_a1_recovery`
-item of the benchmark (16 histograms, 16 window fits, one `fit_gamma_a1`
-with 3 forward calls; ~6.1 ms on a 2-CPU virtual machine) the window
-fits take ~40% of the time, `synth.generate` ~30%, the forward calls
-~12% and `fit_gamma_a1`'s own Gauss-Newton steps ~8%.
+step (`_windowed_rates`' cost model); a one-parameter Gauss-Newton
+system (`fit_gamma_a1`'s) takes one division (`_solve`) and no
+eigendecomposition (`_covariance`). In a traced `gamma_a1_recovery` item
+of the benchmark (16 histograms, 16 window fits, one `fit_gamma_a1` with
+3 forward calls; ~5.3 ms on a 2-CPU virtual machine) the window fits
+take ~42% of the time, `synth.generate` ~30% (half of it numpy's
+seeding and Poisson draws) and the a12 closed form it samples ~8%, the
+forward calls ~12% and `fit_gamma_a1`'s own Gauss-Newton steps ~6%.
 """
 
 from __future__ import annotations
@@ -499,8 +502,7 @@ def _fit_windows(t, y, w, scheme, max_iter):
                                           scale=scheme == "uniform")
         for row, c in enumerate(scale if rescaled else ()):
             if c != 1.0:
-                g = 1.0 / (c if scheme == "uniform" else
-                           math.sqrt(c) if poisson else 1.0)
+                g = {"uniform": 1.0 / c, "poisson": 1.0 / math.sqrt(c)}.get(scheme, 1.0)
                 factors = np.array([g, g * c])
                 cov, sigma = covariances[row]
                 covariances[row] = cov * np.outer(factors, factors), sigma * factors
