@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -741,6 +742,10 @@ def test_window_fit_is_invariant_under_count_rescaling(tail, decays, scale, seed
         scale**power * fit.sigma_of("rate"), rel=1e-9)
     assert scaled.sigma_of("amplitude") == pytest.approx(
         scale ** (1.0 + power) * fit.sigma_of("amplitude"), rel=1e-9)
+    # chi^2 scales as the amplitude's variance, where it stays a normal float
+    chi2 = fit.chi2 * scale ** (1.0 + power) * scale ** (1.0 + power)
+    if sys.float_info.min <= chi2 < math.inf:
+        assert scaled.chi2 == pytest.approx(chi2, rel=1e-9)
 
 
 @pytest.mark.parametrize("weights", ["uniform", "poisson"])

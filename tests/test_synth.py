@@ -391,7 +391,8 @@ def test_generated_traces_are_checked_read_only_and_uncopied(
         model, bin_width, bins, edge_bins, total_counts, background_rate, seed):
     # generate hands the arrays it builds to its traces without a copy:
     # each trace is the one the constructor makes of its arrays, holds
-    # read-only arrays, and shares no counts with the other of its pair
+    # read-only arrays, and shares its bin centres, but no counts, with
+    # the other of its pair
     span = bins * bin_width
     spec = ExperimentSpec(model=model, params=_model_params(model, span),
                           bin_width=bin_width, span=span,
@@ -409,6 +410,7 @@ def test_generated_traces_are_checked_read_only_and_uncopied(
         assert not made.times.flags.writeable and not made.values.flags.writeable
         assert made.values.dtype == np.int64 and len(made) == bins
     _assert_same_trace(trace, pair[0])
+    assert np.shares_memory(pair[0].times, pair[1].times)
     assert not np.shares_memory(pair[0].values, pair[1].values)
 
 
