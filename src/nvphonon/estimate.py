@@ -100,8 +100,9 @@ _NEWTON_RTOL = 1e-9
 _PROFILE_RTOL = 1e-12
 _NEWTON_MAX_ITER = 30
 _WINDOW_FIT_MAX_ITER = 200         # Newton steps of a data-side window fit
-# a uniform-weight window fit takes chi^2 and its normal sums on rows
-# rescaled where their model reaches beyond 2^+-this (_fit_windows)
+# a window fit solves a row, and takes its chi^2 and normal sums, at a
+# power-of-two scale where its largest |y| lies beyond 2^+-this
+# (_fit_windows)
 _UNSCALED_EXPONENT = 256
 # a Gauss-Newton step raising chi^2 by less than this share ends the fit:
 # a model evaluated by iterative solves (fit_gamma_a1's forward model)
@@ -904,8 +905,7 @@ def _profile_terms(s_ye, f_ye, q_ye, s_ee, f_ee, q_ee):
 
 
 def _weighted(w, x):
-    """w x, or x itself for w = None: the uniform weights, or the rows
-    that `_fit_windows` leaves unscaled."""
+    """w x, or x itself for w = None, the uniform weights."""
     return x if w is None else w * x
 
 
