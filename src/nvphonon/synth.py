@@ -18,12 +18,15 @@ import inspect
 import math
 import numbers
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import closedform, dynamics
-from .core import TimeTrace, ValidationError, _check_trace_arrays, rate_value
+from .core import (AngularRate, TimeTrace, ValidationError, _check_trace_arrays,
+                   rate_value)
 
 
 class ModelError(ValidationError):
@@ -257,7 +260,9 @@ def convolution_terms(spec):
     return sample_count(spec) * (2.0 * _pulse_edge(spec)[1] + 1.0)
 
 
-def _expected_signal(spec):
+def _compute_signal(spec):
+    """The read-only bin centres and expected counts (background excluded)
+    of spec's histogram."""
     intensity = model_intensity(spec.model, spec.params)
     centers = _bin_centers(spec)
     sigma, pad = _pulse_edge(spec) if spec.pulse_edge > 0.0 else (0.0, 0.0)
@@ -289,7 +294,98 @@ def _expected_signal(spec):
         raise ValidationError(
             f"a bin would expect {values.max() + spec.background_rate:.3g} "
             f"counts (limit {_POISSON_MEAN_MAX:.3g})")
+    centers.setflags(write=False)
+    values.setflags(write=False)
     return centers, values
+
+
+# The memo of expected signals holds at most this many samples, each a bin
+# centre and an expected count (16 bytes), so 16 MB; each entry is charged
+# _MEMO_ENTRY_SAMPLES more for its key and array headers (~1 KB), so that
+# many one-bin designs stay within the bound too.
+_MEMO_SAMPLES = 1_000_000
+_MEMO_ENTRY_SAMPLES = 64
+
+# Types whose values key the memo exactly, compared with their type:
+# Python's and numpy's integers and strings by value, and floats by value
+# and sign, so that 0.0 and -0.0 differ.
+_EXACT_KEY_TYPES = frozenset(
+    [str, bool, int] + [np.dtype(code).type for code in np.typecodes["AllInteger"]])
+_FLOAT_KEY_TYPES = frozenset(
+    [float] + [np.dtype(code).type for code in np.typecodes["Float"]])
+
+
+def _memo_key(spec):
+    """The memo key of spec's design: every field but the seed, the params
+    by name, each value with its type; None where a value is not a str, a
+    Python or numpy real number or an AngularRate, so that the spec
+    bypasses the memo."""
+    if not isinstance(spec.params, dict):
+        return None
+    key = [tuple(spec.params)]
+    for value in (spec.model, spec.bin_width, spec.span, spec.total_counts,
+                  spec.background_rate, spec.pulse_edge, *spec.params.values()):
+        kind = type(value)
+        if kind is AngularRate:
+            key.append((kind, value.fitted, value.value,
+                        math.copysign(1.0, value.value)))
+        elif kind in _EXACT_KEY_TYPES:
+            key.append((kind, value))
+        elif kind in _FLOAT_KEY_TYPES:
+            key.append((kind, value, math.copysign(1.0, value)))
+        else:
+            return None
+    return tuple(key)
+
+
+class _SignalMemo:
+    """Expected signals by design key, the least recently used evicted
+    first once the samples held pass _MEMO_SAMPLES."""
+
+    def __init__(self):
+        self.entries = OrderedDict()  # key -> (centres, expected counts)
+        self.held = 0  # samples, with the charge for each entry
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        with self.lock:
+            signal = self.entries.get(key)
+            if signal is not None:
+                self.entries.move_to_end(key)
+            return signal
+
+    def put(self, key, signal):
+        if len(signal[0]) + _MEMO_ENTRY_SAMPLES > _MEMO_SAMPLES:
+            return
+        with self.lock:
+            if key in self.entries:  # stored by another thread meanwhile
+                return
+            self.entries[key] = signal
+            self.held += len(signal[0]) + _MEMO_ENTRY_SAMPLES
+            while self.held > _MEMO_SAMPLES:
+                centers, _ = self.entries.popitem(last=False)[1]
+                self.held -= len(centers) + _MEMO_ENTRY_SAMPLES
+
+    def discard(self, key):
+        with self.lock:
+            signal = self.entries.pop(key, None)
+            if signal is not None:
+                self.held -= len(signal[0]) + _MEMO_ENTRY_SAMPLES
+
+
+_MEMO = _SignalMemo()
+
+
+def _expected_signal(spec):
+    """The read-only bin centres and expected counts of spec's histogram:
+    computed on a design's first call, then the memo's very arrays."""
+    key = _memo_key(spec)
+    signal = None if key is None else _MEMO.get(key)
+    if signal is None:
+        signal = _compute_signal(spec)
+        if key is not None:
+            _MEMO.put(key, signal)
+    return signal
 
 
 def _count_trace(centers, counts):

@@ -236,8 +236,16 @@ def test_pulse_edge_smooths_the_rise():
     assert sharp.sum() == pytest.approx(soft.sum(), rel=1e-9)
 
 
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty memo of expected signals, in place of the process's own."""
+    memo = synth._SignalMemo()
+    monkeypatch.setattr(synth, "_MEMO", memo)
+    return memo
+
+
 @pytest.mark.parametrize("edge", [0.0, 2.0, 7.5])
-def test_sample_count_includes_pulse_edge_padding(edge, monkeypatch):
+def test_sample_count_includes_pulse_edge_padding(edge, monkeypatch, cold_memo):
     evaluated = []
     model_intensity = synth.model_intensity
 
