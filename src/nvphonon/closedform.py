@@ -182,17 +182,17 @@ def _check_branch(branch):
         raise ValidationError(f"branch must be 'A1' or 'A2', got {branch!r}")
 
 
-def _a12_modes(gamma_rad, gamma_mix, gamma_isc, crosses):
-    """The two exponentials of fluorescence_a12 and their derivatives with
-    respect to Gamma_isc, for every curve at once.
+def _a12_exponentials(gamma_rad, gamma_mix, gamma_isc, crosses):
+    """The two exponentials of fluorescence_a12, for every curve at once,
+    and the terms their Gamma_isc derivatives (`_a12_modes`) share.
 
     gamma_mix (a float or an array, rad/ns) and crosses (True for the
     branch "A1" that crosses, False for "A2"; a bool or a bool array)
     broadcast to the shape of the curves; gamma_rad and gamma_isc are
-    shared floats. Returns (weight, rate, d weight, d rate), each
+    shared floats. Returns ((weight, rate), terms), weight and rate each
     broadcasting to (2, *curves): the slow mode, then the fast one. The
-    rates and their derivatives do not depend on the branch, so they keep
-    the shape of gamma_mix.
+    rates do not depend on the branch, so they keep the shape of
+    gamma_mix.
     """
     # a numpy scalar keeps a single curve's arithmetic with the bool
     # `degenerate` below in fast scalar operations
@@ -214,22 +214,33 @@ def _a12_modes(gamma_rad, gamma_mix, gamma_isc, crosses):
     g = sign * gi
     a = gp + np.maximum(two_gm, g) - np.minimum(two_gm, g)
     weights = np.array([a / (2.0 * gp), two_gm * g / (gp * a)])
+    mid = gamma_rad + gamma_mix + 0.5 * gamma_isc
+    half = 0.5 * gamma_prime
+    return ((np.where(two_gm >= g, weights, weights[::-1]),
+             np.array([mid - half, mid + half])),
+            (sign, two_gm, g, gp, gi))
+
+
+def _a12_modes(gamma_rad, gamma_mix, gamma_isc, crosses):
+    """The two exponentials of fluorescence_a12 and their derivatives with
+    respect to Gamma_isc, for every curve at once: (weight, rate,
+    d weight, d rate), shaped as `_a12_exponentials` shapes them."""
+    (weight, rate), (sign, two_gm, g, gp, gi) = _a12_exponentials(
+        gamma_rad, gamma_mix, gamma_isc, crosses)
     # dc/dGamma_isc = -/+2 Gamma_mix (2 Gamma_mix + g)/Gamma'^3; the slow
     # weight gains dc/2, and the rates m -/+ Gamma'/2, with
     # m = Gamma_rad + Gamma_mix + Gamma_isc/2, move by 1/2 -/+ d_split
     d_weight = 0.5 * sign * (two_gm * (two_gm + g) / (gp * gp * gp))
-    mid = gamma_rad + gamma_mix + 0.5 * gamma_isc
-    half = 0.5 * gamma_prime
     d_split = 0.5 * gi / gp
-    return (np.where(two_gm >= g, weights, weights[::-1]),
-            np.array([mid - half, mid + half]),
+    return (weight, rate,
             np.array([-d_weight, d_weight]),
             np.array([0.5 - d_split, 0.5 + d_split]))
 
 
 def _a12_curves(modes, t):
-    """fluorescence_a12 for every curve of the modes `_a12_modes` returned,
-    at the times t: shape (*curves, *t.shape)."""
+    """fluorescence_a12 for every curve of the modes `_a12_modes` or
+    `_a12_exponentials` returned, at the times t: shape (*curves,
+    *t.shape)."""
     t = np.asarray(t, dtype=float)
     along_t = (...,) + (None,) * t.ndim
     w, k = modes[0][along_t], modes[1][along_t]
@@ -258,8 +269,9 @@ def fluorescence_a12(gamma_rad, gamma_mix, gamma_isc, branch, t):
     Gamma' -> 0 limit needs no series switch.
     """
     _check_branch(branch)
-    return _a12_curves(_a12_modes(rate_value(gamma_rad), rate_value(gamma_mix),
-                                  rate_value(gamma_isc), branch == "A1"), t)
+    modes, _ = _a12_exponentials(rate_value(gamma_rad), rate_value(gamma_mix),
+                                 rate_value(gamma_isc), branch == "A1")
+    return _a12_curves(modes, t)
 
 
 def isc_rate_from_lifetime(tau, gamma_rad):
