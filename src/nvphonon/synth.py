@@ -10,6 +10,19 @@ Each model is built by a `_build_<model>` function whose keyword
 arguments are the model's parameters: their names and defaults are
 declared there once, and a parameter without a default is required.
 `model_intensity` refuses unknown or missing names from those signatures.
+
+Many seeds over one design, as the analysis repeats one acquisition at
+many temperatures, share its noiseless expected histogram: a design's bin
+centres and expected counts are computed on its first call in a process
+and then held, read-only, in a private memo keyed by every spec field but
+the seed. Each value keys the memo with its type, so 1, 1.0, True and
+np.float64(1) never share an entry, and a float with its sign, so 0.0
+and -0.0 do not either; only a str, a Python or numpy integer or float,
+or an AngularRate keys it, and a spec with any other value (an array, a
+Fraction) is computed afresh on every call. The memo holds at most 10^6
+samples (16 MB), each entry charged 64 samples more for its key, and
+evicts the least recently used design first; a larger design is never
+held, and a spec that raises is never stored.
 """
 
 from __future__ import annotations
@@ -347,6 +360,10 @@ class _SignalMemo:
         self.held = 0  # samples, with the charge for each entry
         self.lock = threading.Lock()
 
+    @staticmethod
+    def charge(signal):
+        return len(signal[0]) + _MEMO_ENTRY_SAMPLES
+
     def get(self, key):
         with self.lock:
             signal = self.entries.get(key)
@@ -355,22 +372,21 @@ class _SignalMemo:
             return signal
 
     def put(self, key, signal):
-        if len(signal[0]) + _MEMO_ENTRY_SAMPLES > _MEMO_SAMPLES:
+        if self.charge(signal) > _MEMO_SAMPLES:
             return
         with self.lock:
             if key in self.entries:  # stored by another thread meanwhile
                 return
             self.entries[key] = signal
-            self.held += len(signal[0]) + _MEMO_ENTRY_SAMPLES
+            self.held += self.charge(signal)
             while self.held > _MEMO_SAMPLES:
-                centers, _ = self.entries.popitem(last=False)[1]
-                self.held -= len(centers) + _MEMO_ENTRY_SAMPLES
+                self.held -= self.charge(self.entries.popitem(last=False)[1])
 
     def discard(self, key):
         with self.lock:
             signal = self.entries.pop(key, None)
             if signal is not None:
-                self.held -= len(signal[0]) + _MEMO_ENTRY_SAMPLES
+                self.held -= self.charge(signal)
 
 
 _MEMO = _SignalMemo()
@@ -397,7 +413,15 @@ def _count_trace(centers, counts):
 
 
 def generate(spec):
-    """Draw one synthetic count trace. Identical specs give identical bits."""
+    """Draw one synthetic count trace. Identical specs give identical bits.
+
+    The expected histogram comes from the memo of expected signals when
+    the design (every field but the seed) repeats (module docstring): a
+    hit hands back the very arrays its miss computed, so the draw has the
+    same bits either way, and the trace shares its read-only bin centres
+    with every trace of its design. A repeat pays for the generator, the
+    Poisson draw and the count checks only.
+    """
     centers, expected = _expected_signal(spec)
     rng = np.random.default_rng(spec.seed)
     return _count_trace(centers, rng.poisson(expected + spec.background_rate))

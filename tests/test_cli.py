@@ -1252,6 +1252,22 @@ def test_verify_catches_a_broken_envelope(monkeypatch, capsys):
     assert "verify: 12/13 checks passed" in out
 
 
+def test_verify_catches_a_corrupted_memo_entry(monkeypatch, capsys):
+    # the determinism check draws its second trace from an expected signal
+    # computed afresh, so a memo entry that no longer holds what its design
+    # computes makes the two traces differ
+    monkeypatch.setattr(synth, "_MEMO", synth._SignalMemo())
+    assert verify.check_synth_determinism()[0]
+    entries = synth._MEMO.entries
+    assert len(entries) == 1
+    for key, (centers, expected) in entries.items():
+        entries[key] = (centers, 1.5 * expected)
+    assert cli.main(["verify"]) == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "FAIL synth_determinism: bit identical False" in out
+    assert "verify: 12/13 checks passed" in out
+
+
 def test_verify_catches_perturbed_constant(monkeypatch, capsys):
     import nvphonon.core as core
     # a wrong emission-angle factor must trip the coefficient check

@@ -1,6 +1,11 @@
+import contextlib
 import dataclasses
 import hashlib
 import sys
+import threading
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from nvphonon import closedform, estimate, phonon, synth
-from nvphonon.core import TimeTrace, ValidationError, rate_from_linear_mhz
+from nvphonon.core import AngularRate, TimeTrace, ValidationError, rate_from_linear_mhz
 from nvphonon.synth import ExperimentSpec, ModelError
 
 GAMMA_RAD = rate_from_linear_mhz(13.2)
@@ -236,12 +241,20 @@ def test_pulse_edge_smooths_the_rise():
     assert sharp.sum() == pytest.approx(soft.sum(), rel=1e-9)
 
 
+@contextlib.contextmanager
+def _fresh_memo():
+    """An empty memo of expected signals in place of the process's own."""
+    saved, synth._MEMO = synth._MEMO, synth._SignalMemo()
+    try:
+        yield synth._MEMO
+    finally:
+        synth._MEMO = saved
+
+
 @pytest.fixture
-def cold_memo(monkeypatch):
-    """An empty memo of expected signals, in place of the process's own."""
-    memo = synth._SignalMemo()
-    monkeypatch.setattr(synth, "_MEMO", memo)
-    return memo
+def cold_memo():
+    with _fresh_memo() as memo:
+        yield memo
 
 
 @pytest.mark.parametrize("edge", [0.0, 2.0, 7.5])
@@ -480,3 +493,193 @@ def test_reject_before():
     assert kept.times[0] == pytest.approx(3.35)
     with pytest.raises(ValidationError):
         synth.reject_before(trace, 1e6)
+
+
+# ---------------------------------------------------------------------------
+# memo of expected signals
+
+# a design per model whose numbers every style below carries exactly
+# (integers), with zeros whose sign is drawn
+_MEMO_PARAMS = {
+    "constant": {},
+    "exponential": dict(rate=1),
+    "depolarization": dict(gamma_rad=1, gamma_mix=1, channel="dark", amplitude=2,
+                           epsilon=0, t0=0),
+    "a12": dict(gamma_rad=1, gamma_mix=0, gamma_isc=1, branch="A1"),
+    "rabi": dict(amplitude=1, omega=2, phi=0, t0=0, tau_rabi=9, gamma_isc_x=0),
+    "lindblad": dict(gamma_rad_x=1, gamma_rad_y=1, gamma_mix_xy=0, rabi=2,
+                     detuning=0),
+}
+_STYLES = (int, float, np.float64, AngularRate)
+
+
+def _memo_charge(memo):
+    return sum(len(centers) + synth._MEMO_ENTRY_SAMPLES
+               for centers, _ in memo.entries.values())
+
+
+def _draws(spec):
+    return synth.generate(spec), *synth.generate_background_pair(spec)
+
+
+@st.composite
+def _memo_designs(draw, model):
+    """One of model's designs: each number in a drawn style, each zero with
+    a drawn sign, and a drawn pulse edge and background."""
+    params = {}
+    for name, value in _MEMO_PARAMS[model].items():
+        if isinstance(value, int):
+            style = draw(st.sampled_from(_STYLES))
+            value = style(value)
+            if value == 0 and style is not int and draw(st.booleans()):
+                value = style(-0.0)
+        params[name] = value
+    return _spec(model=model, params=params, span=30.0,
+                 pulse_edge=draw(st.sampled_from([0.0, 0.5, 2.0])),
+                 background_rate=draw(st.sampled_from([0.0, 3.0])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), model=st.sampled_from(synth.MODEL_NAMES))
+def test_warm_memo_traces_match_cold_memo_traces(data, model):
+    # designs that differ only in the types or zero signs of their numbers
+    # share no entry: each draw from a warm memo, on the call that fills it
+    # and on a repeat, has the bits of a draw computed in an empty memo
+    specs = data.draw(st.lists(_memo_designs(model), min_size=2, max_size=4))
+    cold = []
+    for spec in specs:
+        with _fresh_memo():
+            trace = synth.generate(spec)
+        with _fresh_memo():
+            cold.append((trace, *synth.generate_background_pair(spec)))
+    with _fresh_memo() as memo:
+        for _ in range(2):
+            for spec, expected in zip(specs, cold):
+                for made, reference in zip(_draws(spec), expected):
+                    _assert_same_trace(made, reference)
+        assert len(memo.entries) == len({synth._memo_key(spec) for spec in specs})
+
+
+def test_memo_keys_values_with_their_type_and_sign():
+    keys = {synth._memo_key(_spec(params=dict(rate=rate)))
+            for rate in (1, 1.0, True, np.float64(1), np.float32(1), np.int64(1),
+                         AngularRate(1.0), AngularRate(1.0, fitted=True))}
+    assert len(keys) == 8
+    assert (synth._memo_key(_spec(params=dict(rate=0.0)))
+            != synth._memo_key(_spec(params=dict(rate=-0.0))))
+    # the seed is no part of a design
+    assert synth._memo_key(_spec(seed=1)) == synth._memo_key(_spec(seed=2))
+
+
+def test_memo_sees_a_params_dict_mutated_after_a_call(cold_memo):
+    params = dict(rate=0.12)
+    spec = _spec(params=params)
+    first = synth.generate(spec)
+    params["rate"] = 0.05
+    second = synth.generate(spec)
+    with _fresh_memo():
+        expected = synth.generate(_spec(params=dict(rate=0.05)))
+    _assert_same_trace(second, expected)
+    assert not np.array_equal(first.values, second.values)
+    assert len(cold_memo.entries) == 2
+
+
+@pytest.mark.parametrize("rate", [np.array(0.12), Fraction(3, 25), Decimal("0.12")])
+def test_memo_is_bypassed_by_values_of_other_types(rate, cold_memo):
+    trace = synth.generate(_spec(params=dict(rate=rate)))
+    assert not cold_memo.entries and cold_memo.held == 0
+    _assert_same_trace(trace, synth.generate(_spec(params=dict(rate=0.12))))
+
+
+@pytest.mark.parametrize("fields, error", [
+    (dict(model="depolarization", params=dict(gamma_rad=0.1, gamma_mix=0.0, t0=500.0)),
+     ModelError),
+    (dict(model="cubic", params={}), ModelError),
+    (dict(total_counts=0.0, background_rate=1e19), ValidationError),
+])
+def test_memo_holds_no_spec_that_raises(fields, error, cold_memo):
+    for _ in range(2):
+        with pytest.raises(error):
+            synth.generate(_spec(**fields))
+    assert not cold_memo.entries and cold_memo.held == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(bins=st.lists(st.sampled_from([1, 2, 40, 300, 900, 936, 937, 2000]),
+                     min_size=1, max_size=12))
+def test_memo_stays_within_its_budget(bins):
+    # a 1000-sample budget: a design of more than 1000 - 64 bins is never
+    # held, and the least recently used design goes first
+    budget, charge = 1000, synth._MEMO_ENTRY_SAMPLES
+    saved, synth._MEMO_SAMPLES = synth._MEMO_SAMPLES, budget
+    try:
+        with _fresh_memo() as memo:
+            recent, sizes = [], {}  # the designs held, least recently used first
+            for n in bins:
+                spec = _spec(span=0.25 * n)
+                key = synth._memo_key(spec)
+                trace = synth.generate(spec)
+                with _fresh_memo():
+                    _assert_same_trace(trace, synth.generate(spec))
+                sizes[key] = n + charge
+                if key in recent:
+                    recent.remove(key)
+                if sizes[key] <= budget:
+                    recent.append(key)
+                while sum(sizes[k] for k in recent) > budget:
+                    recent.pop(0)
+                assert list(memo.entries) == recent
+                assert memo.held == _memo_charge(memo) <= budget
+    finally:
+        synth._MEMO_SAMPLES = saved
+
+
+def test_memo_shared_by_threads_stays_consistent(cold_memo, monkeypatch):
+    # eight threads on two cores draw from four designs, no three of which
+    # fit the budget together, so entries come and go while others read them
+    specs = [_spec(span=0.25 * n, seed=n) for n in (100, 150, 200, 250)]
+    with _fresh_memo():
+        expected = [synth.generate(spec).values for spec in specs]
+    monkeypatch.setattr(synth, "_MEMO_SAMPLES", 600)
+    mismatches, done = [], []
+
+    def draw(offset):
+        for i in range(60):
+            k = (i + offset) % len(specs)
+            if not np.array_equal(synth.generate(specs[k]).values, expected[k]):
+                mismatches.append(k)
+        done.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == list(range(8)) and not mismatches
+    assert cold_memo.held == _memo_charge(cold_memo) <= 600
+
+
+@pytest.mark.parametrize("gamma_isc", [1e100, 1e101, 1e110, 1e130, 1e150])
+def test_scaled_a12_specs_generate_without_overflow(gamma_isc):
+    # rates scaled up and bins down by one factor give the same curve on the
+    # same grid; fluorescence_a12 no longer computes the Gamma_isc slopes,
+    # whose Gamma'^3 overflowed from ~5.6e102 rad/ns
+    def scaled(rate):
+        s = rate / 0.1
+        return ExperimentSpec(model="a12",
+                              params=dict(gamma_rad=0.0829 * s, gamma_mix=0.02 * s,
+                                          gamma_isc=0.1 * s, branch="A1"),
+                              bin_width=0.25 / s, span=120.0 / s,
+                              total_counts=1e6, pulse_edge=0.0, seed=5)
+
+    reference = synth.generate(scaled(1e50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = synth.generate(scaled(gamma_isc))
+    np.testing.assert_array_equal(trace.values, reference.values)
