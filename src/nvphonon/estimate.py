@@ -63,10 +63,11 @@ step (`_windowed_rates`' cost model); a one-parameter Gauss-Newton
 system (`fit_gamma_a1`'s) takes one division (`_solve`) and no
 eigendecomposition (`_covariance`). In a traced `gamma_a1_recovery` item
 of the benchmark (16 histograms, 16 window fits, one `fit_gamma_a1` with
-3 forward calls; ~5.3 ms on a 2-CPU virtual machine) the window fits
-take ~42% of the time, `synth.generate` ~30% (half of it numpy's
-seeding and Poisson draws) and the a12 closed form it samples ~8%, the
-forward calls ~12% and `fit_gamma_a1`'s own Gauss-Newton steps ~6%.
+3 forward calls; ~4.2 ms on a 2-CPU virtual machine) the window fits
+take ~47% of the time, `synth.generate` ~27% (its generators, Poisson
+draws and count checks: the 16 expected histograms come from synth's
+memo, and the a12 closed form is no longer sampled), the forward calls
+~14% and `fit_gamma_a1`'s own Gauss-Newton steps ~6%.
 """
 
 from __future__ import annotations
