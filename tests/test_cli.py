@@ -753,6 +753,38 @@ t5.c_mhz = 0.08
     assert float(rows["gamma_a1"][1]) == pytest.approx(16.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("weights", ["poisson", "provided"])
+def test_fit_gamma_a1_refuses_weights_other_than_uniform(tmp_path, capsys, weights):
+    # its forward model fits the window rates under uniform weights, so
+    # rates fitted under any other miss Gamma_A1 by tens of sigma
+    points = _write(tmp_path / "points.csv",
+                    "temperature_k,gamma_eff_mhz,sigma_mhz,branch\n"
+                    "6,16,0.05,A1\n6,15,0.05,A2\n")
+    cfg = _write(tmp_path / "fit.cfg", "rates.gamma_rad_mhz = 13.2\n" + T5_KEYS
+                 + f"fit.weights = {weights}\n")
+    out = tmp_path / "params.csv"
+    assert cli.main(["fit", "--procedure", "gamma-a1", "--config", cfg,
+                     "--out", str(out), points]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"fit.weights = {weights}" in err and "uniform" in err
+    assert not out.exists()
+
+
+def test_fit_gamma_a1_takes_uniform_weights_named(tmp_path, capsys):
+    points = _write(tmp_path / "points.csv",
+                    "temperature_k,gamma_eff_mhz,sigma_mhz,branch\n"
+                    "6,16,0.05,A1\n6,15,0.05,A2\n")
+    keys = "rates.gamma_rad_mhz = 13.2\n" + T5_KEYS
+    reports = []
+    for text in (keys, keys + "fit.weights = uniform\n"):
+        cfg = _write(tmp_path / "fit.cfg", text)
+        assert cli.main(["fit", "--procedure", "gamma-a1", "--config", cfg,
+                         points]) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 def test_fit_malformed_input_is_input_error(tmp_path):
     path = _write(tmp_path / "bad.csv", "time_ns,counts\n0.0,not_a_count\n")
     assert cli.main(["fit", "--procedure", "exp-window", str(path)]) \
@@ -844,6 +876,19 @@ def test_fit_iteration_cap_reports_no_convergence(tmp_path, capsys):
         rows = {r[0]: r for r in csv.reader(handle)}
     assert rows["rate"][6] == "false"
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_fit_stopped_early_says_after_how_many_iterations(tmp_path, capsys):
+    # a Rabi fit of a plain exponential stops, unconverged, long before the
+    # iteration cap
+    t = 0.25 * np.arange(120) + 0.125
+    path = tmp_path / "exp.csv"
+    write_trace_csv(path, t, {"intensity": np.exp(-0.1 * t)})
+    assert cli.main(["fit", "--procedure", "rabi", str(path)]) == EXIT_NO_CONVERGENCE
+    out, err = capsys.readouterr()
+    iterations = int(out.split("converged: NO (")[1].split()[0])
+    assert iterations < 200
+    assert err == f"fit: did not converge (stopped after {iterations} iterations)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -967,6 +1012,16 @@ def test_sweep_temperature_mixing_overflow_is_input_error(tmp_path, capsys,
     out = tmp_path / "x.csv"
     _assert_sweep_input_error(["sweep", "--config", cfg, "--sweep", sweep,
                                "--out", str(out)], capsys, message)
+    assert not out.exists()
+
+
+def test_sweep_delta_transverse_coupling_overflow_is_input_error(tmp_path, capsys):
+    # lambda_perp^2 overflows a float at a ratio of 1e300
+    cfg = _write(tmp_path / "sweep.cfg", "phonon.lambda_perp_ratio = 1e300\n")
+    out = tmp_path / "x.csv"
+    _assert_sweep_input_error(["sweep", "--config", cfg, "--sweep", "delta:0:200:5",
+                               "--out", str(out)], capsys,
+                              "crossing rate overflows at lambda_perp = 3.34894e+301 rad/ns")
     assert not out.exists()
 
 

@@ -374,6 +374,17 @@ def test_fluorescence_a12_degenerate_splitting_is_continuous():
     np.testing.assert_allclose(tiny, zero, rtol=1e-9)
 
 
+def test_fluorescence_a12_weight_of_a_huge_splitting_is_zero_without_a_warning():
+    # Gamma' a overflows once Gamma_mix nears 1e298 rad/ns; the fast weight
+    # 2 Gamma_mix g/(Gamma' a) it divides is the 0 it tends to
+    gamma_mix = TWO_PI * 1e297
+    (weights, _), _ = closedform._a12_exponentials(0.0829, gamma_mix, 0.1, True)
+    assert weights.tolist() == [1.0, 0.0]
+    curve = closedform.fluorescence_a12(0.0829, gamma_mix, 0.1, "A1",
+                                        np.linspace(0.0, 10.0, 5))
+    assert np.isfinite(curve).all()
+
+
 def test_fluorescence_a12_rejects_unknown_branch():
     with pytest.raises(ValidationError, match="got 'A3'"):
         closedform.fluorescence_a12(GAMMA_RAD, 0.0, 0.0, "A3",
