@@ -600,6 +600,11 @@ def _fit_depol(cfg, inputs):
 
 
 def _fit_gamma_a1(cfg, inputs):
+    weights = cfg.get("fit.weights", "uniform")
+    if weights != "uniform":
+        # the forward model fits its window rates under uniform weights
+        raise ConfigError(f"fit.weights = {weights}: gamma-a1 fits window rates "
+                          "fitted under uniform weights only")
     points = _read_points_file(
         inputs[0], ("temperature_k", "gamma_eff_mhz", "sigma_mhz", "branch"))
     return estimate.fit_gamma_a1(
@@ -644,7 +649,8 @@ def cmd_fit(args):
         _write_fit_csv(args.out, result, units)
         print(f"fit: parameters written to {args.out}")
     if not result.converged:
-        print("fit: did not converge within the iteration cap", file=sys.stderr)
+        print(f"fit: did not converge (stopped after {result.iterations} iterations)",
+              file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -213,7 +213,10 @@ def _a12_exponentials(gamma_rad, gamma_mix, gamma_isc, crosses):
     sign = 2.0 * crosses - 1.0
     g = sign * gi
     a = gp + np.maximum(two_gm, g) - np.minimum(two_gm, g)
-    weights = np.array([a / (2.0 * gp), two_gm * g / (gp * a)])
+    # Gamma' a overflows from Gamma' ~ 1e154 rad/ns on, where the small
+    # weight it divides is the 0 it tends to
+    with np.errstate(over="ignore"):
+        weights = np.array([a / (2.0 * gp), two_gm * g / (gp * a)])
     mid = gamma_rad + gamma_mix + 0.5 * gamma_isc
     half = 0.5 * gamma_prime
     return ((np.where(two_gm >= g, weights, weights[::-1]),

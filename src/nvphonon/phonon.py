@@ -55,16 +55,16 @@ class OverlapSupportError(ValidationError):
 ETA_DEFAULT = AngularRate.from_linear_mhz(44.0)          # per meV^3
 
 
-def _law_value(evaluate, where, *inputs):
-    """evaluate() of a mixing law in Python floats, whose ** raises on
+def _law_value(evaluate, law, where, *inputs):
+    """evaluate() of a rate law in Python floats, whose ** raises on
     overflow and whose * overflows to inf; either is refused, naming the
-    inputs by the format string `where`."""
+    law and its inputs by the format string `where`."""
     try:
         value = evaluate()
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ValidationError("mixing law overflows at " + where.format(*inputs))
+        raise ValidationError(f"{law} overflows at " + where.format(*inputs))
     return value
 
 
@@ -79,7 +79,7 @@ def mixing_rate_t5(eta, temperature):
     c = core.CONSTANTS
     return AngularRate(_law_value(
         lambda: (64.0 / math.pi) * c.hbar * c.alpha * eta_v**2 * (c.kb * t_v) ** 5,
-        "T = {:g} K, eta = {:g} rad/ns", t_v, eta_v))
+        "mixing law", "T = {:g} K, eta = {:g} rad/ns", t_v, eta_v))
 
 
 def coefficient_from_eta(eta):
@@ -88,7 +88,7 @@ def coefficient_from_eta(eta):
     c = core.CONSTANTS
     return AngularRate(_law_value(
         lambda: (64.0 / math.pi) * c.hbar * c.alpha * eta_v**2 * c.kb**5,
-        "eta = {:g} rad/ns", eta_v))
+        "mixing law", "eta = {:g} rad/ns", eta_v))
 
 
 def eta_from_coefficient(coefficient):
@@ -111,7 +111,7 @@ def mixing_rate_fitform(a, t0, c, temperature):
     c_v = float(c) if not isinstance(c, AngularRate) else c.value
     t_v = temperature_value(temperature)
     return AngularRate(_law_value(lambda: a_v * (t_v - float(t0)) ** 5 + c_v,
-                                  "T = {:g} K", t_v), fitted=True)
+                                  "mixing law", "T = {:g} K", t_v), fitted=True)
 
 
 def mixing_rate_fitform_clamped(a, t0, c, temperature):
@@ -321,7 +321,9 @@ def isc_rate_a1(spin_orbit, overlap, delta):
     at a scalar gap, or floats in rad/ns at each gap of an array."""
     f_at_delta = overlap.interpolate(_gaps(delta))
     lam = spin_orbit.lambda_perp.value
-    rate = 4.0 * math.pi * core.CONSTANTS.hbar * lam**2 * f_at_delta
+    scale = _law_value(lambda: 4.0 * math.pi * core.CONSTANTS.hbar * lam**2,
+                       "crossing rate", "lambda_perp = {:g} rad/ns", lam)
+    rate = scale * f_at_delta
     return AngularRate(float(rate)) if rate.ndim == 0 else rate
 
 
