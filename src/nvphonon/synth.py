@@ -14,25 +14,24 @@ declared there once, and a parameter without a default is required.
 Many seeds over one design, as the analysis repeats one acquisition at
 many temperatures, share its noiseless expected histogram: a design's bin
 centres and expected counts are computed on its first call in a process
-and then held, read-only, in a private memo keyed by every spec field but
-the seed. Each value keys the memo with its type, so 1, 1.0, True and
-np.float64(1) never share an entry, and a float with its sign, so 0.0
-and -0.0 do not either; only a str, a Python or numpy integer or float,
-or an AngularRate keys it, and a spec with any other value (an array, a
-Fraction) is computed afresh on every call. The memo holds at most 10^6
-samples (16 MB), each entry charged 64 samples more for its key, and
-evicts the least recently used design first; a larger design is never
+and then held, read-only, in a private memo (a functools.lru_cache) keyed
+by every spec field but the seed. Each value keys the memo with its type,
+so 1, 1.0, True and np.float64(1) never share an entry, and a float with
+its sign, so 0.0 and -0.0 do not either; only a str, a Python or numpy
+integer or float, or an AngularRate keys it, and a spec with any other
+value (an array, a Fraction) is computed afresh on every call. The memo
+holds the 32 most recently used designs of at most 2^15 bins each, so at
+most 16 MB; a design of more bins is computed on every call and never
 held, and a spec that raises is never stored.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import numbers
 import sys
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -312,12 +311,12 @@ def _compute_signal(spec):
     return centers, values
 
 
-# The memo of expected signals holds at most this many samples, each a bin
-# centre and an expected count (16 bytes), so 16 MB; each entry is charged
-# _MEMO_ENTRY_SAMPLES more for its key and array headers (~1 KB), so that
-# many one-bin designs stay within the bound too.
-_MEMO_SAMPLES = 1_000_000
-_MEMO_ENTRY_SAMPLES = 64
+# The memo of expected signals holds at most _MEMO_DESIGNS designs of at
+# most _MEMO_BINS bins, each bin a centre and an expected count (16 bytes):
+# 32 x 2^15 x 16 B = 16 MB. It holds twice the designs any caller repeats,
+# so that one design more than a cycle's worth does not thrash it.
+_MEMO_DESIGNS = 32
+_MEMO_BINS = 2**15
 
 # Types whose values key the memo exactly, compared with their type:
 # Python's and numpy's integers and strings by value, and floats by value
@@ -351,57 +350,32 @@ def _memo_key(spec):
     return tuple(key)
 
 
-class _SignalMemo:
-    """Expected signals by design key, the least recently used evicted
-    first once the samples held pass _MEMO_SAMPLES."""
+class _Design:
+    """A spec carried into the memo, hashed and compared by its design key
+    alone."""
 
-    def __init__(self):
-        self.entries = OrderedDict()  # key -> (centres, expected counts)
-        self.held = 0  # samples, with the charge for each entry
-        self.lock = threading.Lock()
+    def __init__(self, key, spec):
+        self.key, self.spec = key, spec
 
-    @staticmethod
-    def charge(signal):
-        return len(signal[0]) + _MEMO_ENTRY_SAMPLES
+    def __hash__(self):
+        return hash(self.key)
 
-    def get(self, key):
-        with self.lock:
-            signal = self.entries.get(key)
-            if signal is not None:
-                self.entries.move_to_end(key)
-            return signal
-
-    def put(self, key, signal):
-        if self.charge(signal) > _MEMO_SAMPLES:
-            return
-        with self.lock:
-            if key in self.entries:  # stored by another thread meanwhile
-                return
-            self.entries[key] = signal
-            self.held += self.charge(signal)
-            while self.held > _MEMO_SAMPLES:
-                self.held -= self.charge(self.entries.popitem(last=False)[1])
-
-    def discard(self, key):
-        with self.lock:
-            signal = self.entries.pop(key, None)
-            if signal is not None:
-                self.held -= self.charge(signal)
+    def __eq__(self, other):
+        return self.key == other.key
 
 
-_MEMO = _SignalMemo()
+@functools.lru_cache(maxsize=_MEMO_DESIGNS)
+def _memo_signal(design):
+    return _compute_signal(design.spec)
 
 
 def _expected_signal(spec):
     """The read-only bin centres and expected counts of spec's histogram:
     computed on a design's first call, then the memo's very arrays."""
     key = _memo_key(spec)
-    signal = None if key is None else _MEMO.get(key)
-    if signal is None:
-        signal = _compute_signal(spec)
-        if key is not None:
-            _MEMO.put(key, signal)
-    return signal
+    if key is None or spec.span / spec.bin_width > _MEMO_BINS:
+        return _compute_signal(spec)
+    return _memo_signal(_Design(key, spec))
 
 
 def _count_trace(centers, counts):

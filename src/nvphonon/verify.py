@@ -221,9 +221,9 @@ def check_synth_determinism():
                                         "gamma_isc": 0.1, "branch": "A1"},
                                 total_counts=2e5, seed=42)
     first = synth.generate(spec)
-    # the second trace draws from an expected signal computed afresh, not
-    # from the memo's copy of the first's
-    synth._MEMO.discard(synth._memo_key(spec))
+    # the second trace draws from an expected signal computed afresh in an
+    # emptied memo, not from the memo's copy of the first's
+    synth._memo_signal.cache_clear()
     second = synth.generate(spec)
     identical = np.array_equal(first.values, second.values)
     nonneg = bool(np.all(first.values >= 0))

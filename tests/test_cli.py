@@ -1311,13 +1311,18 @@ def test_verify_catches_a_corrupted_memo_entry(monkeypatch, capsys):
     # the determinism check draws its second trace from an expected signal
     # computed afresh, so a memo entry that no longer holds what its design
     # computes makes the two traces differ
-    monkeypatch.setattr(synth, "_MEMO", synth._SignalMemo())
-    assert verify.check_synth_determinism()[0]
-    entries = synth._MEMO.entries
-    assert len(entries) == 1
-    for key, (centers, expected) in entries.items():
-        entries[key] = (centers, 1.5 * expected)
-    assert cli.main(["verify"]) == EXIT_VERIFY
+    compute, computed = synth._compute_signal, []
+    monkeypatch.setattr(synth, "_compute_signal",
+                        lambda spec: computed.append(compute(spec)) or computed[-1])
+    try:
+        assert verify.check_synth_determinism()[0]
+        assert synth._memo_signal.cache_info().currsize == 1
+        _, expected = computed[-1]  # the arrays the memo holds
+        expected.setflags(write=True)
+        expected *= 1.5
+        assert cli.main(["verify"]) == EXIT_VERIFY
+    finally:
+        synth._memo_signal.cache_clear()
     out = capsys.readouterr().out
     assert "FAIL synth_determinism: bit identical False" in out
     assert "verify: 12/13 checks passed" in out

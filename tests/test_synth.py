@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import sys
 import threading
@@ -242,13 +243,15 @@ def test_pulse_edge_smooths_the_rise():
 
 
 @contextlib.contextmanager
-def _fresh_memo():
-    """An empty memo of expected signals in place of the process's own."""
-    saved, synth._MEMO = synth._MEMO, synth._SignalMemo()
+def _fresh_memo(designs=synth._MEMO_DESIGNS):
+    """An empty memo of expected signals holding at most `designs`, made as
+    the process's own is made, in place of the process's own."""
+    saved = synth._memo_signal
+    synth._memo_signal = functools.lru_cache(maxsize=designs)(saved.__wrapped__)
     try:
-        yield synth._MEMO
+        yield synth._memo_signal
     finally:
-        synth._MEMO = saved
+        synth._memo_signal = saved
 
 
 @pytest.fixture
@@ -513,11 +516,6 @@ _MEMO_PARAMS = {
 _STYLES = (int, float, np.float64, AngularRate)
 
 
-def _memo_charge(memo):
-    return sum(len(centers) + synth._MEMO_ENTRY_SAMPLES
-               for centers, _ in memo.entries.values())
-
-
 def _draws(spec):
     return synth.generate(spec), *synth.generate_background_pair(spec)
 
@@ -557,7 +555,8 @@ def test_warm_memo_traces_match_cold_memo_traces(data, model):
             for spec, expected in zip(specs, cold):
                 for made, reference in zip(_draws(spec), expected):
                     _assert_same_trace(made, reference)
-        assert len(memo.entries) == len({synth._memo_key(spec) for spec in specs})
+        assert memo.cache_info().currsize == len({synth._memo_key(spec)
+                                                  for spec in specs})
 
 
 def test_memo_keys_values_with_their_type_and_sign():
@@ -581,13 +580,13 @@ def test_memo_sees_a_params_dict_mutated_after_a_call(cold_memo):
         expected = synth.generate(_spec(params=dict(rate=0.05)))
     _assert_same_trace(second, expected)
     assert not np.array_equal(first.values, second.values)
-    assert len(cold_memo.entries) == 2
+    assert cold_memo.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("rate", [np.array(0.12), Fraction(3, 25), Decimal("0.12")])
 def test_memo_is_bypassed_by_values_of_other_types(rate, cold_memo):
     trace = synth.generate(_spec(params=dict(rate=rate)))
-    assert not cold_memo.entries and cold_memo.held == 0
+    assert cold_memo.cache_info().misses == cold_memo.cache_info().currsize == 0
     _assert_same_trace(trace, synth.generate(_spec(params=dict(rate=0.12))))
 
 
@@ -601,46 +600,53 @@ def test_memo_holds_no_spec_that_raises(fields, error, cold_memo):
     for _ in range(2):
         with pytest.raises(error):
             synth.generate(_spec(**fields))
-    assert not cold_memo.entries and cold_memo.held == 0
+    assert cold_memo.cache_info().misses == 2
+    assert cold_memo.cache_info().currsize == 0
+
+
+def test_memo_holds_at_most_16_mb():
+    assert synth._memo_signal.cache_info().maxsize == synth._MEMO_DESIGNS
+    # a bin centre and an expected count a bin
+    assert synth._MEMO_DESIGNS * synth._MEMO_BINS * 16 <= 16 * 2**20
+
+
+@pytest.mark.parametrize("bins, held", [(synth._MEMO_BINS, 1), (synth._MEMO_BINS + 1, 0)])
+def test_memo_never_holds_a_design_above_its_bin_cap(bins, held, cold_memo):
+    spec = _spec(span=0.25 * bins)
+    first = synth.generate(spec)
+    assert len(first) == bins
+    _assert_same_trace(synth.generate(spec), first)
+    assert cold_memo.cache_info().currsize == held
+    # a design above the cap does not reach the memo at all
+    assert cold_memo.cache_info().misses == held
 
 
 @settings(max_examples=60, deadline=None)
-@given(bins=st.lists(st.sampled_from([1, 2, 40, 300, 900, 936, 937, 2000]),
-                     min_size=1, max_size=12))
-def test_memo_stays_within_its_budget(bins):
-    # a 1000-sample budget: a design of more than 1000 - 64 bins is never
-    # held, and the least recently used design goes first
-    budget, charge = 1000, synth._MEMO_ENTRY_SAMPLES
-    saved, synth._MEMO_SAMPLES = synth._MEMO_SAMPLES, budget
-    try:
-        with _fresh_memo() as memo:
-            recent, sizes = [], {}  # the designs held, least recently used first
-            for n in bins:
-                spec = _spec(span=0.25 * n)
-                key = synth._memo_key(spec)
-                trace = synth.generate(spec)
-                with _fresh_memo():
-                    _assert_same_trace(trace, synth.generate(spec))
-                sizes[key] = n + charge
-                if key in recent:
-                    recent.remove(key)
-                if sizes[key] <= budget:
-                    recent.append(key)
-                while sum(sizes[k] for k in recent) > budget:
-                    recent.pop(0)
-                assert list(memo.entries) == recent
-                assert memo.held == _memo_charge(memo) <= budget
-    finally:
-        synth._MEMO_SAMPLES = saved
+@given(picks=st.lists(st.integers(0, 4), min_size=1, max_size=16))
+def test_memo_holds_its_count_of_designs_least_recently_used_out_first(picks):
+    # a memo of 3 designs over 5: each call is a hit exactly when its design
+    # is among the 3 most recently used, and draws the bits of a cold memo
+    specs = [_spec(span=0.25 * n, seed=n) for n in (1, 40, 300, 900, 2000)]
+    with _fresh_memo(designs=3) as memo:
+        recent = []  # the designs held, least recently used first
+        for k in picks:
+            hits = memo.cache_info().hits
+            trace = synth.generate(specs[k])
+            with _fresh_memo():
+                _assert_same_trace(trace, synth.generate(specs[k]))
+            assert memo.cache_info().hits == hits + (k in recent)
+            if k in recent:
+                recent.remove(k)
+            recent = (recent + [k])[-3:]
+            assert memo.cache_info().currsize == len(recent) <= 3
 
 
-def test_memo_shared_by_threads_stays_consistent(cold_memo, monkeypatch):
-    # eight threads on two cores draw from four designs, no three of which
-    # fit the budget together, so entries come and go while others read them
+def test_memo_shared_by_threads_stays_consistent():
+    # eight threads on two cores draw from four designs through a memo of
+    # two, so entries come and go while others read them
     specs = [_spec(span=0.25 * n, seed=n) for n in (100, 150, 200, 250)]
     with _fresh_memo():
         expected = [synth.generate(spec).values for spec in specs]
-    monkeypatch.setattr(synth, "_MEMO_SAMPLES", 600)
     mismatches, done = [], []
 
     def draw(offset):
@@ -653,16 +659,17 @@ def test_memo_shared_by_threads_stays_consistent(cold_memo, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=draw, args=(n,)) for n in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        with _fresh_memo(designs=2) as memo:
+            threads = [threading.Thread(target=draw, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(done) == list(range(8)) and not mismatches
-    assert cold_memo.held == _memo_charge(cold_memo) <= 600
+    assert memo.cache_info().currsize <= 2 and memo.cache_info().misses > 4
 
 
 @pytest.mark.parametrize("gamma_isc", [1e100, 1e101, 1e110, 1e130, 1e150])
