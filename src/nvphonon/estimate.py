@@ -1357,6 +1357,11 @@ def fit_gamma_a1(points, mix_model, gamma_rad, window=DEFAULT_WINDOW, init=None,
     prediction rates + slopes (Gamma_a1' - Gamma_a1). The exact Jacobian
     lets the fit stop on the Newton decrement, without a last call that
     would only confirm a step below chi^2's rounding.
+
+    The forward model fits its windows under uniform weights, so the
+    points' rates must be uniform-weight window fits too, as
+    `fit_gamma_a1_traces` makes them: rates from Poisson or provided
+    weights miss Gamma_a1 by tens of sigma.
     """
     temps, rates, weights, rest = _rate_points(points)
     branches = [branch for (branch,) in rest]

@@ -350,18 +350,13 @@ def _memo_key(spec):
     return tuple(key)
 
 
+@dataclass(frozen=True)
 class _Design:
     """A spec carried into the memo, hashed and compared by its design key
     alone."""
 
-    def __init__(self, key, spec):
-        self.key, self.spec = key, spec
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __eq__(self, other):
-        return self.key == other.key
+    key: tuple
+    spec: ExperimentSpec = field(compare=False)
 
 
 @functools.lru_cache(maxsize=_MEMO_DESIGNS)

@@ -570,6 +570,16 @@ def test_memo_keys_values_with_their_type_and_sign():
     assert synth._memo_key(_spec(seed=1)) == synth._memo_key(_spec(seed=2))
 
 
+def test_memo_keys_values_with_their_names(cold_memo):
+    # the same values under swapped names are another design
+    specs = [_spec(model="depolarization", params={first: 0.1, second: 0.3})
+             for first, second in (("gamma_rad", "gamma_mix"), ("gamma_mix", "gamma_rad"))]
+    warm = [synth.generate(spec) for spec in specs]
+    with _fresh_memo():
+        _assert_same_trace(warm[1], synth.generate(specs[1]))
+    assert cold_memo.cache_info().currsize == 2
+
+
 def test_memo_sees_a_params_dict_mutated_after_a_call(cold_memo):
     params = dict(rate=0.12)
     spec = _spec(params=params)
