@@ -753,8 +753,9 @@ t5.c_mhz = 0.08
     assert float(rows["gamma_a1"][1]) == pytest.approx(16.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("weights", ["poisson", "provided"])
-def test_fit_gamma_a1_refuses_weights_other_than_uniform(tmp_path, capsys, weights):
+@pytest.mark.parametrize("weights, code", [
+    ("uniform", EXIT_OK), ("poisson", EXIT_INPUT), ("provided", EXIT_INPUT)])
+def test_fit_gamma_a1_takes_uniform_weights_only(tmp_path, capsys, weights, code):
     # its forward model fits the window rates under uniform weights, so
     # rates fitted under any other miss Gamma_A1 by tens of sigma
     points = _write(tmp_path / "points.csv",
@@ -764,25 +765,12 @@ def test_fit_gamma_a1_refuses_weights_other_than_uniform(tmp_path, capsys, weigh
                  + f"fit.weights = {weights}\n")
     out = tmp_path / "params.csv"
     assert cli.main(["fit", "--procedure", "gamma-a1", "--config", cfg,
-                     "--out", str(out), points]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert f"fit.weights = {weights}" in err and "uniform" in err
-    assert not out.exists()
-
-
-def test_fit_gamma_a1_takes_uniform_weights_named(tmp_path, capsys):
-    points = _write(tmp_path / "points.csv",
-                    "temperature_k,gamma_eff_mhz,sigma_mhz,branch\n"
-                    "6,16,0.05,A1\n6,15,0.05,A2\n")
-    keys = "rates.gamma_rad_mhz = 13.2\n" + T5_KEYS
-    reports = []
-    for text in (keys, keys + "fit.weights = uniform\n"):
-        cfg = _write(tmp_path / "fit.cfg", text)
-        assert cli.main(["fit", "--procedure", "gamma-a1", "--config", cfg,
-                         points]) == EXIT_OK
-        reports.append(capsys.readouterr().out)
-    assert reports[0] == reports[1]
+                     "--out", str(out), points]) == code
+    assert out.exists() == (code == EXIT_OK)
+    if code == EXIT_INPUT:
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"fit.weights = {weights}" in err and "uniform" in err
 
 
 def test_fit_malformed_input_is_input_error(tmp_path):
