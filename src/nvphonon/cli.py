@@ -602,9 +602,8 @@ def _fit_depol(cfg, inputs):
 def _fit_gamma_a1(cfg, inputs):
     weights = cfg.get("fit.weights", "uniform")
     if weights != "uniform":
-        # the forward model fits its window rates under uniform weights
-        raise ConfigError(f"fit.weights = {weights}: gamma-a1 fits window rates "
-                          "fitted under uniform weights only")
+        raise ConfigError(f"fit.weights = {weights}: gamma-a1 needs window rates "
+                          "fitted under uniform weights, as its forward model fits them")
     points = _read_points_file(
         inputs[0], ("temperature_k", "gamma_eff_mhz", "sigma_mhz", "branch"))
     return estimate.fit_gamma_a1(

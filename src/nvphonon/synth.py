@@ -313,8 +313,9 @@ def _compute_signal(spec):
 
 # The memo of expected signals holds at most _MEMO_DESIGNS designs of at
 # most _MEMO_BINS bins, each bin a centre and an expected count (16 bytes):
-# 32 x 2^15 x 16 B = 16 MB. It holds twice the designs any caller repeats,
-# so that one design more than a cycle's worth does not thrash it.
+# 32 x 2^15 x 16 B = 16 MB. The analysis cycles through 16 designs (8
+# temperatures x 2 branches), and a memo of exactly 16 would miss on every
+# call of a cycle of 17.
 _MEMO_DESIGNS = 32
 _MEMO_BINS = 2**15
 
